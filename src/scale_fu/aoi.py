@@ -8,7 +8,9 @@ clock belongs to the unlearning phase only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -65,6 +67,25 @@ class GroupIndex:
         s, e = self.groups_of(layer)[j]
         return slice(s, e)
 
+    @cached_property
+    def positions(self) -> dict[tuple[int, int], int]:
+        """(layer, group) -> position in canonical order."""
+        return {key: pos for pos, key in enumerate(self.keys())}
+
+    @cached_property
+    def runs(self) -> tuple[tuple[int, slice, int, slice], ...]:
+        """(layer, parameter slice, group size, canonical positions) per run of
+        consecutive equal-size groups. A run's parameters reshape to
+        (n_groups, size) rows; balanced_ranges gives at most two runs a layer."""
+        out, pos = [], 0
+        for layer, rs in zip(self.layers, self.ranges):
+            for size, run in groupby(rs, key=lambda r: r[1] - r[0]):
+                run = list(run)
+                out.append((layer, slice(run[0][0], run[-1][1]), size,
+                            slice(pos, pos + len(run))))
+                pos += len(run)
+        return tuple(out)
+
 
 def balanced_ranges(d: int, g: int) -> tuple[tuple[int, int], ...]:
     """Split [0, d) into min(g, d) contiguous runs, sizes differing by <= 1,
@@ -104,39 +125,40 @@ def partition_groups(model: nn.Model, sensitive_layers: list[int], groups_per_la
 
 @dataclass
 class AoiLedger:
-    """Last-touch stamps per (layer, group) plus the current step counter."""
+    """Last-touch stamps per (layer, group), in canonical order, plus the
+    current step counter."""
 
     idx: GroupIndex
     t: int = 0
-    stamps: dict = field(default_factory=dict)
+    stamps: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.stamps:
-            self.stamps = {key: 0 for key in self.idx.keys()}
+        if self.stamps is None:
+            self.stamps = np.zeros(self.idx.total_groups, dtype=np.int64)
+
+    def _pos(self, key) -> int:
+        try:
+            return self.idx.positions[key]
+        except KeyError:
+            raise AoiError(f"unknown group {key}") from None
 
     def advance(self) -> None:
         self.t += 1
 
     def touch(self, keys) -> None:
-        for key in keys:
-            if key not in self.stamps:
-                raise AoiError(f"unknown group {key}")
-            self.stamps[key] = self.t
+        self.stamps[[self._pos(key) for key in keys]] = self.t
 
     def age(self, layer: int, j: int) -> int:
-        key = (layer, j)
-        if key not in self.stamps:
-            raise AoiError(f"unknown group {key}")
-        return self.t - self.stamps[key]
+        return self.t - int(self.stamps[self._pos((layer, j))])
 
     def ages(self) -> np.ndarray:
-        return np.array([self.t - self.stamps[k] for k in self.idx.keys()], dtype=np.float64)
+        return (self.t - self.stamps).astype(np.float64)
 
     def max_age(self) -> float:
         return float(self.ages().max())
 
     def copy(self) -> "AoiLedger":
-        return AoiLedger(idx=self.idx, t=self.t, stamps=dict(self.stamps))
+        return AoiLedger(idx=self.idx, t=self.t, stamps=self.stamps.copy())
 
 
 def group_stats(model: nn.Model, idx: GroupIndex, layer: int, j: int) -> tuple[float, float]:
@@ -148,16 +170,18 @@ def group_stats(model: nn.Model, idx: GroupIndex, layer: int, j: int) -> tuple[f
 def state_vector(model: nn.Model, ledger: AoiLedger, idx: GroupIndex) -> np.ndarray:
     """Flattened (A_norm, mean, std) per group in canonical order.
 
-    A_norm divides by max(1, max age) so an all-zero ledger maps to zeros."""
+    A_norm divides by max(1, max age) so an all-zero ledger maps to zeros.
+    Each run of equal-size groups is one (n_groups, size) reshape whose row
+    mean and std equal group_stats bit for bit."""
     ages = ledger.ages()
     denom = max(1.0, float(ages.max()))
-    out = np.empty(3 * idx.total_groups, dtype=np.float64)
-    for pos, (l, j) in enumerate(idx.keys()):
-        mu, sd = group_stats(model, idx, l, j)
-        out[3 * pos] = ages[pos] / denom
-        out[3 * pos + 1] = mu
-        out[3 * pos + 2] = sd
-    return out
+    out = np.empty((idx.total_groups, 3), dtype=np.float64)
+    out[:, 0] = ages / denom
+    for layer, params, size, pos in idx.runs:
+        rows = model.params[layer][params].reshape(-1, size)
+        out[pos, 1] = rows.mean(axis=1)
+        out[pos, 2] = rows.std(axis=1)
+    return out.ravel()
 
 
 def global_aoi(ledger: AoiLedger, paper_literal: bool = False) -> float:

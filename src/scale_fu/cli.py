@@ -403,9 +403,9 @@ def _read_actions(path: Path, h: str, force: bool) -> list[dict]:
 def _touch_all_rows(idx, steps: int) -> list[dict]:
     rows = []
     for t in range(1, steps + 1):
-        for layer in idx.layers:
+        for layer, ranges in zip(idx.layers, idx.ranges):
             rows.append({"step": t, "layer": int(layer),
-                         "groups": list(range(len(idx.ranges[layer]))), "s": 1.0})
+                         "groups": list(range(len(ranges))), "s": 1.0})
     return rows
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -128,7 +129,14 @@ def group_sparsity(model: nn.Model, idx: GroupIndex, layer: int, j: int) -> floa
 
 
 def min_group_sparsity(model: nn.Model, idx: GroupIndex) -> float:
-    return min(group_sparsity(model, idx, l, j) for l, j in idx.keys())
+    """Smallest group_sparsity over all groups. Zeros are counted per row of
+    each run of equal-size groups; a run's smallest ratio is its smallest
+    count over the size they share."""
+    return min(
+        int(np.count_nonzero(model.params[layer][params].reshape(-1, size) == 0.0,
+                             axis=1).min()) / size
+        for layer, params, size, _ in idx.runs
+    )
 
 
 # --- rewards ----------------------------------------------------------------
@@ -188,30 +196,32 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Standard Adam over a dict of parameter arrays."""
+    """Standard Adam over one flat parameter vector."""
 
-    def __init__(self, params: dict, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: np.ndarray, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Update `params` in place from the flat gradient `grad`."""
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for k, g in grads.items():
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
-            params[k] -= self.lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
+        self.m = self.b1 * self.m + (1 - self.b1) * grad
+        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
+        params -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
-def clip_grad_norm(grads: dict, max_norm: float) -> float:
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_grad_norm(grad: np.ndarray, blocks, max_norm: float) -> float:
+    """Scale the flat gradient in place to norm <= max_norm; returns the norm
+    before scaling. The squared norm is a Python sum of one pairwise sum per
+    block (slices of `grad`, in order), so it keeps the bits of a per-array sum."""
+    sq = grad * grad
+    total = math.sqrt(sum(float(sq[sl].sum()) for sl in blocks))
     if total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grad *= max_norm / total
     return total
 
 
@@ -252,8 +262,18 @@ class PolicyLayout:
         )
 
 
+def _views(buf: np.ndarray, shapes: dict, blocks) -> dict:
+    return {k: buf[sl].reshape(shapes[k]) for k, sl in zip(shapes, blocks)}
+
+
 class _TrunkNet:
-    """Two tanh hidden layers; heads are added by subclasses (zero-init)."""
+    """Two tanh hidden layers; heads are added by subclasses (zero-init).
+
+    Parameters live in one flat float64 buffer `flat`; `params` holds named
+    views into it. `backward` writes the gradient into the flat buffer `grad`
+    through `grads`, views of the same shapes. Blocks are laid out in
+    backward's order (heads, then W2, b2, W1, b1), which `clip_grad_norm`
+    sums in."""
 
     def __init__(self, in_dim: int, hidden: int, head_dims: dict, seed: int):
         rng = np.random.default_rng(seed)
@@ -262,15 +282,19 @@ class _TrunkNet:
             a = math.sqrt(6.0 / (n_in + n_out))
             return rng.uniform(-a, a, size=(n_out, n_in))
 
-        self.params = {
-            "W1": xavier(hidden, in_dim),
-            "b1": np.zeros(hidden),
-            "W2": xavier(hidden, hidden),
-            "b2": np.zeros(hidden),
-        }
+        shapes = {}
         for name, dim in head_dims.items():
-            self.params[f"W_{name}"] = np.zeros((dim, hidden))
-            self.params[f"b_{name}"] = np.zeros(dim)
+            shapes[f"W_{name}"] = (dim, hidden)
+            shapes[f"b_{name}"] = (dim,)
+        shapes.update(W2=(hidden, hidden), b2=(hidden,), W1=(hidden, in_dim), b1=(hidden,))
+        ends = list(accumulate(math.prod(shape) for shape in shapes.values()))
+        self.blocks = tuple(slice(s, e) for s, e in zip([0] + ends, ends))
+        self.flat = np.zeros(ends[-1])
+        self.grad = np.zeros(ends[-1])
+        self.params = _views(self.flat, shapes, self.blocks)
+        self.grads = _views(self.grad, shapes, self.blocks)
+        self.params["W1"][:] = xavier(hidden, in_dim)
+        self.params["W2"][:] = xavier(hidden, hidden)
         self.head_names = tuple(head_dims)
         self.in_dim = in_dim
 
@@ -285,21 +309,23 @@ class _TrunkNet:
             for name in self.head_names
         }
 
-    def backward(self, X, h1, h2, dheads: dict) -> dict:
-        grads = {}
+    def backward(self, X, h1, h2, dheads: dict) -> np.ndarray:
+        """Fill and return the flat gradient `self.grad` (overwritten by the
+        next call). `dheads` names every head."""
+        grads = self.grads
         dh2 = np.zeros_like(h2)
         for name, dz in dheads.items():
-            grads[f"W_{name}"] = dz.T @ h2
-            grads[f"b_{name}"] = dz.sum(axis=0)
+            grads[f"W_{name}"][:] = dz.T @ h2
+            grads[f"b_{name}"][:] = dz.sum(axis=0)
             dh2 += dz @ self.params[f"W_{name}"]
         dp2 = dh2 * (1.0 - h2 * h2)
-        grads["W2"] = dp2.T @ h1
-        grads["b2"] = dp2.sum(axis=0)
+        grads["W2"][:] = dp2.T @ h1
+        grads["b2"][:] = dp2.sum(axis=0)
         dh1 = dp2 @ self.params["W2"]
         dp1 = dh1 * (1.0 - h1 * h1)
-        grads["W1"] = dp1.T @ X
-        grads["b1"] = dp1.sum(axis=0)
-        return grads
+        grads["W1"][:] = dp1.T @ X
+        grads["b1"][:] = dp1.sum(axis=0)
+        return self.grad
 
 
 class PolicyNet(_TrunkNet):
@@ -368,23 +394,22 @@ def policy_sample(policy: PolicyNet, state: np.ndarray, rng: np.random.Generator
     chosen layer and the log-prob is recomputed for the coerced action."""
     z_l, z_g, z_r, _ = policy.logits(state[None, :])
     lay = policy.layout
-    p_l = np.exp(_log_softmax(z_l))[0]
-    rank = int(rng.choice(lay.n_layers, p=p_l))
+    lsm_l, lsm_r = _log_softmax(z_l)[0], _log_softmax(z_r)[0]
+    rank = int(rng.choice(lay.n_layers, p=np.exp(lsm_l)))
     cols = lay.group_cols(rank)
     probs = _sigmoid(z_g[0, cols])
     bits = (rng.random(probs.size) < probs).astype(np.float64)
     if bits.sum() == 0:
         bits[_oldest_group(lay, state, rank)] = 1.0
-    p_r = np.exp(_log_softmax(z_r))[0]
-    level = int(rng.choice(lay.ratio_levels, p=p_r)) + 1
+    level = int(rng.choice(lay.ratio_levels, p=np.exp(lsm_r))) + 1
     action = Action(
         layer_rank=rank,
         groups=tuple(int(j) for j in np.flatnonzero(bits)),
         ratio_level=level,
         s=level / lay.ratio_levels,
     )
-    lp = float(_log_softmax(z_l)[0, rank]) + _mask_log_prob(z_g[0, cols], bits)
-    lp += float(_log_softmax(z_r)[0, level - 1])
+    lp = float(lsm_l[rank]) + _mask_log_prob(z_g[0, cols], bits)
+    lp += float(lsm_r[level - 1])
     return action, lp
 
 
@@ -547,10 +572,6 @@ class UnlearnEnv:
         )
 
 
-def env_step(env: UnlearnEnv, action: Action, log_prob: float = 0.0, value: float = 0.0):
-    return env.step(action, log_prob, value)
-
-
 # --- PPO update -------------------------------------------------------------
 
 
@@ -612,17 +633,17 @@ def ppo_update(
             dz_r += -ce * (-p_r * (lsm_r + ent_r))
             dz_g += -ce * mask * (-z_g * sig * (1.0 - sig))
 
-            grads = policy.backward(cache[0], cache[1], cache[2],
-                                    {"layer": dz_l, "group": dz_g, "ratio": dz_r})
-            clip_grad_norm(grads, cfg.grad_clip)
-            policy_opt.step(policy.params, grads)
+            grad = policy.backward(cache[0], cache[1], cache[2],
+                                   {"layer": dz_l, "group": dz_g, "ratio": dz_r})
+            clip_grad_norm(grad, policy.blocks, cfg.grad_clip)
+            policy_opt.step(policy.flat, grad)
 
             v, vcache = value_net.values(states[mb])
             verr = v - returns[mb]
             dv = (2.0 / m) * verr
-            vgrads = value_net.backward(vcache[0], vcache[1], vcache[2], {"v": dv[:, None]})
-            clip_grad_norm(vgrads, cfg.grad_clip)
-            value_opt.step(value_net.params, vgrads)
+            vgrad = value_net.backward(vcache[0], vcache[1], vcache[2], {"v": dv[:, None]})
+            clip_grad_norm(vgrad, value_net.blocks, cfg.grad_clip)
+            value_opt.step(value_net.flat, vgrad)
 
             stats["policy_loss"] += float(-surr.mean())
             stats["value_loss"] += float((verr**2).mean())
@@ -671,8 +692,8 @@ def train_unlearner(
     )
     policy = PolicyNet(layout, seed=net_seed, hidden=cfg.hidden)
     value_net = ValueNet(layout.state_dim, seed=net_seed + 1, hidden=cfg.hidden)
-    policy_opt = Adam(policy.params, cfg.actor_lr)
-    value_opt = Adam(value_net.params, cfg.critic_lr)
+    policy_opt = Adam(policy.flat, cfg.actor_lr)
+    value_opt = Adam(value_net.flat, cfg.critic_lr)
     sample_rng = np.random.default_rng(sample_seed)
     update_rng = np.random.default_rng(update_seed)
 

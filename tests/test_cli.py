@@ -335,3 +335,23 @@ def test_theory_cli_paper_literal_form_fails(tmp_path):
     entries = json.loads(out.read_text())
     by_id = {e["claim_id"]: e for e in entries}
     assert by_id[theory.CLAIM_ERROR_BOUND]["status"] == "FAIL"
+
+
+def test_mini_cnn_pipeline_evaluates_every_method(tmp_path):
+    # mini_cnn's flatten layer has no parameters, so the full group index
+    # holds layers (0, 1, 3) and a layer id is not its rank
+    cfg = {**SMALL, "model": {"arch": "mini_cnn"},
+           "dataset": {"classes": 3, "dim": 25, "per_class": 20}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    for m in ALL_METHODS.split(","):
+        assert cli.main(["unlearn", "--run", str(out), "--method", m,
+                         "--request", "client:1"]) == 0, m
+    rd = RunDir(out)
+    model = nn.load_model(rd.global_model_path, nn.load_manifest(rd.manifest_path))
+    assert baselines.full_group_index(model, 4).layers == (0, 1, 3)
+    assert cli.main(["eval", "--run", str(out), "--methods", ALL_METHODS]) == 0
+    _, _, rows = read_csv(rd.comparison_path)
+    assert [r[0] for r in rows] == ALL_METHODS.split(",")

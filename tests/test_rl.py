@@ -396,8 +396,8 @@ def test_ppo_update_runs_and_clears_buffer():
     cfg = rl.PpoConfig(t_collect=5, ratio_levels=4, epochs=3, batch_size=4)
     value_net = rl.ValueNet(layout.state_dim, seed=1, hidden=16)
     buffer = collect_buffer(policy, model, idx, cfg)
-    popt = rl.Adam(policy.params, cfg.actor_lr)
-    vopt = rl.Adam(value_net.params, cfg.critic_lr)
+    popt = rl.Adam(policy.flat, cfg.actor_lr)
+    vopt = rl.Adam(value_net.flat, cfg.critic_lr)
     before = {k: v.copy() for k, v in policy.params.items()}
     stats = rl.ppo_update(policy, value_net, buffer, cfg, np.random.default_rng(0), popt, vopt)
     assert buffer == []
@@ -413,26 +413,26 @@ def test_ppo_update_rejects_empty_buffer():
     value_net = rl.ValueNet(layout.state_dim, seed=1)
     with pytest.raises(rl.RlError):
         rl.ppo_update(policy, value_net, [], cfg, np.random.default_rng(0),
-                      rl.Adam(policy.params, 1e-3), rl.Adam(value_net.params, 1e-3))
+                      rl.Adam(policy.flat, 1e-3), rl.Adam(value_net.flat, 1e-3))
 
 
 def test_adam_matches_reference_first_step():
-    params = {"w": np.array([1.0, 2.0])}
+    params = np.array([1.0, 2.0])
     opt = rl.Adam(params, lr=0.1)
-    opt.step(params, {"w": np.array([0.5, -0.5])})
+    opt.step(params, np.array([0.5, -0.5]))
     # bias-corrected first step moves by lr * g/(|g| + eps) = lr * sign, almost
-    assert params["w"][0] == pytest.approx(1.0 - 0.1, abs=1e-6)
-    assert params["w"][1] == pytest.approx(2.0 + 0.1, abs=1e-6)
+    assert params[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
+    assert params[1] == pytest.approx(2.0 + 0.1, abs=1e-6)
 
 
 def test_grad_clip_scales_to_max_norm():
-    grads = {"a": np.array([3.0, 4.0])}
-    norm = rl.clip_grad_norm(grads, 0.5)
+    grad = np.array([3.0, 4.0])
+    norm = rl.clip_grad_norm(grad, [slice(0, 2)], 0.5)
     assert norm == pytest.approx(5.0)
-    assert np.linalg.norm(grads["a"]) == pytest.approx(0.5)
-    small = {"a": np.array([0.1, 0.0])}
-    rl.clip_grad_norm(small, 0.5)
-    assert small["a"][0] == pytest.approx(0.1)
+    assert np.linalg.norm(grad) == pytest.approx(0.5)
+    small = np.array([0.1, 0.0])
+    rl.clip_grad_norm(small, [slice(0, 2)], 0.5)
+    assert small[0] == pytest.approx(0.1)
 
 
 # --- learning: two-armed bandit through the real env --------------------------
