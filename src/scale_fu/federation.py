@@ -8,7 +8,6 @@ upload for the sensitivity analysis.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +60,6 @@ class FederationHistory:
     models: dict[int, list[np.ndarray]] = field(default_factory=dict)
     sizes: dict[int, int] = field(default_factory=dict)
     last_round: dict[int, int] = field(default_factory=dict)
-    snapshots: deque = field(default_factory=lambda: deque(maxlen=0))
 
     def record(self, client: int, params: list[np.ndarray], size: int, rnd: int) -> None:
         self.models[client] = [p.copy() for p in params]
@@ -144,7 +142,6 @@ def run_rounds(
     model0: nn.Model,
     eligible: list[int] | None = None,
     client_indices: list[np.ndarray] | None = None,
-    snapshot_rounds: int = 0,
 ) -> tuple[nn.Model, FederationHistory, list[RoundLog]]:
     """FedAvg for cfg.rounds rounds from model0.
 
@@ -164,7 +161,7 @@ def run_rounds(
         raise FederationError("eligible client has no samples")
     k = min(cfg.clients_per_round, len(pool))
     select_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
-    history = FederationHistory(snapshots=deque(maxlen=snapshot_rounds))
+    history = FederationHistory()
     global_model = model0.copy()
     logs: list[RoundLog] = []
     for rnd in range(1, cfg.rounds + 1):
@@ -187,8 +184,6 @@ def run_rounds(
         global_model = aggregate(updated, weights)
         loss, acc = evaluate(global_model, ds.inputs, ds.labels)
         logs.append(RoundLog(round=rnd, participants=participants, loss=loss, accuracy=acc))
-        if snapshot_rounds:
-            history.snapshots.append((rnd, [p.copy() for p in global_model.params]))
     return global_model, history, logs
 
 

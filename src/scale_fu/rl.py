@@ -434,7 +434,8 @@ def policy_mode(policy: PolicyNet, state: np.ndarray):
     return action, lp
 
 
-def _batch_action_arrays(layout: PolicyLayout, actions: list[Action]):
+def action_arrays(layout: PolicyLayout, actions: list[Action]):
+    """Stored actions as (ranks, levels, bits, mask) arrays, one row each."""
     n = len(actions)
     ranks = np.array([a.layer_rank for a in actions], dtype=np.int64)
     levels = np.array([a.ratio_level - 1 for a in actions], dtype=np.int64)
@@ -448,12 +449,12 @@ def _batch_action_arrays(layout: PolicyLayout, actions: list[Action]):
     return ranks, levels, bits, mask
 
 
-def batch_log_probs(policy: PolicyNet, states: np.ndarray, actions: list[Action]):
-    """Vectorized log-probs and entropies for a batch of stored actions."""
+def batch_log_probs(policy: PolicyNet, states: np.ndarray, arrays: tuple):
+    """Vectorized log-probs and entropies for a batch of stored actions,
+    given as the `action_arrays` of those actions."""
     z_l, z_g, z_r, cache = policy.logits(states)
-    lay = policy.layout
-    ranks, levels, bits, mask = _batch_action_arrays(lay, actions)
-    n = len(actions)
+    ranks, levels, bits, mask = arrays
+    n = ranks.size
     lsm_l = _log_softmax(z_l)
     lsm_r = _log_softmax(z_r)
     lp = lsm_l[np.arange(n), ranks] + lsm_r[np.arange(n), levels]
@@ -591,7 +592,7 @@ def ppo_update(
     if not buffer:
         raise RlError("empty buffer")
     states = np.stack([tr.state for tr in buffer])
-    actions = [tr.action for tr in buffer]
+    acts = action_arrays(policy.layout, [tr.action for tr in buffer])
     rewards = np.array([tr.reward for tr in buffer])
     dones = np.array([tr.done for tr in buffer])
     old_lp = np.array([tr.log_prob for tr in buffer])
@@ -599,7 +600,6 @@ def ppo_update(
     adv_raw, returns = gae(rewards, values, dones, cfg.discount, cfg.gae_lambda)
     adv = normalize_advantages(adv_raw)
     n = len(buffer)
-    lay = policy.layout
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "clip_frac": 0.0}
     n_batches = 0
     for _ in range(cfg.epochs):
@@ -607,7 +607,7 @@ def ppo_update(
         for start in range(0, n, cfg.batch_size):
             mb = perm[start : start + cfg.batch_size]
             m = mb.size
-            lp, entropy, aux = batch_log_probs(policy, states[mb], [actions[i] for i in mb])
+            lp, entropy, aux = batch_log_probs(policy, states[mb], tuple(a[mb] for a in acts))
             (z_l, z_g, z_r, cache, ranks, levels, bits, mask, lsm_l, lsm_r, p_l, p_r, sig) = aux
             a_mb = adv[mb]
             ratio = np.exp(lp - old_lp[mb])

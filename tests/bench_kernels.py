@@ -1,10 +1,13 @@
-"""Microbenchmarks of the PPO hot-path kernels on the default ref-mlp index.
+"""Microbenchmarks of the PPO hot-path kernels on the default ref-mlp index,
+and of the dense and conv2d layer kernels on cnn-fed's mini_cnn shapes.
 
     PYTHONPATH=src python -m pytest tests/bench_kernels.py -m bench
 
 Marked `bench` and deselected by default (pyproject `addopts`), so tier-1
 never times anything.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -55,3 +58,51 @@ def test_bench_adam_step(benchmark, setup):
     opt = rl.Adam(policy.flat, ppo.actor_lr)
     grad = np.random.default_rng(0).standard_normal(policy.flat.size) * 1e-3
     benchmark(opt.step, policy.flat, grad)
+
+
+# --- NN layer kinds on cnn-fed's mini_cnn: 8x8 inputs, 4 classes ---------------
+
+CNN_CFG = validate_config({"model": {"arch": "mini_cnn"},
+                           "dataset": {"dim": 64, "per_class": 150}})
+TRAIN_B = CNN_CFG["federation"]["batch_size"]
+# `evaluate` runs the forward pass over the whole 600-sample dataset
+EVAL_B = CNN_CFG["dataset"]["classes"] * CNN_CFG["dataset"]["per_class"]
+
+
+@functools.cache
+def cnn_layers(batch_size):
+    """mini_cnn's weighted layers in order: (W, b, layer input, upstream gradient)."""
+    ds = CNN_CFG["dataset"]
+    model = nn.make_model("mini_cnn", ds["dim"], ds["classes"], seed=0)
+    rng = np.random.default_rng(0)
+    _, caches = nn._forward(model, rng.standard_normal((batch_size, ds["dim"])))
+    out = []
+    for spec, vec, (a, z) in zip(model.layers, model.params, caches):
+        split = {nn.DENSE: nn._split_dense, nn.CONV2D: nn._split_conv}.get(spec.kind)
+        if split:
+            out.append((*split(spec, vec), a, rng.standard_normal(z.shape)))
+    return out
+
+
+@pytest.mark.parametrize("batch_size", [TRAIN_B, EVAL_B])
+@pytest.mark.parametrize("layer", [0, 1])
+def test_bench_conv2d_forward(benchmark, layer, batch_size):
+    W, b, a, _ = cnn_layers(batch_size)[layer]
+    benchmark(nn._conv_forward, a, W, b)
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_bench_conv2d_backward(benchmark, layer):
+    W, _, a, dz = cnn_layers(TRAIN_B)[layer]
+    benchmark(nn._conv_backward, a, W, dz)
+
+
+@pytest.mark.parametrize("batch_size", [TRAIN_B, EVAL_B])
+def test_bench_dense_forward(benchmark, batch_size):
+    W, b, a, _ = cnn_layers(batch_size)[2]
+    benchmark(nn._dense_forward, a, W, b)
+
+
+def test_bench_dense_backward(benchmark):
+    W, _, a, dz = cnn_layers(TRAIN_B)[2]
+    benchmark(nn._dense_backward, a, W, dz)

@@ -135,20 +135,18 @@ def test_run_rounds_zero_rounds():
         assert np.array_equal(a, b)
 
 
-def test_run_rounds_partial_participation_and_snapshots():
+def test_run_rounds_partial_participation():
     ds, part, model0 = small_world()
     cfg = federation.FedConfig(
         n_clients=4, rounds=6, local_epochs=1, eta=0.05, clients_per_round=2, seed=3
     )
-    _, history, logs = federation.run_rounds(cfg, part, ds, model0, snapshot_rounds=3)
+    _, history, logs = federation.run_rounds(cfg, part, ds, model0)
     seen = set()
     for log in logs:
         assert len(log.participants) == 2
         assert log.participants == sorted(log.participants)
         seen.update(log.participants)
     assert set(history.clients()) == seen
-    assert len(history.snapshots) == 3
-    assert history.snapshots[-1][0] == 6
 
 
 def test_retrain_excludes_forgotten_client():

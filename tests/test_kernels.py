@@ -1,11 +1,16 @@
 """Differential tests: each vectorized kernel against the reference loop it
-replaced, compared for exact equality, never a tolerance.
+replaced.
 
+Compared for exact equality, never a tolerance:
 - `state_vector` against a loop over `group_stats`
 - `min_group_sparsity` against `min(group_sparsity(...))`
 - `AoiLedger` against a ledger keeping dict stamps
 - flat `Adam.step` and `clip_grad_norm` against per-key dict versions
 - a whole `train_unlearner` run with every reference swapped in
+
+Compared within a fixed float64 tolerance, since the summation order changed:
+- the per-offset GEMM `_conv_forward` / `_conv_backward` against the einsum
+  loops they replaced; repeated calls must still agree exactly
 """
 
 import math
@@ -63,6 +68,35 @@ def ref_state_vector(model, ledger, idx):
 
 def ref_min_group_sparsity(model, idx):
     return min(rl.group_sparsity(model, idx, l, j) for l, j in idx.keys())
+
+
+def ref_conv_forward(x, W, b):
+    # x: (B, C, H, W), W: (O, C, k, k) -> (B, O, H-k+1, W-k+1), valid padding
+    B, C, H, Wd = x.shape
+    O, _, k, _ = W.shape
+    Ho, Wo = H - k + 1, Wd - k + 1
+    out = np.broadcast_to(b[None, :, None, None], (B, O, Ho, Wo)).copy()
+    for u in range(k):
+        for v in range(k):
+            out += np.einsum(
+                "bcij,oc->boij", x[:, :, u : u + Ho, v : v + Wo], W[:, :, u, v]
+            )
+    return out
+
+
+def ref_conv_backward(x, W, dz):
+    B, C, H, Wd = x.shape
+    O, _, k, _ = W.shape
+    Ho, Wo = dz.shape[2], dz.shape[3]
+    dW = np.zeros_like(W)
+    dx = np.zeros_like(x)
+    for u in range(k):
+        for v in range(k):
+            patch = x[:, :, u : u + Ho, v : v + Wo]
+            dW[:, :, u, v] = np.einsum("boij,bcij->oc", dz, patch)
+            dx[:, :, u : u + Ho, v : v + Wo] += np.einsum("boij,oc->bcij", dz, W[:, :, u, v])
+    db = dz.sum(axis=(0, 2, 3))
+    return dW, db, dx
 
 
 class DictAdam:
@@ -217,6 +251,72 @@ def test_ledger_ages_match_dict_stamps(case, ops):
         assert ledger.age(layer, j) == ref.age(layer, j)
     with pytest.raises(AoiError):
         ledger.touch([(99, 0)])
+
+
+# --- convolution -----------------------------------------------------------------
+
+CONV_RTOL = 1e-12
+
+
+def assert_conv_close(got, ref):
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=CONV_RTOL,
+                               atol=CONV_RTOL * np.abs(ref).max(initial=0.0))
+
+
+def check_conv(B, C, O, k, H, Wd, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((B, C, H, Wd))
+    W = rng.standard_normal((O, C, k, k))
+    b = rng.standard_normal(O)
+    dz = rng.standard_normal((B, O, H - k + 1, Wd - k + 1))
+    z = nn._conv_forward(x, W, b)
+    grads = nn._conv_backward(x, W, dz)
+    assert_conv_close(z, ref_conv_forward(x, W, b))
+    for got, ref in zip(grads, ref_conv_backward(x, W, dz)):
+        assert_conv_close(got, ref)
+    assert np.array_equal(nn._conv_forward(x, W, b), z)
+    for again, first in zip(nn._conv_backward(x, W, dz), grads):
+        assert np.array_equal(again, first)
+
+
+@st.composite
+def conv_shapes(draw):
+    k = draw(st.integers(1, 4))
+    return (draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 6)), k,
+            draw(st.integers(k, k + 5)), draw(st.integers(k, k + 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(conv_shapes(), st.integers(0, 2**16))
+def test_conv_matches_einsum_reference(shape, seed):
+    check_conv(*shape, seed)
+
+
+@pytest.mark.parametrize("B,C,O,k,H,Wd", [
+    (1, 1, 1, 1, 1, 1),     # everything 1
+    (4, 1, 8, 3, 8, 8),     # mini_cnn's first layer: C = 1
+    (3, 8, 16, 3, 6, 6),    # mini_cnn's second layer
+    (2, 3, 5, 1, 4, 7),     # k = 1, non-square image
+    (2, 2, 7, 4, 4, 4),     # k = H: one output pixel
+    (1, 5, 3, 2, 3, 9),     # B = 1, O < C
+    (600, 8, 16, 3, 6, 6),  # the cnn-fed evaluate forward
+])
+def test_conv_matches_einsum_reference_on_edge_shapes(B, C, O, k, H, Wd):
+    check_conv(B, C, O, k, H, Wd, seed=B + C + O)
+
+
+def test_mini_cnn_loss_and_grads_match_reference_conv(monkeypatch):
+    rng = np.random.default_rng(3)
+    model = nn.make_model("mini_cnn", 36, 4, seed=6)
+    batch = nn.Batch(rng.standard_normal((9, 36)), rng.integers(0, 4, 9))
+    loss, grads = nn.loss_and_grads(model, batch)
+    monkeypatch.setattr(nn, "_conv_forward", ref_conv_forward)
+    monkeypatch.setattr(nn, "_conv_backward", ref_conv_backward)
+    ref_loss, ref_grads = nn.loss_and_grads(model, batch)
+    assert loss == pytest.approx(ref_loss, rel=CONV_RTOL)
+    for got, ref in zip(grads, ref_grads):
+        assert_conv_close(got, ref)
 
 
 # --- optimizer ------------------------------------------------------------------

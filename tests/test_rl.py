@@ -368,7 +368,8 @@ def test_stored_log_probs_match_batch_recompute():
         buffer.append(tr)
         state = tr.next_state
     states = np.stack([tr.state for tr in buffer])
-    lps, ent, _ = rl.batch_log_probs(policy, states, [tr.action for tr in buffer])
+    acts = rl.action_arrays(layout, [tr.action for tr in buffer])
+    lps, ent, _ = rl.batch_log_probs(policy, states, acts)
     stored = np.array([tr.log_prob for tr in buffer])
     assert np.allclose(lps, stored, atol=1e-10)
     assert np.all(ent > 0.0)
