@@ -26,7 +26,6 @@ from .config import (
     TAG_INIT,
     TAG_PARTITION,
     TAG_PPO,
-    TAG_REQUEST,
     build_request,
     component_seed,
     config_hash,
@@ -116,14 +115,7 @@ def parse_request_string(text: str, cfg: dict, seed: int) -> tuple[dict, Unlearn
     probe = dict(cfg)
     probe["request"] = block
     validate_config(probe)
-    req = UnlearnRequest(
-        granularity=block["granularity"],
-        clients=tuple(block["clients"]),
-        class_set=tuple(block["class_set"]),
-        sample_fraction=block["sample_fraction"],
-        seed=component_seed(seed, TAG_REQUEST),
-    )
-    return block, req
+    return block, build_request(probe, seed)
 
 
 def request_string(block: dict) -> str:
@@ -182,6 +174,19 @@ def _load_global(rd: RunDir) -> tuple[nn.Model, dict]:
 # --- train
 
 
+def write_rounds_csv(path: Path, rounds: list[federation.RoundLog], h: str) -> None:
+    """One row per FedAvg round: participants, mean loss and accuracy."""
+    write_csv(
+        path,
+        ["round", "participants", "loss", "acc"],
+        [
+            [r.round, " ".join(str(p) for p in r.participants), repr(r.loss), repr(r.accuracy)]
+            for r in rounds
+        ],
+        h,
+    )
+
+
 def cmd_train(config_path: str, out_dir: str) -> RunDir:
     cfg = load_config(config_path)
     rd = RunDir(out_dir).ensure()
@@ -199,15 +204,7 @@ def cmd_train(config_path: str, out_dir: str) -> RunDir:
     )
     nn.save_manifest(manifest, rd.manifest_path)
     save_history(rd, history, h)
-    write_csv(
-        rd.rounds_path,
-        ["round", "participants", "loss", "acc"],
-        [
-            [r.round, " ".join(str(p) for p in r.participants), repr(r.loss), repr(r.accuracy)]
-            for r in rounds
-        ],
-        h,
-    )
+    write_rounds_csv(rd.rounds_path, rounds, h)
     rd.partition_path.write_text(
         json.dumps(
             {
@@ -307,15 +304,7 @@ def _unlearn_retrain(rd, cfg, h, ds, part, split, seed: int) -> None:
     model, rounds = federation.retrain_baseline(fed_cfg, part, ds, split, model0)
     mdir = rd.method_dir("retrain")
     mdir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        mdir / "rounds.csv",
-        ["round", "participants", "loss", "acc"],
-        [
-            [r.round, " ".join(str(p) for p in r.participants), repr(r.loss), repr(r.accuracy)]
-            for r in rounds
-        ],
-        h,
-    )
+    write_rounds_csv(mdir / "rounds.csv", rounds, h)
     nn.save_model(model, rd.unlearned_model_path("retrain"))
     _write_meta(rd, "retrain", h, seed=seed, steps=fed_cfg.rounds)
 
@@ -446,14 +435,7 @@ def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metr
 
     ds = build_dataset(cfg)
     part = build_partition(cfg, ds)
-    req = UnlearnRequest(
-        granularity=cfg["request"]["granularity"],
-        clients=tuple(cfg["request"]["clients"]),
-        class_set=tuple(cfg["request"]["class_set"]),
-        sample_fraction=cfg["request"]["sample_fraction"],
-        seed=component_seed(unlearn_seed, TAG_REQUEST),
-    )
-    split = data.build_split(ds, part, req)
+    split = data.build_split(ds, part, build_request(cfg, unlearn_seed))
     original, manifest = _load_global(rd)
     X_r, y_r = data.client_view(ds, split.remain)
     X_f, y_f = data.client_view(ds, split.forget)

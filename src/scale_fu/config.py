@@ -266,15 +266,17 @@ def ppo_config(cfg: dict) -> PpoConfig:
 
 
 def build_request(cfg: dict, seed: int | None = None) -> UnlearnRequest:
+    """The UnlearnRequest of `cfg["request"]`. Its sampling seed derives from
+    `seed`, the unlearn run's seed (default: the master seed)."""
     req = cfg["request"]
     if seed is None:
-        seed = component_seed(cfg["seeds"]["master"], TAG_REQUEST)
+        seed = cfg["seeds"]["master"]
     return UnlearnRequest(
         granularity=req["granularity"],
         clients=tuple(req["clients"]),
         class_set=tuple(req["class_set"]),
         sample_fraction=float(req["sample_fraction"]),
-        seed=seed,
+        seed=component_seed(seed, TAG_REQUEST),
     )
 
 

@@ -8,7 +8,7 @@ upload for the sensitivity analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,7 +91,7 @@ def local_update(
     if X.shape[0] == 0:
         raise FederationError("client has no samples")
     rng = np.random.default_rng(seed)
-    current = model.copy()
+    current = model  # sgd_step returns a new model; `model` is never written
     m = X.shape[0]
     for _ in range(epochs):
         order = rng.permutation(m)
@@ -115,14 +115,12 @@ def aggregate(models: list[nn.Model], sizes: list[int]) -> nn.Model:
         if m.layer_dims() != base.layer_dims():
             raise FederationError("shape-incongruent models")
     total = float(sum(sizes))
-    out = base.copy()
     new_params = [np.zeros_like(p) for p in base.params]
     for m, s in zip(models, sizes):
         w = s / total
         for l, p in enumerate(m.params):
             new_params[l] += w * p
-    out.params = new_params
-    return out
+    return replace(base, params=new_params)
 
 
 def evaluate(model: nn.Model, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -228,48 +228,90 @@ def _dense_forward(a: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _dense_backward(
-    a: np.ndarray, W: np.ndarray, dz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return dz.T @ a, dz.sum(axis=0), dz @ W
+    a: np.ndarray, W: np.ndarray, dz: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    # Gradients w.r.t. W, b and, unless input_grad is False, the input a.
+    return dz.T @ a, dz.sum(axis=0), (dz @ W if input_grad else None)
 
 
-def _conv_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+# Samples per patch matrix. A whole 600-sample batch in one patch matrix
+# grows peak memory and runs slower (cache-bound). A block holds a 32-sample
+# training minibatch, so its patches are cached for backward, and no more:
+# mini_cnn's second-layer weight gradient, (16, K) x (K, 72) with K = 16 rows
+# a sample, gave different bits at 1 and 2 OpenBLAS threads (0.3.31) from
+# 55 samples a block up, and the same bits at 32.
+CONV_BLOCK = 32
+
+
+def _patch_blocks(xt: np.ndarray, k: int):
+    """Yield (lo, hi, P) per block of CONV_BLOCK samples of the channels-last
+    input xt (B, H, W, C): P is the (n*Ho*Wo, k*k*C) patch matrix of samples
+    lo:hi, columns in (u, v, c) order. Blocks share one buffer, so a P is
+    valid only until the next block is built."""
+    B, H, Wd, C = xt.shape
+    Ho, Wo = H - k + 1, Wd - k + 1
+    buf = np.empty((min(B, CONV_BLOCK), Ho, Wo, k, k, C))
+    for lo in range(0, B, CONV_BLOCK):
+        hi = min(lo + CONV_BLOCK, B)
+        p = buf[: hi - lo]
+        for u in range(k):
+            for v in range(k):
+                p[:, :, :, u, v] = xt[lo:hi, u : u + Ho, v : v + Wo]
+        yield lo, hi, p.reshape(-1, k * k * C)
+
+
+def _conv_forward(
+    x: np.ndarray, W: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
     # x: (B, C, H, W), W: (O, C, k, k) -> (B, O, H-k+1, W-k+1), valid padding.
-    # One GEMM per kernel offset on a channels-last view; the result is a
-    # (B, O, Ho, Wo) view of channels-last memory.
+    # One GEMM per block of samples against W as a (k*k*C, O) matrix; the
+    # result is a (B, O, Ho, Wo) view of channels-last memory. Also returns
+    # the patch matrix when the batch fits in one block, else None.
     B, C, H, Wd = x.shape
     O, _, k, _ = W.shape
     Ho, Wo = H - k + 1, Wd - k + 1
-    xt = x.transpose(0, 2, 3, 1)
-    # a contiguous copy: the strided W[:, :, u, v] would miss BLAS
-    Wt = np.ascontiguousarray(W.transpose(2, 3, 1, 0))  # (k, k, C, O)
-    out = np.broadcast_to(b, (B * Ho * Wo, O)).copy()
-    for u in range(k):
-        for v in range(k):
-            # np.dot, not @: with C == 1 numpy's matmul skips BLAS, ~6x slower
-            out += np.dot(xt[:, u : u + Ho, v : v + Wo].reshape(-1, C), Wt[u, v])
-    return out.reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2)
+    Wm = np.ascontiguousarray(W.transpose(2, 3, 1, 0)).reshape(k * k * C, O)
+    out = np.empty((B * Ho * Wo, O))
+    rows, P = Ho * Wo, None
+    for lo, hi, P in _patch_blocks(x.transpose(0, 2, 3, 1), k):
+        o = out[lo * rows : hi * rows]
+        np.dot(P, Wm, out=o)
+        o += b
+    return out.reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2), (P if B <= CONV_BLOCK else None)
 
 
 def _conv_backward(
-    x: np.ndarray, W: np.ndarray, dz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Gradients w.r.t. W (O, C, k, k), b (O,) and x (B, C, H, W), with the
-    # same per-offset GEMMs as the forward pass.
+    x: np.ndarray,
+    W: np.ndarray,
+    dz: np.ndarray,
+    P: np.ndarray | None = None,
+    input_grad: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    # Gradients w.r.t. W (O, C, k, k), b (O,) and, unless input_grad is
+    # False, x (B, C, H, W). dW is one GEMM against the forward pass's patch
+    # matrix P, rebuilt block by block when none is given; dx is one GEMM
+    # per kernel offset.
     B, C, H, Wd = x.shape
     O, _, k, _ = W.shape
     Ho, Wo = dz.shape[2], dz.shape[3]
-    xt = x.transpose(0, 2, 3, 1)
-    Wt = np.ascontiguousarray(W.transpose(2, 3, 0, 1))  # (k, k, O, C)
     d = dz.transpose(0, 2, 3, 1).reshape(-1, O)
-    dW = np.empty((k, k, O, C))
+    if P is not None:
+        dW = d.T @ P
+    else:
+        dW = np.zeros((O, k * k * C))
+        rows = Ho * Wo
+        for lo, hi, Pb in _patch_blocks(x.transpose(0, 2, 3, 1), k):
+            dW += d[lo * rows : hi * rows].T @ Pb
+    dW = dW.reshape(O, k, k, C).transpose(0, 3, 1, 2)
+    db = d.sum(axis=0)
+    if not input_grad:
+        return dW, db, None
+    Wt = np.ascontiguousarray(W.transpose(2, 3, 0, 1))  # (k, k, O, C)
     dxt = np.zeros((B, H, Wd, C))
     for u in range(k):
         for v in range(k):
-            dW[u, v] = d.T @ xt[:, u : u + Ho, v : v + Wo].reshape(-1, C)
             dxt[:, u : u + Ho, v : v + Wo] += (d @ Wt[u, v]).reshape(B, Ho, Wo, C)
-    db = d.sum(axis=0)
-    return dW.transpose(2, 3, 0, 1), db, dxt.transpose(0, 3, 1, 2)
+    return dW, db, dxt.transpose(0, 3, 1, 2)
 
 
 def _split_dense(spec: LayerSpec, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +326,8 @@ def _split_conv(spec: LayerSpec, vec: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _forward(model: Model, X: np.ndarray) -> tuple[np.ndarray, list]:
-    """Run the layer chain; returns logits and per-layer caches for backprop."""
+    """Run the layer chain; returns logits and per-layer caches for backprop:
+    (input, pre-activation, conv patch matrix or None) per layer."""
     B = X.shape[0]
     if X.shape[1] != model.input_dim:
         raise ShapeError(
@@ -304,19 +347,19 @@ def _forward(model: Model, X: np.ndarray) -> tuple[np.ndarray, list]:
                     f"layer {i}: dense expected width {spec.in_dim}, got {a.shape[1]}"
                 )
             W, b = _split_dense(spec, vec)
-            z = _dense_forward(a, W, b)
+            z, P = _dense_forward(a, W, b), None
         elif spec.kind == CONV2D:
             if a.ndim != 4 or a.shape[1] != spec.in_channels:
                 raise ShapeError(f"layer {i}: conv2d expected (B,{spec.in_channels},H,W) input")
             if a.shape[2] < spec.kernel or a.shape[3] < spec.kernel:
                 raise ShapeError(f"layer {i}: spatial input smaller than kernel")
             W, b = _split_conv(spec, vec)
-            z = _conv_forward(a, W, b)
+            z, P = _conv_forward(a, W, b)
         else:  # flatten
-            z = a.reshape(B, -1)
+            z, P = a.reshape(B, -1), None
         _check_finite(z, i, "activation")
         out = np.maximum(z, 0.0) if spec.activation == ACT_RELU else z
-        caches.append((a, z))
+        caches.append((a, z, P))
         a = out
     if a.ndim != 2:
         raise ShapeError("model output is not flat; final flatten/dense missing")
@@ -360,18 +403,19 @@ def loss_and_grads(model: Model, batch: Batch) -> tuple[float, list[np.ndarray]]
     da = dlogits
     for i in range(model.num_layers - 1, -1, -1):
         spec = model.layers[i]
-        a_prev, z = caches[i]
+        a_prev, z, P = caches[i]
         if spec.activation == ACT_RELU:
             dz = da * (z > 0.0)
         else:
             dz = da
+        # layer 0's input is the data: nothing consumes its gradient
         if spec.kind == DENSE:
             W, _ = _split_dense(spec, model.params[i])
-            dW, db, da = _dense_backward(a_prev, W, dz)
+            dW, db, da = _dense_backward(a_prev, W, dz, input_grad=i > 0)
             grads[i] = np.concatenate([dW.ravel(), db])
         elif spec.kind == CONV2D:
             W, _ = _split_conv(spec, model.params[i])
-            dW, db, da = _conv_backward(a_prev, W, dz)
+            dW, db, da = _conv_backward(a_prev, W, dz, P, input_grad=i > 0)
             grads[i] = np.concatenate([dW.ravel(), db])
         else:  # flatten: reshape gradient back to the cached input shape
             grads[i] = np.zeros(0, dtype=np.float64)
@@ -392,9 +436,7 @@ def sgd_step(model: Model, grads: list[np.ndarray], eta: float) -> Model:
         if g.shape != p.shape:
             raise ShapeError(f"layer {i}: gradient shape {g.shape} vs params {p.shape}")
         new_params.append(p - eta * g)
-    out = model.copy()
-    out.params = new_params
-    return out
+    return replace(model, params=new_params)
 
 
 def layer_view(model: Model, l: int) -> np.ndarray:

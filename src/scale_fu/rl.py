@@ -376,19 +376,6 @@ def _mask_log_prob(z_g: np.ndarray, bits: np.ndarray) -> float:
     return float(np.sum(-_softplus(-z_g) * bits + -_softplus(z_g) * (1.0 - bits)))
 
 
-def action_log_prob(policy: PolicyNet, state: np.ndarray, action: Action) -> float:
-    """Log-probability of a fully specified action under the current policy."""
-    z_l, z_g, z_r, _ = policy.logits(state[None, :])
-    lay = policy.layout
-    lp = float(_log_softmax(z_l)[0, action.layer_rank])
-    cols = lay.group_cols(action.layer_rank)
-    bits = np.zeros(lay.groups_per_layer[action.layer_rank])
-    bits[list(action.groups)] = 1.0
-    lp += _mask_log_prob(z_g[0, cols], bits)
-    lp += float(_log_softmax(z_r)[0, action.ratio_level - 1])
-    return lp
-
-
 def policy_sample(policy: PolicyNet, state: np.ndarray, rng: np.random.Generator):
     """Sample an action; an empty mask is coerced to the oldest group of the
     chosen layer and the log-prob is recomputed for the coerced action."""

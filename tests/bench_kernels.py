@@ -69,40 +69,61 @@ TRAIN_B = CNN_CFG["federation"]["batch_size"]
 EVAL_B = CNN_CFG["dataset"]["classes"] * CNN_CFG["dataset"]["per_class"]
 
 
+def cnn_model():
+    ds = CNN_CFG["dataset"]
+    return nn.make_model("mini_cnn", ds["dim"], ds["classes"], seed=0)
+
+
+def cnn_batch(batch_size):
+    rng = np.random.default_rng(0)
+    ds = CNN_CFG["dataset"]
+    return nn.Batch(rng.standard_normal((batch_size, ds["dim"])),
+                    rng.integers(0, ds["classes"], batch_size))
+
+
 @functools.cache
 def cnn_layers(batch_size):
-    """mini_cnn's weighted layers in order: (W, b, layer input, upstream gradient)."""
-    ds = CNN_CFG["dataset"]
-    model = nn.make_model("mini_cnn", ds["dim"], ds["classes"], seed=0)
-    rng = np.random.default_rng(0)
-    _, caches = nn._forward(model, rng.standard_normal((batch_size, ds["dim"])))
+    """mini_cnn's weighted layers in order: (W, b, layer input, upstream
+    gradient, cached patch matrix or None)."""
+    model = cnn_model()
+    _, caches = nn._forward(model, cnn_batch(batch_size).inputs)
+    rng = np.random.default_rng(1)
     out = []
-    for spec, vec, (a, z) in zip(model.layers, model.params, caches):
+    for spec, vec, (a, z, P) in zip(model.layers, model.params, caches):
         split = {nn.DENSE: nn._split_dense, nn.CONV2D: nn._split_conv}.get(spec.kind)
         if split:
-            out.append((*split(spec, vec), a, rng.standard_normal(z.shape)))
+            out.append((*split(spec, vec), a, rng.standard_normal(z.shape), P))
     return out
 
 
 @pytest.mark.parametrize("batch_size", [TRAIN_B, EVAL_B])
 @pytest.mark.parametrize("layer", [0, 1])
 def test_bench_conv2d_forward(benchmark, layer, batch_size):
-    W, b, a, _ = cnn_layers(batch_size)[layer]
+    W, b, a, _, _ = cnn_layers(batch_size)[layer]
     benchmark(nn._conv_forward, a, W, b)
 
 
 @pytest.mark.parametrize("layer", [0, 1])
 def test_bench_conv2d_backward(benchmark, layer):
-    W, _, a, dz = cnn_layers(TRAIN_B)[layer]
-    benchmark(nn._conv_backward, a, W, dz)
+    # as loss_and_grads calls it: cached patches, no input gradient for layer 0
+    W, _, a, dz, P = cnn_layers(TRAIN_B)[layer]
+    benchmark(nn._conv_backward, a, W, dz, P, input_grad=layer > 0)
 
 
 @pytest.mark.parametrize("batch_size", [TRAIN_B, EVAL_B])
 def test_bench_dense_forward(benchmark, batch_size):
-    W, b, a, _ = cnn_layers(batch_size)[2]
+    W, b, a, _, _ = cnn_layers(batch_size)[2]
     benchmark(nn._dense_forward, a, W, b)
 
 
 def test_bench_dense_backward(benchmark):
-    W, _, a, dz = cnn_layers(TRAIN_B)[2]
+    W, _, a, dz, _ = cnn_layers(TRAIN_B)[2]
     benchmark(nn._dense_backward, a, W, dz)
+
+
+def test_bench_mini_cnn_loss_and_grads(benchmark):
+    benchmark(nn.loss_and_grads, cnn_model(), cnn_batch(TRAIN_B))
+
+
+def test_bench_mini_cnn_forward(benchmark):
+    benchmark(nn.forward, cnn_model(), cnn_batch(EVAL_B))

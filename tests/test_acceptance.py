@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from scale_fu import aoi, cli, data, federation, metrics, nn, rl, sensitivity, theory
-from scale_fu.config import TAG_REQUEST, RunDir, component_seed, read_csv
+from scale_fu.config import RunDir, build_request, read_csv
 
 R1_SEEDS = (41, 42, 43, 44, 45)
 METHODS = ("scale", "retrain", "uniform", "grad_ascent")
@@ -49,14 +49,7 @@ def forget_view(rd):
     cfg["request"] = payload["request"]
     ds = cli.build_dataset(cfg)
     part = cli.build_partition(cfg, ds)
-    req = data.UnlearnRequest(
-        granularity=cfg["request"]["granularity"],
-        clients=tuple(cfg["request"]["clients"]),
-        class_set=tuple(cfg["request"]["class_set"]),
-        sample_fraction=cfg["request"]["sample_fraction"],
-        seed=component_seed(int(payload["seed"]), TAG_REQUEST),
-    )
-    split = data.build_split(ds, part, req)
+    split = data.build_split(ds, part, build_request(cfg, int(payload["seed"])))
     return data.client_view(ds, split.forget)
 
 

@@ -9,11 +9,16 @@ Compared for exact equality, never a tolerance:
 - a whole `train_unlearner` run with every reference swapped in
 
 Compared within a fixed float64 tolerance, since the summation order changed:
-- the per-offset GEMM `_conv_forward` / `_conv_backward` against the einsum
-  loops they replaced; repeated calls must still agree exactly
+- the patch-matrix GEMM `_conv_forward` / `_conv_backward` against the einsum
+  loops they replaced; repeated calls must still agree exactly, and so must
+  backward with the forward pass's cached patch matrix and with a rebuilt one,
+  and the weight gradients with the input gradient skipped and computed
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,14 +275,22 @@ def check_conv(B, C, O, k, H, Wd, seed):
     W = rng.standard_normal((O, C, k, k))
     b = rng.standard_normal(O)
     dz = rng.standard_normal((B, O, H - k + 1, Wd - k + 1))
-    z = nn._conv_forward(x, W, b)
+    z, P = nn._conv_forward(x, W, b)
     grads = nn._conv_backward(x, W, dz)
     assert_conv_close(z, ref_conv_forward(x, W, b))
     for got, ref in zip(grads, ref_conv_backward(x, W, dz)):
         assert_conv_close(got, ref)
-    assert np.array_equal(nn._conv_forward(x, W, b), z)
+    assert np.array_equal(nn._conv_forward(x, W, b)[0], z)
     for again, first in zip(nn._conv_backward(x, W, dz), grads):
         assert np.array_equal(again, first)
+    # the patch matrix is kept exactly when the batch fits in one block
+    assert (P is None) == (B > nn.CONV_BLOCK)
+    if P is not None:
+        for cached, rebuilt in zip(nn._conv_backward(x, W, dz, P), grads):
+            assert np.array_equal(cached, rebuilt)
+    dW, db, dx = nn._conv_backward(x, W, dz, P, input_grad=False)
+    assert dx is None
+    assert np.array_equal(dW, grads[0]) and np.array_equal(db, grads[1])
 
 
 @st.composite
@@ -300,23 +313,82 @@ def test_conv_matches_einsum_reference(shape, seed):
     (2, 3, 5, 1, 4, 7),     # k = 1, non-square image
     (2, 2, 7, 4, 4, 4),     # k = H: one output pixel
     (1, 5, 3, 2, 3, 9),     # B = 1, O < C
+    # batch sizes around multiples of the 32-sample CONV_BLOCK
+    (31, 8, 16, 3, 6, 6),
+    (32, 1, 8, 3, 8, 8),
+    (33, 8, 16, 3, 6, 6),
+    (63, 8, 16, 3, 6, 6),
+    (64, 1, 8, 3, 8, 8),
+    (65, 8, 16, 3, 6, 6),
+    (129, 1, 8, 3, 8, 8),
     (600, 8, 16, 3, 6, 6),  # the cnn-fed evaluate forward
+    (600, 1, 8, 3, 8, 8),   # ... and its first layer
 ])
 def test_conv_matches_einsum_reference_on_edge_shapes(B, C, O, k, H, Wd):
     check_conv(B, C, O, k, H, Wd, seed=B + C + O)
 
 
-def test_mini_cnn_loss_and_grads_match_reference_conv(monkeypatch):
-    rng = np.random.default_rng(3)
-    model = nn.make_model("mini_cnn", 36, 4, seed=6)
-    batch = nn.Batch(rng.standard_normal((9, 36)), rng.integers(0, 4, 9))
+def patch_reference_conv(monkeypatch):
+    """Swap the einsum loops into nn, with the kernels' call signatures."""
+    monkeypatch.setattr(nn, "_conv_forward", lambda x, W, b: (ref_conv_forward(x, W, b), None))
+    monkeypatch.setattr(nn, "_conv_backward",
+                        lambda x, W, dz, P=None, input_grad=True: ref_conv_backward(x, W, dz))
+
+
+def check_loss_and_grads_against_reference_conv(monkeypatch, B, data_seed, model_seed):
+    rng = np.random.default_rng(data_seed)
+    model = nn.make_model("mini_cnn", 36, 4, seed=model_seed)
+    batch = nn.Batch(rng.standard_normal((B, 36)), rng.integers(0, 4, B))
     loss, grads = nn.loss_and_grads(model, batch)
-    monkeypatch.setattr(nn, "_conv_forward", ref_conv_forward)
-    monkeypatch.setattr(nn, "_conv_backward", ref_conv_backward)
+    patch_reference_conv(monkeypatch)
     ref_loss, ref_grads = nn.loss_and_grads(model, batch)
     assert loss == pytest.approx(ref_loss, rel=CONV_RTOL)
     for got, ref in zip(grads, ref_grads):
         assert_conv_close(got, ref)
+
+
+def test_mini_cnn_loss_and_grads_match_reference_conv(monkeypatch):
+    check_loss_and_grads_against_reference_conv(monkeypatch, 9, data_seed=3, model_seed=6)
+
+
+@pytest.mark.parametrize("B", [nn.CONV_BLOCK - 1, nn.CONV_BLOCK + 1])
+def test_mini_cnn_loss_and_grads_match_reference_conv_around_a_block(monkeypatch, B):
+    # B <= CONV_BLOCK: backward reuses the forward pass's patch matrices;
+    # B > CONV_BLOCK: it rebuilds them block by block
+    check_loss_and_grads_against_reference_conv(monkeypatch, B, data_seed=B, model_seed=B)
+
+
+THREADS_PROBE = """
+import hashlib, numpy as np
+from scale_fu import nn
+rng = np.random.default_rng(0)
+model = nn.make_model("mini_cnn", 64, 4, seed=0)
+for B in (32, 57, 129, 600):
+    batch = nn.Batch(rng.standard_normal((B, 64)), rng.integers(0, 4, B))
+    _, grads = nn.loss_and_grads(model, batch)
+    parts = [nn.forward(model, batch)] + grads
+    print(B, hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest())
+"""
+
+
+def test_mini_cnn_bits_do_not_depend_on_blas_threads():
+    # cnn-fed's training minibatch, a forget set, two and many blocks
+    def run(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        return subprocess.run([sys.executable, "-c", THREADS_PROBE], env=env, check=True,
+                              capture_output=True, text=True, timeout=120).stdout
+
+    assert run(1) == run(2)
+
+
+def test_dense_backward_without_input_grad_is_exact():
+    rng = np.random.default_rng(4)
+    a, W, dz = (rng.standard_normal(s) for s in ((7, 5), (3, 5), (7, 3)))
+    dW, db, da = nn._dense_backward(a, W, dz)
+    skip_dW, skip_db, skip_da = nn._dense_backward(a, W, dz, input_grad=False)
+    assert skip_da is None and da.shape == a.shape
+    assert np.array_equal(skip_dW, dW) and np.array_equal(skip_db, db)
 
 
 # --- optimizer ------------------------------------------------------------------

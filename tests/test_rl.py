@@ -312,6 +312,20 @@ def test_initial_heads_are_uniform():
     assert abs(g1_on - n / 2) < 150
 
 
+def action_log_prob(policy, state, action):
+    """Log-probability of a fully specified action under the current policy,
+    one head at a time: the oracle for the log-probs policy_sample returns."""
+    z_l, z_g, z_r, _ = policy.logits(state[None, :])
+    lay = policy.layout
+    lp = float(rl._log_softmax(z_l)[0, action.layer_rank])
+    cols = lay.group_cols(action.layer_rank)
+    bits = np.zeros(lay.groups_per_layer[action.layer_rank])
+    bits[list(action.groups)] = 1.0
+    lp += rl._mask_log_prob(z_g[0, cols], bits)
+    lp += float(rl._log_softmax(z_r)[0, action.ratio_level - 1])
+    return lp
+
+
 def test_empty_mask_coerced_to_oldest_group():
     policy, layout, model, idx = policy_fixture(groups=2)
     # force empty group draws: massively negative group logits
@@ -327,7 +341,7 @@ def test_empty_mask_coerced_to_oldest_group():
         else:
             assert act.groups == (0,)   # ages tie at zero, lowest index wins
         assert np.isfinite(lp)
-        assert lp == pytest.approx(rl.action_log_prob(policy, state, act))
+        assert lp == pytest.approx(action_log_prob(policy, state, act))
 
 
 def test_policy_mode_frozen_at_init():
