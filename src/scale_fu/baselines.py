@@ -10,6 +10,7 @@ import numpy as np
 
 from . import nn
 from .aoi import GroupIndex, balanced_ranges
+from .rl import zero_smallest
 
 
 class BaselineError(ValueError):
@@ -61,8 +62,8 @@ def _equal_split_with_spill(budget: int, capacities: list[int]) -> list[int]:
 
 def baseline_uniform(model: nn.Model, total_budget: int, groups_per_layer: int) -> nn.Model:
     """Zero `total_budget` coordinates spread equally over all layers and
-    their groups; within a group the smallest magnitudes go first (ties to
-    the lowest index), mirroring the adaptive sparsifier's rule."""
+    their groups; within a group `rl.zero_smallest`, the adaptive
+    sparsifier's own rule, picks them."""
     if total_budget < 0:
         raise BaselineError("budget must be non-negative")
     if total_budget > model.num_params:
@@ -71,28 +72,17 @@ def baseline_uniform(model: nn.Model, total_budget: int, groups_per_layer: int) 
         return model.copy()
     idx = full_group_index(model, groups_per_layer)
     out = model.copy()
-    layer_caps = [
-        int(np.count_nonzero(out.params[l] != 0.0)) for l in idx.layers
-    ]
+    layer_caps = [int(np.count_nonzero(out.params[l])) for l in idx.layers]
     per_layer = _equal_split_with_spill(total_budget, layer_caps)
     for rank, layer in enumerate(idx.layers):
         if per_layer[rank] == 0:
             continue
-        vec = out.params[layer]
-        group_caps = [
-            int(np.count_nonzero(vec[idx.slice_of(layer, j)] != 0.0))
-            for j in range(idx.n_groups(layer))
-        ]
-        per_group = _equal_split_with_spill(per_layer[rank], group_caps)
-        for j, k in enumerate(per_group):
-            if k == 0:
-                continue
-            sl = idx.slice_of(layer, j)
-            sub = vec[sl]
-            nz = np.flatnonzero(sub != 0.0)
-            order = nz[np.argsort(np.abs(sub[nz]), kind="stable")]
-            sub[order[:k]] = 0.0
-            vec[sl] = sub
+        subs = [out.params[layer][idx.slice_of(layer, j)] for j in range(idx.n_groups(layer))]
+        per_group = _equal_split_with_spill(
+            per_layer[rank], [int(np.count_nonzero(sub)) for sub in subs]
+        )
+        for sub, k in zip(subs, per_group):
+            zero_smallest(sub, k)
     return out
 
 

@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import baselines, data, federation, metrics, nn, rl, sensitivity, theory
 from .aoi import partition_groups
 from .config import (
@@ -133,8 +131,7 @@ def request_string(block: dict) -> str:
 def save_history(rd: RunDir, history: federation.FederationHistory, h: str) -> None:
     rd.history_dir.mkdir(parents=True, exist_ok=True)
     for c in history.clients():
-        blob = b"".join(p.astype("<f8").tobytes() for p in history.models[c])
-        rd.history_model_path(c).write_bytes(blob)
+        nn.write_blob(history.models[c], rd.history_model_path(c))
     meta = {
         "clients": history.clients(),
         "sizes": {str(c): history.sizes[c] for c in history.clients()},
@@ -151,15 +148,8 @@ def load_history(rd: RunDir, model: nn.Model) -> federation.FederationHistory:
         )
     meta = json.loads(rd.history_meta_path.read_text())
     history = federation.FederationHistory()
-    dims = model.layer_dims()
     for c in meta["clients"]:
-        raw = np.frombuffer(rd.history_model_path(c).read_bytes(), dtype="<f8")
-        if raw.size != sum(dims):
-            raise CliError(f"history blob for client {c} does not match the model")
-        params, off = [], 0
-        for d in dims:
-            params.append(raw[off : off + d].astype(np.float64))
-            off += d
+        params = nn.read_blob(rd.history_model_path(c), model.layer_dims())
         history.record(c, params, meta["sizes"][str(c)], meta["last_round"][str(c)])
     return history
 
@@ -458,8 +448,8 @@ def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metr
         report = metrics.EvalReport(
             method=method,
             scenario=scenario,
-            ra=metrics.remaining_accuracy(model, X_r, y_r),
-            fa=metrics.forgetting_accuracy(model, X_f, y_f),
+            ra=metrics.accuracy(model, X_r, y_r),
+            fa=metrics.accuracy(model, X_f, y_f),
             fr=metrics.forgetting_rate(original, model, X_f, y_f),
             comm_ct=comm["comm_ct"],
             mean_aoi_steps=comm["mean_aoi_steps"],

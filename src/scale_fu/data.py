@@ -272,9 +272,6 @@ class ForgetSplit:
     def m_r(self) -> int:
         return int(self.remain.size)
 
-    def remain_sizes(self) -> list[int]:
-        return [int(ix.size) for ix in self.remain_per_client]
-
 
 def build_split(ds: Dataset, part: ClientPartition, req: UnlearnRequest) -> ForgetSplit:
     """Materialize the forget set D_u and its complement per the request."""

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .aoi import AoiLedger, GroupIndex
+from .aoi import AoiLedger, GroupIndex, global_aoi
 
 CONFIDENCE_FLOOR = 1e-8
 
@@ -37,14 +37,6 @@ def accuracy(model: nn.Model, X: np.ndarray, y: np.ndarray) -> float:
     logits = _logits(model, X, y)
     hits = int(np.count_nonzero(logits.argmax(axis=1) == y))
     return hits / len(y)
-
-
-def remaining_accuracy(model: nn.Model, X_r: np.ndarray, y_r: np.ndarray) -> float:
-    return accuracy(model, X_r, y_r)
-
-
-def forgetting_accuracy(model: nn.Model, X_u: np.ndarray, y_u: np.ndarray) -> float:
-    return accuracy(model, X_u, y_u)
 
 
 def true_label_confidence(model: nn.Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -72,18 +64,9 @@ def forgetting_rate(
 # --- communication / freshness ------------------------------------------------
 
 
-def _index_of(ledger_or_idx) -> GroupIndex:
-    if isinstance(ledger_or_idx, AoiLedger):
-        return ledger_or_idx.idx
-    if isinstance(ledger_or_idx, GroupIndex):
-        return ledger_or_idx
-    raise MetricsError("expected an AoiLedger or GroupIndex")
-
-
-def transmitted_count(action_rows: list[dict], ledger_or_idx) -> int:
+def transmitted_count(action_rows: list[dict], idx: GroupIndex) -> int:
     """Scalar parameters in every touched group, summed over steps (each
     touch retransmits the whole group once)."""
-    idx = _index_of(ledger_or_idx)
     total = 0
     for row in action_rows:
         layer = row["layer"]
@@ -92,10 +75,9 @@ def transmitted_count(action_rows: list[dict], ledger_or_idx) -> int:
     return total
 
 
-def replay_global_aoi(action_rows: list[dict], ledger_or_idx, horizon: int | None = None) -> list[float]:
+def replay_global_aoi(action_rows: list[dict], idx: GroupIndex, horizon: int | None = None) -> list[float]:
     """Global AoI after each replayed step (advance, then touch that step's
     groups), reproducing the deployment trajectory from its action log."""
-    idx = _index_of(ledger_or_idx)
     by_step: dict[int, list[tuple[int, int]]] = {}
     for row in action_rows:
         by_step.setdefault(int(row["step"]), []).extend(
@@ -111,13 +93,13 @@ def replay_global_aoi(action_rows: list[dict], ledger_or_idx, horizon: int | Non
         ledger.advance()
         if t in by_step:
             ledger.touch(by_step[t])
-        series.append(float(ledger.ages().mean()))
+        series.append(global_aoi(ledger))
     return series
 
 
 def comm_overhead(
     action_rows: list[dict],
-    ledger_or_idx,
+    idx: GroupIndex,
     alpha_w: float,
     beta_w: float,
     secs_per_step: float,
@@ -131,8 +113,8 @@ def comm_overhead(
     composes as a step-weighted mean."""
     if alpha_w < 0 or beta_w < 0 or secs_per_step < 0:
         raise MetricsError("comm weights must be non-negative")
-    c_t = transmitted_count(action_rows, ledger_or_idx)
-    series = replay_global_aoi(action_rows, ledger_or_idx, horizon)
+    c_t = transmitted_count(action_rows, idx)
+    series = replay_global_aoi(action_rows, idx, horizon)
     mean_steps = float(np.mean(series)) if series else 0.0
     mean_secs = mean_steps * secs_per_step
     return {

@@ -493,10 +493,28 @@ def model_manifest(model: Model, seed: int | None = None, **extra) -> dict:
     return man
 
 
+def write_blob(vectors, path: str | Path) -> None:
+    """Write flat vectors, in order, as one run of little-endian float64: the
+    one on-disk format of model and history files."""
+    Path(path).write_bytes(b"".join(v.astype("<f8").tobytes() for v in vectors))
+
+
+def read_blob(path: str | Path, dims) -> list[np.ndarray]:
+    """Read a `write_blob` file back as float64 vectors of lengths `dims`. A
+    file of any other byte length raises ShapeError naming the file."""
+    raw = Path(path).read_bytes()
+    total = sum(dims)
+    if len(raw) != 8 * total:
+        raise ShapeError(
+            f"{path}: {len(raw)} bytes where {total} float64 values need {8 * total}"
+        )
+    flat = np.frombuffer(raw, dtype="<f8")
+    return [v.astype(np.float64) for v in np.split(flat, np.cumsum(dims)[:-1])]
+
+
 def save_model(model: Model, path: str | Path) -> None:
     """Concatenated little-endian float64 layer vectors, in layer order."""
-    blob = b"".join(p.astype("<f8").tobytes() for p in model.params)
-    Path(path).write_bytes(blob)
+    write_blob(model.params, path)
 
 
 def load_model(path: str | Path, manifest: dict) -> Model:
@@ -513,20 +531,12 @@ def load_model(path: str | Path, manifest: dict) -> Model:
         )
         for entry in manifest["layers"]
     )
-    raw = np.frombuffer(Path(path).read_bytes(), dtype="<f8").astype(np.float64)
-    total = sum(s.d for s in specs)
-    if raw.size != total:
-        raise ShapeError(f"checkpoint holds {raw.size} values, manifest declares {total}")
-    params, off = [], 0
-    for s in specs:
-        params.append(raw[off : off + s.d].copy())
-        off += s.d
     return Model(
         arch_id=manifest["arch_id"],
         input_shape=tuple(manifest["input_shape"]),
         num_classes=int(manifest["num_classes"]),
         layers=specs,
-        params=params,
+        params=read_blob(path, [s.d for s in specs]),
     )
 
 

@@ -96,6 +96,17 @@ class Transition:
 # --- sparsifier -------------------------------------------------------------
 
 
+def zero_smallest(sub: np.ndarray, k: int) -> None:
+    """Zero, in place, the k smallest-magnitude nonzero entries of one group
+    (ties to the lowest index). The one zeroing rule of the adaptive
+    sparsifier and the uniform baseline."""
+    if k == 0:
+        return
+    nz = np.flatnonzero(sub != 0.0)
+    order = nz[np.argsort(np.abs(sub[nz]), kind="stable")]
+    sub[order[:k]] = 0.0
+
+
 def sparsify(model: nn.Model, idx: GroupIndex, layer: int, groups, s: float) -> nn.Model:
     """Zero the floor(s * nnz) smallest-magnitude nonzero coordinates of each
     selected group (ties to the lowest index). Returns a new model."""
@@ -110,15 +121,8 @@ def sparsify(model: nn.Model, idx: GroupIndex, layer: int, groups, s: float) -> 
     for j in groups:
         if not 0 <= j < n_groups:
             raise RlError(f"group {j} out of range for layer {layer}")
-        sl = idx.slice_of(layer, j)
-        sub = vec[sl]
-        nz = np.flatnonzero(sub != 0.0)
-        k = int(math.floor(s * nz.size))
-        if k == 0:
-            continue
-        order = nz[np.argsort(np.abs(sub[nz]), kind="stable")]
-        sub[order[:k]] = 0.0
-        vec[sl] = sub
+        sub = vec[idx.slice_of(layer, j)]
+        zero_smallest(sub, int(math.floor(s * np.count_nonzero(sub))))
     return out
 
 
@@ -376,49 +380,52 @@ def _mask_log_prob(z_g: np.ndarray, bits: np.ndarray) -> float:
     return float(np.sum(-_softplus(-z_g) * bits + -_softplus(z_g) * (1.0 - bits)))
 
 
-def policy_sample(policy: PolicyNet, state: np.ndarray, rng: np.random.Generator):
-    """Sample an action; an empty mask is coerced to the oldest group of the
-    chosen layer and the log-prob is recomputed for the coerced action."""
+def _decode_heads(policy: PolicyNet, state: np.ndarray, pick):
+    """Run the heads on one state and let `pick(z_l, z_g, z_r, lsm_l, lsm_r)`
+    choose (rank, bits, level) from the logit and log-softmax rows. An empty
+    mask is coerced to the oldest group of the chosen layer; the log-prob is
+    that of the coerced action."""
     z_l, z_g, z_r, _ = policy.logits(state[None, :])
-    lay = policy.layout
     lsm_l, lsm_r = _log_softmax(z_l)[0], _log_softmax(z_r)[0]
-    rank = int(rng.choice(lay.n_layers, p=np.exp(lsm_l)))
-    cols = lay.group_cols(rank)
-    probs = _sigmoid(z_g[0, cols])
-    bits = (rng.random(probs.size) < probs).astype(np.float64)
+    rank, bits, level = pick(z_l[0], z_g[0], z_r[0], lsm_l, lsm_r)
+    lay = policy.layout
     if bits.sum() == 0:
         bits[_oldest_group(lay, state, rank)] = 1.0
-    level = int(rng.choice(lay.ratio_levels, p=np.exp(lsm_r))) + 1
     action = Action(
         layer_rank=rank,
         groups=tuple(int(j) for j in np.flatnonzero(bits)),
         ratio_level=level,
         s=level / lay.ratio_levels,
     )
-    lp = float(lsm_l[rank]) + _mask_log_prob(z_g[0, cols], bits)
+    lp = float(lsm_l[rank]) + _mask_log_prob(z_g[0, lay.group_cols(rank)], bits)
     lp += float(lsm_r[level - 1])
     return action, lp
 
 
-def policy_mode(policy: PolicyNet, state: np.ndarray):
-    """Greedy action: argmax heads, group bit set when p > 0.5, same coercion."""
-    z_l, z_g, z_r, _ = policy.logits(state[None, :])
+def policy_sample(policy: PolicyNet, state: np.ndarray, rng: np.random.Generator):
+    """Sample layer, then mask bits, then level from `rng`."""
     lay = policy.layout
-    rank = int(np.argmax(z_l[0]))
-    cols = lay.group_cols(rank)
-    bits = (z_g[0, cols] > 0.0).astype(np.float64)
-    if bits.sum() == 0:
-        bits[_oldest_group(lay, state, rank)] = 1.0
-    level = int(np.argmax(z_r[0])) + 1
-    action = Action(
-        layer_rank=rank,
-        groups=tuple(int(j) for j in np.flatnonzero(bits)),
-        ratio_level=level,
-        s=level / lay.ratio_levels,
-    )
-    lp = float(_log_softmax(z_l)[0, rank]) + _mask_log_prob(z_g[0, cols], bits)
-    lp += float(_log_softmax(z_r)[0, level - 1])
-    return action, lp
+
+    def pick(z_l, z_g, z_r, lsm_l, lsm_r):
+        rank = int(rng.choice(lay.n_layers, p=np.exp(lsm_l)))
+        probs = _sigmoid(z_g[lay.group_cols(rank)])
+        bits = (rng.random(probs.size) < probs).astype(np.float64)
+        level = int(rng.choice(lay.ratio_levels, p=np.exp(lsm_r))) + 1
+        return rank, bits, level
+
+    return _decode_heads(policy, state, pick)
+
+
+def policy_mode(policy: PolicyNet, state: np.ndarray):
+    """Greedy action: argmax heads, group bit set when p > 0.5."""
+    lay = policy.layout
+
+    def pick(z_l, z_g, z_r, lsm_l, lsm_r):
+        rank = int(np.argmax(z_l))
+        bits = (z_g[lay.group_cols(rank)] > 0.0).astype(np.float64)
+        return rank, bits, int(np.argmax(z_r)) + 1
+
+    return _decode_heads(policy, state, pick)
 
 
 def action_arrays(layout: PolicyLayout, actions: list[Action]):
@@ -452,7 +459,8 @@ def batch_log_probs(policy: PolicyNet, states: np.ndarray, arrays: tuple):
     ent_r = -(p_r * lsm_r).sum(axis=1)
     ent_g = np.sum(mask * (_softplus(z_g) - z_g * sig), axis=1)
     entropy = ent_l + ent_r + ent_g
-    aux = (z_l, z_g, z_r, cache, ranks, levels, bits, mask, lsm_l, lsm_r, p_l, p_r, sig)
+    aux = (z_l, z_g, z_r, cache, ranks, levels, bits, mask, lsm_l, lsm_r, p_l, p_r, sig,
+           ent_l, ent_r)
     return lp, entropy, aux
 
 
@@ -595,7 +603,8 @@ def ppo_update(
             mb = perm[start : start + cfg.batch_size]
             m = mb.size
             lp, entropy, aux = batch_log_probs(policy, states[mb], tuple(a[mb] for a in acts))
-            (z_l, z_g, z_r, cache, ranks, levels, bits, mask, lsm_l, lsm_r, p_l, p_r, sig) = aux
+            (z_l, z_g, z_r, cache, ranks, levels, bits, mask, lsm_l, lsm_r, p_l, p_r, sig,
+             ent_l, ent_r) = aux
             a_mb = adv[mb]
             ratio = np.exp(lp - old_lp[mb])
             clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
@@ -614,10 +623,8 @@ def ppo_update(
 
             # entropy bonus gradients (minimizing -c*H)
             ce = cfg.entropy_coef / m
-            ent_l = -(p_l * lsm_l).sum(axis=1, keepdims=True)
-            ent_r = -(p_r * lsm_r).sum(axis=1, keepdims=True)
-            dz_l += -ce * (-p_l * (lsm_l + ent_l))
-            dz_r += -ce * (-p_r * (lsm_r + ent_r))
+            dz_l += -ce * (-p_l * (lsm_l + ent_l[:, None]))
+            dz_r += -ce * (-p_r * (lsm_r + ent_r[:, None]))
             dz_g += -ce * mask * (-z_g * sig * (1.0 - sig))
 
             grad = policy.backward(cache[0], cache[1], cache[2],

@@ -140,9 +140,6 @@ class SensitivityReport:
     def score_of(self, layer: int) -> float:
         return float(self.s_combined[layer])
 
-    def max_selected_score(self) -> float:
-        return float(max(self.s_combined[l] for l in self.selected))
-
 
 def analyze(
     history: FederationHistory,

@@ -2,6 +2,7 @@
 end to end on a small run directory shared across tests."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -290,6 +291,18 @@ def test_unlearn_before_train_fails_cleanly(tmp_path):
     code = cli.main(["unlearn", "--run", str(tmp_path / "nope"), "--method", "scale",
                      "--request", "client:0"])
     assert code == 2
+
+
+def test_unlearn_names_a_blob_cut_mid_value(run_dir, tmp_path, capsys):
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    for path in (rd.global_model_path, rd.history_model_path(0)):
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-3])
+        code = cli.main(["unlearn", "--run", str(rd.root), "--method", "scale",
+                         "--request", "client:1"])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+        path.write_bytes(blob)
 
 
 def test_uniform_requires_scale_run(tmp_path):

@@ -2,6 +2,8 @@
 replaced.
 
 Compared for exact equality, never a tolerance:
+- `rl.sparsify` and `baselines.baseline_uniform`, which share
+  `rl.zero_smallest`, against their own per-group loops
 - `state_vector` against a loop over `group_stats`
 - `min_group_sparsity` against `min(group_sparsity(...))`
 - `AoiLedger` against a ledger keeping dict stamps
@@ -22,10 +24,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scale_fu import aoi, nn, rl
+from scale_fu import aoi, baselines, nn, rl
 from scale_fu.aoi import AoiError, GroupIndex, partition_groups
 from scale_fu.sensitivity import SensitivityReport
 
@@ -57,6 +59,55 @@ class DictLedger:
 
     def max_age(self):
         return float(self.ages().max())
+
+
+def ref_sparsify(model, idx, layer, groups, s):
+    """`rl.sparsify`'s own per-group zeroing loop, before `rl.zero_smallest`."""
+    out = model.copy()
+    vec = out.params[layer]
+    for j in groups:
+        sl = idx.slice_of(layer, j)
+        sub = vec[sl]
+        nz = np.flatnonzero(sub != 0.0)
+        k = int(math.floor(s * nz.size))
+        if k == 0:
+            continue
+        order = nz[np.argsort(np.abs(sub[nz]), kind="stable")]
+        sub[order[:k]] = 0.0
+        vec[sl] = sub
+    return out
+
+
+def ref_baseline_uniform(model, total_budget, groups_per_layer):
+    """`baselines.baseline_uniform`'s own per-group zeroing loop, before
+    `rl.zero_smallest`."""
+    if total_budget == 0:
+        return model.copy()
+    idx = baselines.full_group_index(model, groups_per_layer)
+    out = model.copy()
+    layer_caps = [
+        int(np.count_nonzero(out.params[l] != 0.0)) for l in idx.layers
+    ]
+    per_layer = baselines._equal_split_with_spill(total_budget, layer_caps)
+    for rank, layer in enumerate(idx.layers):
+        if per_layer[rank] == 0:
+            continue
+        vec = out.params[layer]
+        group_caps = [
+            int(np.count_nonzero(vec[idx.slice_of(layer, j)] != 0.0))
+            for j in range(idx.n_groups(layer))
+        ]
+        per_group = baselines._equal_split_with_spill(per_layer[rank], group_caps)
+        for j, k in enumerate(per_group):
+            if k == 0:
+                continue
+            sl = idx.slice_of(layer, j)
+            sub = vec[sl]
+            nz = np.flatnonzero(sub != 0.0)
+            order = nz[np.argsort(np.abs(sub[nz]), kind="stable")]
+            sub[order[:k]] = 0.0
+            vec[sl] = sub
+    return out
 
 
 def ref_state_vector(model, ledger, idx):
@@ -186,6 +237,45 @@ def cut_models(draw):
         layers.append(l)
         ranges.append(tuple(zip(bounds, bounds[1:])))
     return model, GroupIndex(layers=tuple(layers), ranges=tuple(ranges))
+
+
+# --- zeroing rule ----------------------------------------------------------------
+
+TIED_VALUES = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+def assert_same_bits(a, b):
+    assert a is not b
+    for p, q in zip(a.params, b.params, strict=True):
+        assert p.tobytes() == q.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_dims, st.integers(0, 2**16), st.integers(1, 12))
+@example([5, 3, 2], 0, 4)   # 18 params: two runs (5, 5 | 4, 4); 8: one run (2 x 4)
+@example([4, 4], 1, 7)      # 20 params: two runs (3 x 6 | 2)
+def test_zeroing_rule_matches_per_group_loops(dims, seed, G):
+    """Parameters take few values, so equal magnitudes of opposite sign and
+    exact zeros of both signs are common. s = 1 zeroes every nonzero entry of
+    a group (k = nnz) and s = 0.1 none of a group under ten nonzeros (k = 0);
+    the uniform budgets run from 0 to the model's nonzero count."""
+    model = dense_model(dims, seed=0)
+    rng = np.random.default_rng(seed)
+    for vec in model.params:
+        vec[:] = rng.choice(TIED_VALUES, size=vec.size)
+    before = model.copy()
+    idx = partition_groups(model, list(range(model.num_layers)), G)
+    for layer in idx.layers:
+        n = idx.n_groups(layer)
+        groups = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        for s in (0.1, 0.5, 1.0):
+            assert_same_bits(rl.sparsify(model, idx, layer, groups, s),
+                             ref_sparsify(model, idx, layer, groups, s))
+    nnz = sum(int(np.count_nonzero(p)) for p in model.params)
+    for budget in sorted({0, 1, nnz // 2, nnz - 1, nnz} & set(range(nnz + 1))):
+        assert_same_bits(baselines.baseline_uniform(model, budget, G),
+                         ref_baseline_uniform(model, budget, G))
+    assert_same_bits(model, before)
 
 
 # --- AoI state and done check ---------------------------------------------------

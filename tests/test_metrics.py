@@ -25,8 +25,6 @@ def test_accuracy_hand_count():
     X = np.zeros((10, 3))
     y = np.array([1, 1, 0, 2, 1, 1, 0, 1, 2, 1], dtype=np.int64)
     assert metrics.accuracy(model, X, y) == 6 / 10
-    assert metrics.remaining_accuracy(model, X, y) == 6 / 10
-    assert metrics.forgetting_accuracy(model, X, y) == 6 / 10
 
 
 def test_accuracy_tie_breaks_to_lowest_class():

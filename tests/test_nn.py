@@ -2,6 +2,7 @@
 closed-form loss values, checkpoint round-trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,12 +205,13 @@ def test_checkpoint_roundtrip(tmp_path):
         assert back.layers == model.layers
         for p, q in zip(back.params, model.params):
             assert np.array_equal(p, q)
-    # truncated blob is rejected
+    # a blob cut by a whole value or mid-value is rejected, naming the file
     path = tmp_path / "mlp.model"
     blob = path.read_bytes()
-    path.write_bytes(blob[:-8])
-    with pytest.raises(nn.ShapeError):
-        nn.load_model(path, nn.load_manifest(tmp_path / "mlp.json"))
+    for cut in (8, 3):
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(nn.ShapeError, match=re.escape(str(path))):
+            nn.load_model(path, nn.load_manifest(tmp_path / "mlp.json"))
 
 
 def test_mini_cnn_forward_shapes():
