@@ -86,6 +86,11 @@ class GroupIndex:
                 pos += len(run)
         return tuple(out)
 
+    @cached_property
+    def layer_runs(self) -> dict[int, tuple[tuple[int, slice, int, slice], ...]]:
+        """Layer id -> that layer's entries of `runs`, in order."""
+        return {l: tuple(run for run in self.runs if run[0] == l) for l in self.layers}
+
 
 def balanced_ranges(d: int, g: int) -> tuple[tuple[int, int], ...]:
     """Split [0, d) into min(g, d) contiguous runs, sizes differing by <= 1,
@@ -152,7 +157,7 @@ class AoiLedger:
         return self.t - int(self.stamps[self._pos((layer, j))])
 
     def ages(self) -> np.ndarray:
-        return (self.t - self.stamps).astype(np.float64)
+        return np.subtract(self.t, self.stamps, dtype=np.float64)
 
     def max_age(self) -> float:
         return float(self.ages().max())
@@ -167,20 +172,38 @@ def group_stats(model: nn.Model, idx: GroupIndex, layer: int, j: int) -> tuple[f
     return float(vec.mean()), float(vec.std())
 
 
-def state_vector(model: nn.Model, ledger: AoiLedger, idx: GroupIndex) -> np.ndarray:
-    """Flattened (A_norm, mean, std) per group in canonical order.
+def row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, population std) of each row of the 2-d `rows`, bit for bit
+    `rows.mean(axis=1)` and `rows.std(axis=1)`: numpy's own steps (pairwise
+    row sums divided by the count, then the squared deviations summed and
+    divided the same way), with the row sums taken once."""
+    n = rows.shape[1]
+    mean = np.add.reduce(rows, axis=1) / n
+    dev = rows - mean[:, None]
+    np.multiply(dev, dev, out=dev)
+    var = np.add.reduce(dev, axis=1) / n
+    return mean, np.sqrt(var, out=var)
 
-    A_norm divides by max(1, max age) so an all-zero ledger maps to zeros.
-    Each run of equal-size groups is one (n_groups, size) reshape whose row
-    mean and std equal group_stats bit for bit."""
-    ages = ledger.ages()
-    denom = max(1.0, float(ages.max()))
+
+def normalized_ages(ages: np.ndarray) -> np.ndarray:
+    """A_norm: ages divided by max(1, max age), so an all-zero ledger maps to
+    zeros."""
+    return ages / max(1.0, float(np.maximum.reduce(ages)))
+
+
+def write_group_stats(out: np.ndarray, model: nn.Model, runs) -> None:
+    """Write the (mean, std) columns of the (total_groups, 3) state grid `out`
+    for the groups in `runs`, entries of `GroupIndex.runs`: one row_stats
+    call per run of equal-size groups, whose rows equal group_stats."""
+    for layer, params, size, pos in runs:
+        out[pos, 1], out[pos, 2] = row_stats(model.params[layer][params].reshape(-1, size))
+
+
+def state_vector(model: nn.Model, ledger: AoiLedger, idx: GroupIndex) -> np.ndarray:
+    """Flattened (A_norm, mean, std) per group in canonical order."""
     out = np.empty((idx.total_groups, 3), dtype=np.float64)
-    out[:, 0] = ages / denom
-    for layer, params, size, pos in idx.runs:
-        rows = model.params[layer][params].reshape(-1, size)
-        out[pos, 1] = rows.mean(axis=1)
-        out[pos, 2] = rows.std(axis=1)
+    out[:, 0] = normalized_ages(ledger.ages())
+    write_group_stats(out, model, idx.runs)
     return out.ravel()
 
 
@@ -194,6 +217,10 @@ def global_aoi(ledger: AoiLedger, paper_literal: bool = False) -> float:
     return mean
 
 
-def aoi_summary(ledger: AoiLedger) -> tuple[float, float, float]:
-    ages = ledger.ages()
-    return float(ages.sum()), float(ages.mean()), float(ages.max())
+def aoi_summary(ledger: AoiLedger, ages: np.ndarray | None = None) -> tuple[float, float, float]:
+    """(sum, mean, max) of the ages; `ages` is `ledger.ages()` when the caller
+    already holds it."""
+    if ages is None:
+        ages = ledger.ages()
+    total = np.add.reduce(ages)        # ages.mean() is this sum over the count
+    return float(total), float(total / ages.size), float(np.maximum.reduce(ages))

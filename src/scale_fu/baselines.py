@@ -72,17 +72,16 @@ def baseline_uniform(model: nn.Model, total_budget: int, groups_per_layer: int) 
         return model.copy()
     idx = full_group_index(model, groups_per_layer)
     out = model.copy()
-    layer_caps = [int(np.count_nonzero(out.params[l])) for l in idx.layers]
-    per_layer = _equal_split_with_spill(total_budget, layer_caps)
-    for rank, layer in enumerate(idx.layers):
-        if per_layer[rank] == 0:
-            continue
-        subs = [out.params[layer][idx.slice_of(layer, j)] for j in range(idx.n_groups(layer))]
-        per_group = _equal_split_with_spill(
-            per_layer[rank], [int(np.count_nonzero(sub)) for sub in subs]
-        )
-        for sub, k in zip(subs, per_group):
-            zero_smallest(sub, k)
+    # one (n_groups, size) view per run of equal-size groups, canonical order
+    rows = [out.params[layer][span].reshape(-1, size) for layer, span, size, _ in idx.runs]
+    group_caps = [c for r in rows for c in np.add.reduce(r != 0.0, axis=1).tolist()]
+    layers = [slice(idx.positions[(l, 0)], idx.positions[(l, 0)] + idx.n_groups(l))
+              for l in idx.layers]
+    per_layer = _equal_split_with_spill(total_budget, [sum(group_caps[sl]) for sl in layers])
+    per_group = [k for sl, budget in zip(layers, per_layer)
+                 for k in _equal_split_with_spill(budget, group_caps[sl])]
+    for r, (_, _, _, pos) in zip(rows, idx.runs):
+        zero_smallest(r, per_group[pos])
     return out
 
 

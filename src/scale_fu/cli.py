@@ -28,7 +28,9 @@ from .config import (
     component_seed,
     config_hash,
     load_config,
+    parse_json,
     ppo_config,
+    read_json,
     validate_config,
     write_csv,
 )
@@ -146,7 +148,7 @@ def load_history(rd: RunDir, model: nn.Model) -> federation.FederationHistory:
         raise CliError(
             f"no training history under {rd.history_dir}; run `scale train` first"
         )
-    meta = json.loads(rd.history_meta_path.read_text())
+    meta = read_json(rd.history_meta_path)
     history = federation.FederationHistory()
     for c in meta["clients"]:
         params = nn.read_blob(rd.history_model_path(c), model.layer_dims())
@@ -157,7 +159,7 @@ def load_history(rd: RunDir, model: nn.Model) -> federation.FederationHistory:
 def _load_global(rd: RunDir) -> tuple[nn.Model, dict]:
     if not rd.global_model_path.exists():
         raise CliError(f"no global.model under {rd.root}; run `scale train` first")
-    manifest = nn.load_manifest(rd.manifest_path)
+    manifest = read_json(rd.manifest_path)
     return nn.load_model(rd.global_model_path, manifest), manifest
 
 
@@ -221,7 +223,7 @@ def read_meta(rd: RunDir, method: str) -> dict:
     path = rd.method_dir(method) / "unlearn_meta.json"
     if not path.exists():
         raise CliError(f"no unlearn artifacts for {method!r}; run `scale unlearn` first")
-    return json.loads(path.read_text())
+    return read_json(path)
 
 
 def _persist_request(rd: RunDir, block: dict, seed: int, h: str) -> None:
@@ -232,7 +234,7 @@ def _persist_request(rd: RunDir, block: dict, seed: int, h: str) -> None:
         "config_hash": h,
     }
     if rd.request_path.exists():
-        prior = json.loads(rd.request_path.read_text())
+        prior = read_json(rd.request_path)
         if prior != payload:
             raise CliError(
                 "request.json already pins a different request for this run; "
@@ -306,7 +308,7 @@ def _unlearn_uniform(rd, cfg, h, model, seed: int) -> None:
             "uniform matches the zeroed-parameter budget of the scale run; "
             "run `scale unlearn --method scale` first"
         )
-    manifest = nn.load_manifest(rd.manifest_path)
+    manifest = read_json(rd.manifest_path)
     scale_model = nn.load_model(scale_path, manifest)
     budget = baselines.newly_zeroed(model, scale_model)
     out = baselines.baseline_uniform(model, budget, cfg["scale"]["groups_per_layer"])
@@ -371,7 +373,8 @@ def cmd_unlearn(run_dir: str, method: str, request: str, seed: int | None = None
 
 def _read_actions(path: Path, h: str, force: bool) -> list[dict]:
     with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+        lines = [parse_json(line, f"{path} line {n}")
+                 for n, line in enumerate(fh, 1) if line.strip()]
     if not lines or "config_hash" not in lines[0]:
         raise CliError(f"{path}: missing config hash header")
     if lines[0]["config_hash"] != h and not force:
@@ -415,7 +418,7 @@ def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metr
     cfg, h = rd.read_config()
     if not rd.request_path.exists():
         raise CliError("no request.json; run `scale unlearn` first")
-    req_payload = json.loads(rd.request_path.read_text())
+    req_payload = read_json(rd.request_path)
     if req_payload["config_hash"] != h and not force:
         raise CliError("request.json config hash mismatch (use --force to override)")
     cfg = dict(cfg)

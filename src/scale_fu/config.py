@@ -237,12 +237,22 @@ def validate_config(user: dict) -> dict:
     return merged
 
 
-def load_config(path: str | Path) -> dict:
+def parse_json(text: str, source) -> object:
+    """`json.loads(text)`; invalid JSON raises a ConfigError naming `source`,
+    the file (or file and line) the text came from."""
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(text)
     except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
-    return validate_config(raw)
+        raise ConfigError(f"{source}: not valid JSON ({err})") from err
+
+
+def read_json(path: str | Path) -> object:
+    """The JSON value in the file at `path`, read through `parse_json`."""
+    return parse_json(Path(path).read_text(), path)
+
+
+def load_config(path: str | Path) -> dict:
+    return validate_config(read_json(path))
 
 
 def canonical_json(obj) -> str:
@@ -352,7 +362,9 @@ class RunDir:
     def read_config(self) -> tuple[dict, str]:
         if not self.config_path.exists():
             raise ConfigError(f"no config.json under {self.root}")
-        payload = json.loads(self.config_path.read_text())
+        payload = read_json(self.config_path)
+        if not isinstance(payload, dict) or "config" not in payload:
+            raise ConfigError(f"{self.config_path}: no config object")
         cfg = payload["config"]
         h = config_hash(cfg)
         if h != payload.get("config_hash"):

@@ -145,6 +145,20 @@ class Model:
             params=[p.copy() for p in self.params],
         )
 
+    def with_layer(self, layer: int, vec: np.ndarray) -> "Model":
+        """A new model whose `layer` vector is `vec`, a float64 vector of that
+        layer's length, sharing every other layer's vector with this one.
+        Only `vec` is checked: the others were checked when this model was
+        built."""
+        if vec.dtype != np.float64 or vec.shape != self.params[layer].shape:
+            raise ShapeError(f"layer {layer}: expected a float64 vector of length "
+                             f"{self.layers[layer].d}")
+        out = object.__new__(Model)
+        vars(out).update(vars(self))
+        out.params = list(self.params)
+        out.params[layer] = vec
+        return out
+
 
 def make_model(
     arch: str,

@@ -16,7 +16,8 @@ from itertools import accumulate
 import numpy as np
 
 from . import nn
-from .aoi import AoiLedger, GroupIndex, aoi_summary, state_vector
+from .aoi import (AoiLedger, GroupIndex, aoi_summary, normalized_ages, state_vector,
+                  write_group_stats)
 from .sensitivity import SensitivityReport
 
 
@@ -96,33 +97,72 @@ class Transition:
 # --- sparsifier -------------------------------------------------------------
 
 
-def zero_smallest(sub: np.ndarray, k: int) -> None:
-    """Zero, in place, the k smallest-magnitude nonzero entries of one group
-    (ties to the lowest index). The one zeroing rule of the adaptive
-    sparsifier and the uniform baseline."""
-    if k == 0:
+# |x| as sortable bits: every NaN gets one key just above inf's, as argsort
+# orders floats (NaN after inf, NaNs equal); zeros then wrap to the top
+_NAN_KEY = np.float64(np.inf).view(np.uint64) + np.uint64(1)
+
+
+def zero_smallest(rows: np.ndarray, k: list[int]) -> None:
+    """Zero, in place, the k[i] smallest-magnitude nonzero entries of row i of
+    the 2-d `rows` (ties to the lowest index; 0 <= k[i] <= the row's nonzeros).
+    The one zeroing rule of the adaptive sparsifier and the uniform baseline.
+
+    The entries zeroed are the first k[i] of a stable sort of the row by
+    magnitude with zeros keyed last. They are found without a stable argsort:
+    every entry keyed at or below the row's k-th smallest key, less the
+    highest-index entries tied at that key when too many tie."""
+    live = [i for i, c in enumerate(k) if c]
+    if not live:
         return
-    nz = np.flatnonzero(sub != 0.0)
-    order = nz[np.argsort(np.abs(sub[nz]), kind="stable")]
-    sub[order[:k]] = 0.0
+    k = [k[i] for i in live]
+    sub = rows[live]
+    size = sub.shape[1]
+    key = np.abs(sub).view(np.uint64)
+    np.minimum(key, _NAN_KEY, out=key)
+    key -= np.uint64(1)
+    kth = np.sort(key, axis=1).ravel()[[i * size + c - 1 for i, c in enumerate(k)]]
+    kth = kth[:, None]
+    hit = key <= kth
+    if np.count_nonzero(hit) != sum(k):
+        ties = key == kth
+        keep = np.add.reduce(ties, axis=1) - (np.add.reduce(hit, axis=1) - k)
+        hit &= ~ties | (np.cumsum(ties, axis=1) <= keep[:, None])
+    sub[hit] = 0.0
+    rows[live] = sub
+
+
+def zero_budget(s: float, nnz: int) -> int:
+    """floor(s * nnz): how many entries `sparsify` zeroes in a selected group
+    with nnz nonzero entries."""
+    return math.floor(s * nnz)
 
 
 def sparsify(model: nn.Model, idx: GroupIndex, layer: int, groups, s: float) -> nn.Model:
     """Zero the floor(s * nnz) smallest-magnitude nonzero coordinates of each
-    selected group (ties to the lowest index). Returns a new model."""
+    selected group (ties to the lowest index; a group given twice is an
+    error). Returns a new model that copies the changed layer and shares every
+    other layer's vector; the input is never mutated."""
     if not 0 < s <= 1:
         raise RlError("sparsity ratio must be in (0, 1]")
     groups = tuple(groups)
     if not groups:
         raise RlError("no groups to sparsify")
     n_groups = idx.n_groups(layer)
-    out = model.copy()
-    vec = out.params[layer]
     for j in groups:
         if not 0 <= j < n_groups:
             raise RlError(f"group {j} out of range for layer {layer}")
-        sub = vec[idx.slice_of(layer, j)]
-        zero_smallest(sub, int(math.floor(s * np.count_nonzero(sub))))
+    if len(set(groups)) != len(groups):
+        raise RlError("duplicate group to sparsify")
+    out = model.with_layer(layer, model.params[layer].copy())
+    first = idx.positions[(layer, 0)]
+    for _, span, size, pos in idx.layer_runs[layer]:
+        lo, hi = pos.start - first, pos.stop - first
+        picked = {j - lo for j in groups if lo <= j < hi}
+        if not picked:
+            continue
+        rows = out.params[layer][span].reshape(-1, size)
+        nnz = np.add.reduce(rows != 0.0, axis=1).tolist()
+        zero_smallest(rows, [zero_budget(s, c) if r in picked else 0 for r, c in enumerate(nnz)])
     return out
 
 
@@ -146,22 +186,40 @@ def min_group_sparsity(model: nn.Model, idx: GroupIndex) -> float:
 # --- rewards ----------------------------------------------------------------
 
 
-def reward_forget(action: Action, report: SensitivityReport, idx: GroupIndex) -> float:
-    """Sum over selected groups of (S_layer / max selected S) * s."""
-    layer = idx.layers[action.layer_rank]
-    s_max = max(report.score_of(l) for l in idx.layers)
+def forget_ratios(report: SensitivityReport, idx: GroupIndex) -> list[float]:
+    """Per layer rank, S_layer / max S over the indexed layers; all zero when
+    no score is positive."""
+    scores = [report.score_of(l) for l in idx.layers]
+    s_max = max(scores)
     if s_max <= 0.0:
-        return 0.0
-    return len(action.groups) * (report.score_of(layer) / s_max) * action.s
+        return [0.0] * len(scores)
+    return [score / s_max for score in scores]
 
 
-def reward_fresh(action: Action, ledger: AoiLedger) -> float:
-    """Mean over selected groups of (age / max age) * s; zero if nothing aged."""
-    layer = ledger.idx.layers[action.layer_rank]
-    max_age = ledger.max_age()
+def reward_forget(action: Action, report: SensitivityReport, idx: GroupIndex,
+                  ratios: list[float] | None = None) -> float:
+    """Sum over selected groups of (S_layer / max selected S) * s. `ratios`
+    is `forget_ratios(report, idx)` when the caller already holds it."""
+    if ratios is None:
+        ratios = forget_ratios(report, idx)
+    return len(action.groups) * ratios[action.layer_rank] * action.s
+
+
+def reward_fresh(action: Action, ledger: AoiLedger, ages: np.ndarray | None = None) -> float:
+    """Mean over selected groups of (age / max age) * s; zero if nothing aged.
+    `ages` is `ledger.ages()` when the caller already holds it."""
+    if ages is None:
+        ages = ledger.ages()
+    max_age = float(np.maximum.reduce(ages))
     if max_age <= 0.0:
         return 0.0
-    share = sum(ledger.age(layer, j) / max_age for j in action.groups)
+    idx = ledger.idx
+    layer = idx.layers[action.layer_rank]
+    n = idx.n_groups(layer)
+    if min(action.groups) < 0 or max(action.groups) >= n:
+        raise RlError(f"group out of range for layer {layer}")
+    first = idx.positions[(layer, 0)]
+    share = sum((ages[first : first + n][list(action.groups)] / max_age).tolist())
     return (share / len(action.groups)) * action.s
 
 
@@ -172,9 +230,11 @@ def reward(
     idx: GroupIndex,
     w_f: float,
     w_c: float,
+    ratios: list[float] | None = None,
+    ages: np.ndarray | None = None,
 ) -> tuple[float, float, float]:
-    r_f = reward_forget(action, report, idx)
-    r_c = reward_fresh(action, ledger)
+    r_f = reward_forget(action, report, idx, ratios)
+    r_c = reward_fresh(action, ledger, ages)
     return w_f * r_f + w_c * r_c, r_f, r_c
 
 
@@ -182,11 +242,11 @@ def reward(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    out = e / d
+    np.divide(1.0, d, out=out, where=z >= 0)
     return out
 
 
@@ -195,8 +255,8 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 class Adam:
@@ -207,15 +267,32 @@ class Adam:
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.t = 0
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        """Update `params` in place from the flat gradient `grad`."""
+        """Update `params` in place from the flat gradient `grad`. Every
+        update is in place, with the operations and their order of
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        params -= (lr * (m/c1)) / (sqrt(v/c2) + eps)."""
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        self.m = self.b1 * self.m + (1 - self.b1) * grad
-        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
-        params -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        num, den = self._num, self._den
+        self.m *= self.b1
+        np.multiply(1 - self.b1, grad, out=num)
+        self.m += num
+        self.v *= self.b2
+        np.multiply(1 - self.b2, grad, out=den)
+        den *= grad
+        self.v += den
+        np.divide(self.m, c1, out=num)
+        num *= self.lr
+        np.divide(self.v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        params -= num
 
 
 def clip_grad_norm(grad: np.ndarray, blocks, max_norm: float) -> float:
@@ -223,7 +300,7 @@ def clip_grad_norm(grad: np.ndarray, blocks, max_norm: float) -> float:
     before scaling. The squared norm is a Python sum of one pairwise sum per
     block (slices of `grad`, in order), so it keeps the bits of a per-array sum."""
     sq = grad * grad
-    total = math.sqrt(sum(float(sq[sl].sum()) for sl in blocks))
+    total = math.sqrt(sum(float(np.add.reduce(sq[sl])) for sl in blocks))
     if total > max_norm and total > 0:
         grad *= max_norm / total
     return total
@@ -301,34 +378,47 @@ class _TrunkNet:
         self.params["W2"][:] = xavier(hidden, hidden)
         self.head_names = tuple(head_dims)
         self.in_dim = in_dim
+        # per head: (name, W, b, grad of W, grad of b), all views of the buffers
+        self._heads = tuple(
+            (name, self.params[f"W_{name}"], self.params[f"b_{name}"],
+             self.grads[f"W_{name}"], self.grads[f"b_{name}"])
+            for name in self.head_names
+        )
 
     def trunk(self, X: np.ndarray):
-        h1 = np.tanh(X @ self.params["W1"].T + self.params["b1"])
-        h2 = np.tanh(h1 @ self.params["W2"].T + self.params["b2"])
+        p = self.params
+        h1 = X @ p["W1"].T
+        h1 += p["b1"]
+        np.tanh(h1, out=h1)
+        h2 = h1 @ p["W2"].T
+        h2 += p["b2"]
+        np.tanh(h2, out=h2)
         return h1, h2
 
     def heads(self, h2: np.ndarray) -> dict:
-        return {
-            name: h2 @ self.params[f"W_{name}"].T + self.params[f"b_{name}"]
-            for name in self.head_names
-        }
+        out = {}
+        for name, W, b, _, _ in self._heads:
+            z = out[name] = h2 @ W.T
+            z += b
+        return out
 
     def backward(self, X, h1, h2, dheads: dict) -> np.ndarray:
         """Fill and return the flat gradient `self.grad` (overwritten by the
         next call). `dheads` names every head."""
         grads = self.grads
         dh2 = np.zeros_like(h2)
-        for name, dz in dheads.items():
-            grads[f"W_{name}"][:] = dz.T @ h2
-            grads[f"b_{name}"][:] = dz.sum(axis=0)
-            dh2 += dz @ self.params[f"W_{name}"]
+        for name, W, _, gW, gb in self._heads:
+            dz = dheads[name]
+            np.matmul(dz.T, h2, out=gW)
+            np.add.reduce(dz, axis=0, out=gb)
+            dh2 += dz @ W
         dp2 = dh2 * (1.0 - h2 * h2)
-        grads["W2"][:] = dp2.T @ h1
-        grads["b2"][:] = dp2.sum(axis=0)
+        np.matmul(dp2.T, h1, out=grads["W2"])
+        np.add.reduce(dp2, axis=0, out=grads["b2"])
         dh1 = dp2 @ self.params["W2"]
         dp1 = dh1 * (1.0 - h1 * h1)
-        grads["W1"][:] = dp1.T @ X
-        grads["b1"][:] = dp1.sum(axis=0)
+        np.matmul(dp1.T, X, out=grads["W1"])
+        np.add.reduce(dp1, axis=0, out=grads["b1"])
         return self.grad
 
 
@@ -377,7 +467,9 @@ def _oldest_group(layout: PolicyLayout, state: np.ndarray, rank: int) -> int:
 
 
 def _mask_log_prob(z_g: np.ndarray, bits: np.ndarray) -> float:
-    return float(np.sum(-_softplus(-z_g) * bits + -_softplus(z_g) * (1.0 - bits)))
+    """Sum of -softplus(-z) * b + -softplus(z) * (1 - b); the negations are
+    taken once, on the sum, which is exact."""
+    return -float(np.add.reduce(_softplus(-z_g) * bits + _softplus(z_g) * (1.0 - bits)))
 
 
 def _decode_heads(policy: PolicyNet, state: np.ndarray, pick):
@@ -389,11 +481,13 @@ def _decode_heads(policy: PolicyNet, state: np.ndarray, pick):
     lsm_l, lsm_r = _log_softmax(z_l)[0], _log_softmax(z_r)[0]
     rank, bits, level = pick(z_l[0], z_g[0], z_r[0], lsm_l, lsm_r)
     lay = policy.layout
-    if bits.sum() == 0:
-        bits[_oldest_group(lay, state, rank)] = 1.0
+    groups = np.flatnonzero(bits).tolist()
+    if not groups:
+        groups = [_oldest_group(lay, state, rank)]
+        bits[groups[0]] = 1.0
     action = Action(
         layer_rank=rank,
-        groups=tuple(int(j) for j in np.flatnonzero(bits)),
+        groups=tuple(groups),
         ratio_level=level,
         s=level / lay.ratio_levels,
     )
@@ -402,15 +496,30 @@ def _decode_heads(policy: PolicyNet, state: np.ndarray, pick):
     return action, lp
 
 
+_P_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
+    """`rng.choice(p.size, p=p)`: the same index from the same one uniform
+    draw, without choice's argument handling. p must be non-negative and
+    sum to 1 within sqrt(eps)."""
+    cdf = p.cumsum()
+    total = float(cdf[-1])
+    if not np.minimum.reduce(p) >= 0.0 or not abs(total - 1.0) <= _P_ATOL:
+        raise RlError("probabilities must be non-negative and sum to 1")
+    cdf /= total
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def policy_sample(policy: PolicyNet, state: np.ndarray, rng: np.random.Generator):
     """Sample layer, then mask bits, then level from `rng`."""
     lay = policy.layout
 
     def pick(z_l, z_g, z_r, lsm_l, lsm_r):
-        rank = int(rng.choice(lay.n_layers, p=np.exp(lsm_l)))
+        rank = _draw(rng, np.exp(lsm_l))
         probs = _sigmoid(z_g[lay.group_cols(rank)])
         bits = (rng.random(probs.size) < probs).astype(np.float64)
-        level = int(rng.choice(lay.ratio_levels, p=np.exp(lsm_r))) + 1
+        level = _draw(rng, np.exp(lsm_r)) + 1
         return rank, bits, level
 
     return _decode_heads(policy, state, pick)
@@ -448,19 +557,21 @@ def batch_log_probs(policy: PolicyNet, states: np.ndarray, arrays: tuple):
     given as the `action_arrays` of those actions."""
     z_l, z_g, z_r, cache = policy.logits(states)
     ranks, levels, bits, mask = arrays
-    n = ranks.size
+    rows = np.arange(ranks.size)
     lsm_l = _log_softmax(z_l)
     lsm_r = _log_softmax(z_r)
-    lp = lsm_l[np.arange(n), ranks] + lsm_r[np.arange(n), levels]
-    lp = lp + np.sum(mask * (-_softplus(-z_g) * bits - _softplus(z_g) * (1 - bits)), axis=1)
+    sp = _softplus(z_g)
+    lp = lsm_l[rows, ranks] + lsm_r[rows, levels]
+    # the mask term is -(softplus(-z) * b + softplus(z) * (1 - b)); its
+    # negation is exact and taken once, on the row sums
+    lp = lp - np.add.reduce(mask * (_softplus(-z_g) * bits + sp * (1 - bits)), axis=1)
     p_l, p_r = np.exp(lsm_l), np.exp(lsm_r)
     sig = _sigmoid(z_g)
-    ent_l = -(p_l * lsm_l).sum(axis=1)
-    ent_r = -(p_r * lsm_r).sum(axis=1)
-    ent_g = np.sum(mask * (_softplus(z_g) - z_g * sig), axis=1)
+    ent_l = -np.add.reduce(p_l * lsm_l, axis=1)
+    ent_r = -np.add.reduce(p_r * lsm_r, axis=1)
+    ent_g = np.add.reduce(mask * (sp - z_g * sig), axis=1)
     entropy = ent_l + ent_r + ent_g
-    aux = (z_l, z_g, z_r, cache, ranks, levels, bits, mask, lsm_l, lsm_r, p_l, p_r, sig,
-           ent_l, ent_r)
+    aux = (z_g, cache, lsm_l, lsm_r, p_l, p_r, sig, ent_l, ent_r)
     return lp, entropy, aux
 
 
@@ -481,15 +592,19 @@ def gae(
     if not (rewards.shape == values.shape == dones.shape) or rewards.ndim != 1:
         raise RlError("gae needs aligned 1-d rewards/values/dones")
     n = rewards.size
-    adv = np.zeros(n)
+    adv = [0.0] * n
     carry = 0.0
     next_value = 0.0
+    # the recursion runs on Python floats: the same IEEE operations as on
+    # numpy scalars, without their per-operation overhead
+    r, v, d = rewards.tolist(), values.tolist(), dones.tolist()
     for t in range(n - 1, -1, -1):
-        live = 0.0 if dones[t] else 1.0
-        delta = rewards[t] + discount * next_value * live - values[t]
+        live = 0.0 if d[t] else 1.0
+        delta = r[t] + discount * next_value * live - v[t]
         carry = delta + discount * lam * live * carry
         adv[t] = carry
-        next_value = values[t]
+        next_value = v[t]
+    adv = np.array(adv)
     return adv, adv + values
 
 
@@ -502,9 +617,17 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
 
 
 class UnlearnEnv:
-    """Episode over a working copy of the model: reward is computed on the
+    """Episode over a working model the env owns: reward is computed on the
     pre-mutation ledger, then sparsify, then the clock advances and the acted
-    groups are touched (so they end the step at age zero)."""
+    groups are touched (so they end the step at age zero).
+
+    `reset` copies the input model once and restores the state computed at
+    construction; each step's `sparsify` copies only the acted layer. The
+    state is kept incrementally: every step rewrites the age column from one
+    `ledger.ages()` (which also feeds the next step's reward and the step's
+    `aoi_rows` row), and the mean and std of the acted layer's groups when the
+    step zeroed anything. A zero count per group, advanced by each acted
+    group's `zero_budget`, drives the sparsity-cap check."""
 
     def __init__(
         self,
@@ -517,6 +640,15 @@ class UnlearnEnv:
         self.report = report
         self.idx = idx
         self.cfg = cfg
+        self._ratios = forget_ratios(report, idx)
+        self._first = [idx.positions[(l, 0)] for l in idx.layers]
+        sizes, zeros = [], []
+        for layer, span, size, _ in idx.runs:
+            rows = model.params[layer][span].reshape(-1, size)
+            sizes += [size] * rows.shape[0]
+            zeros += np.add.reduce(rows == 0.0, axis=1).tolist()
+        self._sizes, self._zeros0 = sizes, zeros
+        self._state0 = state_vector(model, AoiLedger(idx), idx)
         self.reset()
 
     def reset(self) -> np.ndarray:
@@ -526,22 +658,24 @@ class UnlearnEnv:
         self.done = False
         self.aoi_rows: list[tuple] = []
         self.action_rows: list[dict] = []
-        self.state = state_vector(self.model, self.ledger, self.idx)
+        self._ages = self.ledger.ages()
+        self._zeros = list(self._zeros0)
+        self.state = self._state0.copy()
         return self.state
 
     def step(self, action: Action, log_prob: float = 0.0, value: float = 0.0) -> Transition:
         if self.done:
             raise RlError("env is done; reset before stepping again")
         layer = self.idx.layers[action.layer_rank]
-        r, r_f, r_c = reward(
-            action, self.report, self.ledger, self.idx, self.cfg.w_f, self.cfg.w_c
-        )
+        r, r_f, r_c = reward(action, self.report, self.ledger, self.idx, self.cfg.w_f,
+                             self.cfg.w_c, self._ratios, self._ages)
         prev_state = self.state
         self.model = sparsify(self.model, self.idx, layer, action.groups, action.s)
         self.ledger.advance()
         self.ledger.touch([(layer, j) for j in action.groups])
         self.steps += 1
-        self.aoi_rows.append((self.steps, *aoi_summary(self.ledger)))
+        ages = self._ages = self.ledger.ages()
+        self.aoi_rows.append((self.steps, *aoi_summary(self.ledger, ages)))
         self.action_rows.append(
             {
                 "step": self.steps,
@@ -550,10 +684,20 @@ class UnlearnEnv:
                 "s": action.s,
             }
         )
-        self.state = state_vector(self.model, self.ledger, self.idx)
+        # the zeros sparsify added: zero_budget(s, nnz) per acted group
+        zeroed = 0
+        for p in (self._first[action.layer_rank] + j for j in action.groups):
+            k = zero_budget(action.s, self._sizes[p] - self._zeros[p])
+            self._zeros[p] += k
+            zeroed += k
+        grid = prev_state.reshape(-1, 3).copy()
+        grid[:, 0] = normalized_ages(ages)
+        if zeroed:
+            write_group_stats(grid, self.model, self.idx.layer_runs[layer])
+        self.state = grid.ravel()
         self.done = (
             self.steps >= self.cfg.t_collect
-            or min_group_sparsity(self.model, self.idx) >= self.cfg.sparsity_cap
+            or min(z / n for z, n in zip(self._zeros, self._sizes)) >= self.cfg.sparsity_cap
         )
         return Transition(
             state=prev_state,
@@ -586,63 +730,70 @@ def ppo_update(
     buffer is cleared before returning."""
     if not buffer:
         raise RlError("empty buffer")
+    n = len(buffer)
+    rows = np.arange(n)
     states = np.stack([tr.state for tr in buffer])
-    acts = action_arrays(policy.layout, [tr.action for tr in buffer])
+    ranks, levels, bits, mask = action_arrays(policy.layout, [tr.action for tr in buffer])
+    one_l = np.zeros((n, policy.layout.n_layers))
+    one_l[rows, ranks] = 1.0
+    one_r = np.zeros((n, policy.layout.ratio_levels))
+    one_r[rows, levels] = 1.0
     rewards = np.array([tr.reward for tr in buffer])
     dones = np.array([tr.done for tr in buffer])
     old_lp = np.array([tr.log_prob for tr in buffer])
     values = np.array([tr.value for tr in buffer])
     adv_raw, returns = gae(rewards, values, dones, cfg.discount, cfg.gae_lambda)
     adv = normalize_advantages(adv_raw)
-    n = len(buffer)
+    columns = (states, ranks, levels, bits, mask, one_l, one_r, adv, returns, old_lp)
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "clip_frac": 0.0}
     n_batches = 0
+    lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
     for _ in range(cfg.epochs):
+        # one permutation per epoch; each minibatch is then a slice of it
         perm = rng.permutation(n)
+        shuffled = [col[perm] for col in columns]
         for start in range(0, n, cfg.batch_size):
-            mb = perm[start : start + cfg.batch_size]
-            m = mb.size
-            lp, entropy, aux = batch_log_probs(policy, states[mb], tuple(a[mb] for a in acts))
-            (z_l, z_g, z_r, cache, ranks, levels, bits, mask, lsm_l, lsm_r, p_l, p_r, sig,
-             ent_l, ent_r) = aux
-            a_mb = adv[mb]
-            ratio = np.exp(lp - old_lp[mb])
-            clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
-            surr = np.minimum(ratio * a_mb, clipped * a_mb)
-            active = ratio * a_mb <= clipped * a_mb
+            (x, ranks, levels, bits, mask, one_l, one_r, a_mb, ret_mb, old_mb) = (
+                col[start : start + cfg.batch_size] for col in shuffled)
+            m = x.shape[0]
+            lp, entropy, aux = batch_log_probs(policy, x, (ranks, levels, bits, mask))
+            z_g, cache, lsm_l, lsm_r, p_l, p_r, sig, ent_l, ent_r = aux
+            ratio = np.exp(lp - old_mb)
+            clipped = np.minimum(np.maximum(ratio, lo), hi)
+            unclipped_a, clipped_a = ratio * a_mb, clipped * a_mb
+            surr = np.minimum(unclipped_a, clipped_a)
+            active = unclipped_a <= clipped_a
 
             # d(-surrogate)/d lp, averaged over the minibatch
-            coef = np.where(active, ratio * a_mb, 0.0) * (-1.0 / m)
-            one_l = np.zeros_like(p_l)
-            one_l[np.arange(m), ranks] = 1.0
-            one_r = np.zeros_like(p_r)
-            one_r[np.arange(m), levels] = 1.0
-            dz_l = coef[:, None] * (one_l - p_l)
-            dz_r = coef[:, None] * (one_r - p_r)
-            dz_g = coef[:, None] * mask * (bits - sig)
+            coef = (np.where(active, unclipped_a, 0.0) * (-1.0 / m))[:, None]
+            dz_l = coef * (one_l - p_l)
+            dz_r = coef * (one_r - p_r)
+            dz_g = coef * mask * (bits - sig)
 
-            # entropy bonus gradients (minimizing -c*H)
+            # entropy bonus gradients (minimizing -c*H): each term is
+            # -ce * (-x), which equals ce * x exactly
             ce = cfg.entropy_coef / m
-            dz_l += -ce * (-p_l * (lsm_l + ent_l[:, None]))
-            dz_r += -ce * (-p_r * (lsm_r + ent_r[:, None]))
-            dz_g += -ce * mask * (-z_g * sig * (1.0 - sig))
+            dz_l += ce * (p_l * (lsm_l + ent_l[:, None]))
+            dz_r += ce * (p_r * (lsm_r + ent_r[:, None]))
+            dz_g += ce * mask * (z_g * sig * (1.0 - sig))
 
             grad = policy.backward(cache[0], cache[1], cache[2],
                                    {"layer": dz_l, "group": dz_g, "ratio": dz_r})
             clip_grad_norm(grad, policy.blocks, cfg.grad_clip)
             policy_opt.step(policy.flat, grad)
 
-            v, vcache = value_net.values(states[mb])
-            verr = v - returns[mb]
+            v, vcache = value_net.values(x)
+            verr = v - ret_mb
             dv = (2.0 / m) * verr
             vgrad = value_net.backward(vcache[0], vcache[1], vcache[2], {"v": dv[:, None]})
             clip_grad_norm(vgrad, value_net.blocks, cfg.grad_clip)
             value_opt.step(value_net.flat, vgrad)
 
-            stats["policy_loss"] += float(-surr.mean())
-            stats["value_loss"] += float((verr**2).mean())
-            stats["entropy"] += float(entropy.mean())
-            stats["clip_frac"] += float((~active).mean())
+            # each mean as mean() takes it: the pairwise sum over m
+            stats["policy_loss"] += float(-(np.add.reduce(surr) / m))
+            stats["value_loss"] += float(np.add.reduce(verr * verr) / m)
+            stats["entropy"] += float(np.add.reduce(entropy) / m)
+            stats["clip_frac"] += float((m - np.count_nonzero(active)) / m)
             n_batches += 1
     for k in stats:
         stats[k] /= max(n_batches, 1)

@@ -1,5 +1,6 @@
-"""Microbenchmarks of the PPO hot-path kernels on the default ref-mlp index,
-and of the dense and conv2d layer kernels on cnn-fed's mini_cnn shapes.
+"""Microbenchmarks of the PPO hot-path kernels on the default ref-mlp index
+(among them one env step, one policy sample and one PPO update), and of the
+dense and conv2d layer kernels on cnn-fed's mini_cnn shapes.
 
     PYTHONPATH=src python -m pytest tests/bench_kernels.py -m bench
 
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from scale_fu import aoi, nn, rl
-from scale_fu.config import validate_config
+from scale_fu.config import ppo_config, validate_config
+from scale_fu.sensitivity import SensitivityReport
 
 pytestmark = pytest.mark.bench
 
@@ -58,6 +60,71 @@ def test_bench_adam_step(benchmark, setup):
     opt = rl.Adam(policy.flat, ppo.actor_lr)
     grad = np.random.default_rng(0).standard_normal(policy.flat.size) * 1e-3
     benchmark(opt.step, policy.flat, grad)
+
+
+# --- the PPO loop on the default config: env step, sampler, update ------------
+
+
+@pytest.fixture(scope="module")
+def loop(setup):
+    """An env over the sparsified default model, fresh nets, a fixed action
+    list and a fixed buffer of two sampled episodes."""
+    model, idx, _ = setup
+    cfg = ppo_config(CFG)
+    scores = np.arange(1.0, model.num_layers + 1.0)
+    zeros = np.zeros(model.num_layers)
+    report = SensitivityReport(client=0, lam=0.5, rho=zeros, s_align=zeros, s_impact=zeros,
+                               s_combined=scores, selected=[1], m_sel=1)
+    env = rl.UnlearnEnv(model, report, idx, cfg)
+    layout = rl.PolicyLayout.from_index(idx, cfg.ratio_levels)
+
+    def nets():
+        policy = rl.PolicyNet(layout, seed=0, hidden=cfg.hidden)
+        return policy, rl.ValueNet(layout.state_dim, seed=1, hidden=cfg.hidden)
+
+    rng = np.random.default_rng(0)
+    policy, value_net = nets()
+    actions, buffer = [], []
+    for _ in range(2):
+        state = env.reset()
+        while not env.done:
+            action, lp = rl.policy_sample(policy, state, rng)
+            tr = env.step(action, log_prob=lp, value=value_net.value(state))
+            actions.append(action)
+            buffer.append(tr)
+            state = tr.next_state
+    return env, cfg, nets, actions[: cfg.t_collect], buffer
+
+
+def test_bench_env_step(benchmark, loop):
+    # the 17th step of a fixed episode, after a reset and 16 steps untimed
+    env, _, _, actions, _ = loop
+
+    def sixteen_steps():
+        env.reset()
+        for action in actions[:16]:
+            env.step(action)
+
+    benchmark.pedantic(env.step, args=(actions[16],), setup=sixteen_steps, rounds=300)
+
+
+def test_bench_policy_sample(benchmark, loop):
+    _, _, nets, _, buffer = loop
+    policy, _ = nets()
+    rng = np.random.default_rng(1)
+    benchmark(rl.policy_sample, policy, buffer[5].state, rng)
+
+
+def test_bench_ppo_update(benchmark, loop):
+    # one update over the fixed buffer, with fresh nets and optimizers each round
+    _, cfg, nets, _, buffer = loop
+
+    def fresh():
+        policy, value_net = nets()
+        opts = rl.Adam(policy.flat, cfg.actor_lr), rl.Adam(value_net.flat, cfg.critic_lr)
+        return (policy, value_net, list(buffer), cfg, np.random.default_rng(2), *opts), {}
+
+    benchmark.pedantic(rl.ppo_update, setup=fresh, rounds=40)
 
 
 # --- NN layer kinds on cnn-fed's mini_cnn: 8x8 inputs, 4 classes ---------------

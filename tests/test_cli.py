@@ -305,6 +305,50 @@ def test_unlearn_names_a_blob_cut_mid_value(run_dir, tmp_path, capsys):
         path.write_bytes(blob)
 
 
+# each file a command reads as JSON, the command that reads it, and a cut of
+# its text; the command must exit 2 and name the file
+CORRUPT_JSON = [
+    ("config.json", "eval", lambda text: text[: len(text) // 2]),
+    ("manifest.json", "eval", lambda text: text[:-5]),
+    ("request.json", "eval", lambda text: "{"),
+    ("unlearn_scale/unlearn_meta.json", "eval", lambda text: text[:40]),
+    ("unlearn_scale/actions.jsonl", "eval", lambda text: text[:60]),
+    ("history/meta.json", "unlearn", lambda text: text[:-3]),
+    ("request.json", "unlearn", lambda text: ""),
+]
+
+
+@pytest.mark.parametrize("name,command,cut", CORRUPT_JSON,
+                         ids=[f"{c}-{n}" for n, c, _ in CORRUPT_JSON])
+def test_corrupt_json_artifact_is_named(run_dir, tmp_path, capsys, name, command, cut):
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    path = rd.root / name
+    path.write_text(cut(path.read_text()))
+    if command == "eval":
+        argv = ["eval", "--run", str(rd.root), "--methods", ALL_METHODS]
+    else:
+        argv = ["unlearn", "--run", str(rd.root), "--method", "scale", "--request", "client:1"]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "not valid JSON" in err
+
+
+def test_config_without_config_object_is_refused(run_dir, tmp_path):
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    rd.config_path.write_text("[]\n")
+    with pytest.raises(ConfigError, match="no config object"):
+        rd.read_config()
+
+
+def test_invalid_json_config_file_is_named(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"federation": ')
+    code = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"{cfg_path}: not valid JSON" in capsys.readouterr().err
+
+
 def test_uniform_requires_scale_run(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(SMALL))

@@ -2,11 +2,14 @@
 replaced.
 
 Compared for exact equality, never a tolerance:
-- `rl.sparsify` and `baselines.baseline_uniform`, which share
-  `rl.zero_smallest`, against their own per-group loops
+- `rl.sparsify` and `baselines.baseline_uniform`, which share the
+  row-vectorized `rl.zero_smallest`, against their own per-group loops
 - `state_vector` against a loop over `group_stats`
 - `min_group_sparsity` against `min(group_sparsity(...))`
 - `AoiLedger` against a ledger keeping dict stamps
+- the incremental `UnlearnEnv` against `RefEnv`, the env that copied the
+  model and rebuilt the whole state on every step
+- the sampler's inverse-CDF draw against `Generator.choice`
 - flat `Adam.step` and `clip_grad_norm` against per-key dict versions
 - a whole `train_unlearner` run with every reference swapped in
 
@@ -126,6 +129,68 @@ def ref_min_group_sparsity(model, idx):
     return min(rl.group_sparsity(model, idx, l, j) for l, j in idx.keys())
 
 
+def ref_reward(action, report, ledger, idx, w_f, w_c):
+    """`rl.reward` as it was: the score maximum on every call and one
+    `ledger.age` call per selected group."""
+    layer = idx.layers[action.layer_rank]
+    s_max = max(report.score_of(l) for l in idx.layers)
+    r_f = 0.0
+    if s_max > 0.0:
+        r_f = len(action.groups) * (report.score_of(layer) / s_max) * action.s
+    r_c = 0.0
+    max_age = ledger.max_age()
+    if max_age > 0.0:
+        share = sum(ledger.age(layer, j) / max_age for j in action.groups)
+        r_c = (share / len(action.groups)) * action.s
+    return w_f * r_f + w_c * r_c, r_f, r_c
+
+
+class RefEnv:
+    """`rl.UnlearnEnv` as it was, over the reference loops: every step copies
+    the whole model, rebuilds the whole state and scans every group for the
+    sparsity cap."""
+
+    def __init__(self, model, report, idx, cfg):
+        self._model0 = model
+        self.report = report
+        self.idx = idx
+        self.cfg = cfg
+        self.reset()
+
+    def reset(self):
+        self.model = self._model0.copy()
+        self.ledger = DictLedger(self.idx)
+        self.steps = 0
+        self.done = False
+        self.aoi_rows = []
+        self.action_rows = []
+        self.state = ref_state_vector(self.model, self.ledger, self.idx)
+        return self.state
+
+    def step(self, action, log_prob=0.0, value=0.0):
+        if self.done:
+            raise rl.RlError("env is done; reset before stepping again")
+        layer = self.idx.layers[action.layer_rank]
+        r, r_f, r_c = ref_reward(action, self.report, self.ledger, self.idx,
+                                 self.cfg.w_f, self.cfg.w_c)
+        prev_state = self.state
+        self.model = ref_sparsify(self.model, self.idx, layer, action.groups, action.s)
+        self.ledger.advance()
+        self.ledger.touch([(layer, j) for j in action.groups])
+        self.steps += 1
+        ages = self.ledger.ages()
+        self.aoi_rows.append((self.steps, float(ages.sum()), float(ages.mean()),
+                              float(ages.max())))
+        self.action_rows.append({"step": self.steps, "layer": int(layer),
+                                 "groups": [int(j) for j in action.groups], "s": action.s})
+        self.state = ref_state_vector(self.model, self.ledger, self.idx)
+        self.done = (self.steps >= self.cfg.t_collect
+                     or ref_min_group_sparsity(self.model, self.idx) >= self.cfg.sparsity_cap)
+        return rl.Transition(state=prev_state, action=action, reward=r,
+                             next_state=self.state, done=self.done, log_prob=log_prob,
+                             value=value, r_forget=r_f, r_fresh=r_c)
+
+
 def ref_conv_forward(x, W, b):
     # x: (B, C, H, W), W: (O, C, k, k) -> (B, O, H-k+1, W-k+1), valid padding
     B, C, H, Wd = x.shape
@@ -241,7 +306,10 @@ def cut_models(draw):
 
 # --- zeroing rule ----------------------------------------------------------------
 
-TIED_VALUES = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+# a NaN whose payload is not numpy's default one
+PAYLOAD_NAN = np.uint64(0x7FF8_0000_0000_0001).view(np.float64)
+TIED_VALUES = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0,
+                        np.nan, PAYLOAD_NAN, np.inf, -np.inf])
 
 
 def assert_same_bits(a, b):
@@ -256,9 +324,11 @@ def assert_same_bits(a, b):
 @example([4, 4], 1, 7)      # 20 params: two runs (3 x 6 | 2)
 def test_zeroing_rule_matches_per_group_loops(dims, seed, G):
     """Parameters take few values, so equal magnitudes of opposite sign and
-    exact zeros of both signs are common. s = 1 zeroes every nonzero entry of
-    a group (k = nnz) and s = 0.1 none of a group under ten nonzeros (k = 0);
-    the uniform budgets run from 0 to the model's nonzero count."""
+    exact zeros of both signs are common; so are NaNs of two payloads and
+    +-inf, which argsort puts after every finite magnitude, NaNs last and
+    tied with each other. s = 1 zeroes every nonzero entry of a group
+    (k = nnz) and s = 0.1 none of a group under ten nonzeros (k = 0); the
+    uniform budgets run from 0 to the model's nonzero count."""
     model = dense_model(dims, seed=0)
     rng = np.random.default_rng(seed)
     for vec in model.params:
@@ -346,6 +416,110 @@ def test_ledger_ages_match_dict_stamps(case, ops):
         assert ledger.age(layer, j) == ref.age(layer, j)
     with pytest.raises(AoiError):
         ledger.touch([(99, 0)])
+
+
+# --- environment -----------------------------------------------------------------
+
+
+def flat_report(scores):
+    scores = np.asarray(scores, dtype=np.float64)
+    zeros = np.zeros(scores.size)
+    return SensitivityReport(client=0, lam=0.5, rho=zeros, s_align=zeros, s_impact=zeros,
+                             s_combined=scores, selected=list(range(scores.size)),
+                             m_sel=scores.size)
+
+
+def random_action(idx, cfg, rng):
+    """A random action; one in three re-touches group 0 of layer rank 0."""
+    if rng.random() < 1 / 3:
+        rank, groups = 0, (0,)
+    else:
+        rank = int(rng.integers(idx.n_layers))
+        n = idx.n_groups(idx.layers[rank])
+        groups = tuple(int(j) for j in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                                   replace=False))
+    level = int(rng.integers(1, cfg.ratio_levels + 1))
+    return rl.Action(rank, groups, level, level / cfg.ratio_levels)
+
+
+def run_env_against_reference(model, idx, cfg, seed, episodes=6):
+    """Drive UnlearnEnv and RefEnv with the same random actions and compare
+    every transition, the AoI and action rows and the model bit for bit.
+    Returns the episode lengths."""
+    report = flat_report(np.linspace(2.0, 0.5, model.num_layers))
+    env, ref = rl.UnlearnEnv(model, report, idx, cfg), RefEnv(model, report, idx, cfg)
+    rng = np.random.default_rng(seed)
+    lengths = []
+    for _ in range(episodes):
+        assert env.reset().tobytes() == ref.reset().tobytes()
+        while not env.done:
+            action = random_action(idx, cfg, rng)
+            got, want = env.step(action, -0.5, 0.25), ref.step(action, -0.5, 0.25)
+            assert got.state.tobytes() == want.state.tobytes()
+            assert got.next_state.tobytes() == want.next_state.tobytes()
+            assert (got.reward, got.r_forget, got.r_fresh, got.done) == (
+                want.reward, want.r_forget, want.r_fresh, want.done)
+            assert (got.log_prob, got.value) == (-0.5, 0.25)
+        assert ref.done
+        assert env.aoi_rows == ref.aoi_rows and env.action_rows == ref.action_rows
+        assert_same_bits(env.model, ref.model)
+        lengths.append(env.steps)
+    assert_same_bits(model, model.copy())
+    return lengths
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_env_matches_reference_env_on_unequal_runs(seed):
+    # layer 1: 5 * 4 + 4 = 24 parameters in 5 groups, sizes 5 | 5 | 5 | 5 | 4;
+    # layer 0: 6 * 5 + 5 = 35 in 5 groups of 7; layer 2: 4 * 3 + 3 = 15, 3 | 3 | 3 | 3 | 3
+    model = dense_model((6, 5, 4, 3), seed=seed)
+    idx = partition_groups(model, [1, 0, 2], 5)
+    cfg = rl.PpoConfig(t_collect=40, ratio_levels=4, sparsity_cap=0.3)
+    lengths = run_env_against_reference(model, idx, cfg, seed)
+    assert min(lengths) < cfg.t_collect            # the sparsity cap ended some
+
+
+def test_env_matches_reference_env_on_mini_cnn():
+    # layer 2 is the parameter-free flatten layer
+    model = nn.make_model("mini_cnn", 25, 3, seed=2)
+    idx = partition_groups(model, [1, 0, 3], 7)
+    assert idx.layers == (1, 0, 3)
+    cfg = rl.PpoConfig(t_collect=40, ratio_levels=5, sparsity_cap=0.2)
+    lengths = run_env_against_reference(model, idx, cfg, seed=11, episodes=3)
+    assert min(lengths) < cfg.t_collect
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_models(), st.integers(0, 2**16), st.sampled_from([0.2, 0.7, 1.0]))
+def test_env_matches_reference_env_on_random_models(case, seed, cap):
+    model, idx = case
+    cfg = rl.PpoConfig(t_collect=8, ratio_levels=3, sparsity_cap=cap)
+    run_env_against_reference(model, idx, cfg, seed, episodes=2)
+
+
+# --- sampler -------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+def test_draw_matches_generator_choice(weights, seed):
+    """Same index and the same generator state after, for normalized p."""
+    w = np.array(weights)
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    p = w / w.sum()
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert rl._draw(ours, p) == int(theirs.choice(p.size, p=p))
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [1.2, -0.2], [0.5, 0.4], [np.inf, 0.0]])
+def test_draw_rejects_what_choice_rejects(p):
+    p = np.array(p)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(p.size, p=p)
+    with pytest.raises(rl.RlError):
+        rl._draw(np.random.default_rng(0), p)
 
 
 # --- convolution -----------------------------------------------------------------
@@ -554,9 +728,7 @@ def test_train_unlearner_matches_reference_kernels(monkeypatch):
     monkeypatch.setattr(rl, "clip_grad_norm",
                         lambda grad, blocks, max_norm: dict_clip_grad_norm(
                             net_of(grad).grads, max_norm))
-    monkeypatch.setattr(rl, "AoiLedger", DictLedger)
-    monkeypatch.setattr(rl, "state_vector", ref_state_vector)
-    monkeypatch.setattr(rl, "min_group_sparsity", ref_min_group_sparsity)
+    monkeypatch.setattr(rl, "UnlearnEnv", RefEnv)
     ref = rl.train_unlearner(model, report, idx, cfg, seed=31)
 
     assert len(nets) == 2

@@ -156,6 +156,19 @@ def test_layer_view_write_roundtrip():
         nn.layer_view(model, 99)
 
 
+def test_with_layer_shares_every_other_layer():
+    model = nn.make_model("mlp", 4, 2, seed=0, hidden=(5, 4))
+    vec = np.arange(model.layers[1].d, dtype=np.float64)
+    out = model.with_layer(1, vec)
+    assert out is not model and out.params is not model.params
+    assert out.params[1] is vec and model.params[1] is not vec
+    assert all(out.params[l] is model.params[l] for l in (0, 2))
+    assert (out.arch_id, out.layers) == (model.arch_id, model.layers)
+    for bad in (np.zeros(3), vec.astype(np.float32)):
+        with pytest.raises(nn.ShapeError):
+            model.with_layer(1, bad)
+
+
 def test_shape_errors():
     model = nn.make_model("mlp", 4, 2, seed=0, hidden=(5, 4))
     with pytest.raises(nn.ShapeError):
