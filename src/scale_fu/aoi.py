@@ -217,10 +217,7 @@ def global_aoi(ledger: AoiLedger, paper_literal: bool = False) -> float:
     return mean
 
 
-def aoi_summary(ledger: AoiLedger, ages: np.ndarray | None = None) -> tuple[float, float, float]:
-    """(sum, mean, max) of the ages; `ages` is `ledger.ages()` when the caller
-    already holds it."""
-    if ages is None:
-        ages = ledger.ages()
+def aoi_summary(ledger: AoiLedger) -> tuple[float, float, float]:
+    ages = ledger.ages()
     total = np.add.reduce(ages)        # ages.mean() is this sum over the count
     return float(total), float(total / ages.size), float(np.maximum.reduce(ages))

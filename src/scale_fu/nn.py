@@ -146,18 +146,11 @@ class Model:
         )
 
     def with_layer(self, layer: int, vec: np.ndarray) -> "Model":
-        """A new model whose `layer` vector is `vec`, a float64 vector of that
-        layer's length, sharing every other layer's vector with this one.
-        Only `vec` is checked: the others were checked when this model was
-        built."""
-        if vec.dtype != np.float64 or vec.shape != self.params[layer].shape:
-            raise ShapeError(f"layer {layer}: expected a float64 vector of length "
-                             f"{self.layers[layer].d}")
-        out = object.__new__(Model)
-        vars(out).update(vars(self))
-        out.params = list(self.params)
-        out.params[layer] = vec
-        return out
+        """A new model whose `layer` vector is `vec`, sharing every other
+        layer's vector with this one."""
+        params = list(self.params)
+        params[layer] = vec
+        return Model(self.arch_id, self.input_shape, self.num_classes, self.layers, params)
 
 
 def make_model(
@@ -557,6 +550,3 @@ def load_model(path: str | Path, manifest: dict) -> Model:
 def save_manifest(manifest: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-
-def load_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())

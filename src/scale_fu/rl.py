@@ -97,38 +97,15 @@ class Transition:
 # --- sparsifier -------------------------------------------------------------
 
 
-# |x| as sortable bits: every NaN gets one key just above inf's, as argsort
-# orders floats (NaN after inf, NaNs equal); zeros then wrap to the top
-_NAN_KEY = np.float64(np.inf).view(np.uint64) + np.uint64(1)
-
-
 def zero_smallest(rows: np.ndarray, k: list[int]) -> None:
     """Zero, in place, the k[i] smallest-magnitude nonzero entries of row i of
-    the 2-d `rows` (ties to the lowest index; 0 <= k[i] <= the row's nonzeros).
-    The one zeroing rule of the adaptive sparsifier and the uniform baseline.
-
-    The entries zeroed are the first k[i] of a stable sort of the row by
-    magnitude with zeros keyed last. They are found without a stable argsort:
-    every entry keyed at or below the row's k-th smallest key, less the
-    highest-index entries tied at that key when too many tie."""
-    live = [i for i, c in enumerate(k) if c]
-    if not live:
-        return
-    k = [k[i] for i in live]
-    sub = rows[live]
-    size = sub.shape[1]
-    key = np.abs(sub).view(np.uint64)
-    np.minimum(key, _NAN_KEY, out=key)
-    key -= np.uint64(1)
-    kth = np.sort(key, axis=1).ravel()[[i * size + c - 1 for i, c in enumerate(k)]]
-    kth = kth[:, None]
-    hit = key <= kth
-    if np.count_nonzero(hit) != sum(k):
-        ties = key == kth
-        keep = np.add.reduce(ties, axis=1) - (np.add.reduce(hit, axis=1) - k)
-        hit &= ~ties | (np.cumsum(ties, axis=1) <= keep[:, None])
-    sub[hit] = 0.0
-    rows[live] = sub
+    the 2-d `rows` (stable argsort, ties to the lowest index; 0 <= k[i] <= the
+    row's nonzeros). The one zeroing rule of the adaptive sparsifier and the
+    uniform baseline."""
+    for row, c in zip(rows, k):
+        if c:
+            nz = np.flatnonzero(row != 0.0)
+            row[nz[np.argsort(np.abs(row[nz]), kind="stable")[:c]]] = 0.0
 
 
 def zero_budget(s: float, nnz: int) -> int:
@@ -186,30 +163,18 @@ def min_group_sparsity(model: nn.Model, idx: GroupIndex) -> float:
 # --- rewards ----------------------------------------------------------------
 
 
-def forget_ratios(report: SensitivityReport, idx: GroupIndex) -> list[float]:
-    """Per layer rank, S_layer / max S over the indexed layers; all zero when
-    no score is positive."""
-    scores = [report.score_of(l) for l in idx.layers]
-    s_max = max(scores)
+def reward_forget(action: Action, report: SensitivityReport, idx: GroupIndex) -> float:
+    """Sum over selected groups of (S_layer / max selected S) * s."""
+    layer = idx.layers[action.layer_rank]
+    s_max = max(report.score_of(l) for l in idx.layers)
     if s_max <= 0.0:
-        return [0.0] * len(scores)
-    return [score / s_max for score in scores]
+        return 0.0
+    return len(action.groups) * (report.score_of(layer) / s_max) * action.s
 
 
-def reward_forget(action: Action, report: SensitivityReport, idx: GroupIndex,
-                  ratios: list[float] | None = None) -> float:
-    """Sum over selected groups of (S_layer / max selected S) * s. `ratios`
-    is `forget_ratios(report, idx)` when the caller already holds it."""
-    if ratios is None:
-        ratios = forget_ratios(report, idx)
-    return len(action.groups) * ratios[action.layer_rank] * action.s
-
-
-def reward_fresh(action: Action, ledger: AoiLedger, ages: np.ndarray | None = None) -> float:
-    """Mean over selected groups of (age / max age) * s; zero if nothing aged.
-    `ages` is `ledger.ages()` when the caller already holds it."""
-    if ages is None:
-        ages = ledger.ages()
+def reward_fresh(action: Action, ledger: AoiLedger) -> float:
+    """Mean over selected groups of (age / max age) * s; zero if nothing aged."""
+    ages = ledger.ages()
     max_age = float(np.maximum.reduce(ages))
     if max_age <= 0.0:
         return 0.0
@@ -230,11 +195,9 @@ def reward(
     idx: GroupIndex,
     w_f: float,
     w_c: float,
-    ratios: list[float] | None = None,
-    ages: np.ndarray | None = None,
 ) -> tuple[float, float, float]:
-    r_f = reward_forget(action, report, idx, ratios)
-    r_c = reward_fresh(action, ledger, ages)
+    r_f = reward_forget(action, report, idx)
+    r_c = reward_fresh(action, ledger)
     return w_f * r_f + w_c * r_c, r_f, r_c
 
 
@@ -623,11 +586,10 @@ class UnlearnEnv:
 
     `reset` copies the input model once and restores the state computed at
     construction; each step's `sparsify` copies only the acted layer. The
-    state is kept incrementally: every step rewrites the age column from one
-    `ledger.ages()` (which also feeds the next step's reward and the step's
-    `aoi_rows` row), and the mean and std of the acted layer's groups when the
-    step zeroed anything. A zero count per group, advanced by each acted
-    group's `zero_budget`, drives the sparsity-cap check."""
+    state is kept incrementally: every step rewrites the age column, and the
+    mean and std of the acted layer's groups when the step zeroed anything.
+    A zero count per group, advanced by each acted group's `zero_budget`,
+    drives the sparsity-cap check."""
 
     def __init__(
         self,
@@ -640,7 +602,6 @@ class UnlearnEnv:
         self.report = report
         self.idx = idx
         self.cfg = cfg
-        self._ratios = forget_ratios(report, idx)
         self._first = [idx.positions[(l, 0)] for l in idx.layers]
         sizes, zeros = [], []
         for layer, span, size, _ in idx.runs:
@@ -658,7 +619,6 @@ class UnlearnEnv:
         self.done = False
         self.aoi_rows: list[tuple] = []
         self.action_rows: list[dict] = []
-        self._ages = self.ledger.ages()
         self._zeros = list(self._zeros0)
         self.state = self._state0.copy()
         return self.state
@@ -668,14 +628,13 @@ class UnlearnEnv:
             raise RlError("env is done; reset before stepping again")
         layer = self.idx.layers[action.layer_rank]
         r, r_f, r_c = reward(action, self.report, self.ledger, self.idx, self.cfg.w_f,
-                             self.cfg.w_c, self._ratios, self._ages)
+                             self.cfg.w_c)
         prev_state = self.state
         self.model = sparsify(self.model, self.idx, layer, action.groups, action.s)
         self.ledger.advance()
         self.ledger.touch([(layer, j) for j in action.groups])
         self.steps += 1
-        ages = self._ages = self.ledger.ages()
-        self.aoi_rows.append((self.steps, *aoi_summary(self.ledger, ages)))
+        self.aoi_rows.append((self.steps, *aoi_summary(self.ledger)))
         self.action_rows.append(
             {
                 "step": self.steps,
@@ -691,7 +650,7 @@ class UnlearnEnv:
             self._zeros[p] += k
             zeroed += k
         grid = prev_state.reshape(-1, 3).copy()
-        grid[:, 0] = normalized_ages(ages)
+        grid[:, 0] = normalized_ages(self.ledger.ages())
         if zeroed:
             write_group_stats(grid, self.model, self.idx.layer_runs[layer])
         self.state = grid.ravel()

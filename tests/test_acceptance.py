@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from scale_fu import aoi, cli, data, federation, metrics, nn, rl, sensitivity, theory
-from scale_fu.config import RunDir, build_request, read_csv
+from scale_fu.config import RunDir, build_request, read_csv, read_json
 
 R1_SEEDS = (41, 42, 43, 44, 45)
 METHODS = ("scale", "retrain", "uniform", "grad_ascent")
@@ -62,7 +62,7 @@ def family(tmp_path_factory):
         entry = {"rd": rd}
         for m in METHODS:
             entry[m] = metrics.read_metrics_json(rd.metrics_path(m))
-        manifest = nn.load_manifest(rd.manifest_path)
+        manifest = read_json(rd.manifest_path)
         original = nn.load_model(rd.global_model_path, manifest)
         X_f, y_f = forget_view(rd)
         entry["fa_orig"] = metrics.accuracy(original, X_f, y_f)

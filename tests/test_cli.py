@@ -15,6 +15,7 @@ from scale_fu.config import (
     component_seed,
     config_hash,
     read_csv,
+    read_json,
     validate_config,
 )
 
@@ -178,7 +179,7 @@ def test_unlearn_artifacts_present(run_dir):
 
 
 def test_uniform_budget_matches_scale(run_dir):
-    manifest = nn.load_manifest(run_dir.manifest_path)
+    manifest = read_json(run_dir.manifest_path)
     original = nn.load_model(run_dir.global_model_path, manifest)
     scale_m = nn.load_model(run_dir.unlearned_model_path("scale"), manifest)
     uniform_m = nn.load_model(run_dir.unlearned_model_path("uniform"), manifest)
@@ -196,7 +197,7 @@ def test_retrain_on_empty_budget_uniform_is_identity(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     rd = RunDir(out)
-    manifest = nn.load_manifest(rd.manifest_path)
+    manifest = read_json(rd.manifest_path)
     original = nn.load_model(rd.global_model_path, manifest)
     zeroless = baselines.baseline_uniform(original, 0, 4)
     assert all(np.array_equal(p, q) for p, q in zip(original.params, zeroless.params))
@@ -237,7 +238,7 @@ def test_comparison_cross_checks_metrics(run_dir):
 
 def test_retrain_accounting_touches_everything(run_dir):
     payload = metrics.read_metrics_json(run_dir.metrics_path("retrain"))
-    manifest = nn.load_manifest(run_dir.manifest_path)
+    manifest = read_json(run_dir.manifest_path)
     original = nn.load_model(run_dir.global_model_path, manifest)
     assert payload["comm_ct"] == 5 * original.num_params
     assert payload["mean_aoi_steps"] == 0.0
@@ -246,7 +247,7 @@ def test_retrain_accounting_touches_everything(run_dir):
 
 def test_uniform_accounting_one_burst(run_dir):
     payload = metrics.read_metrics_json(run_dir.metrics_path("uniform"))
-    manifest = nn.load_manifest(run_dir.manifest_path)
+    manifest = read_json(run_dir.manifest_path)
     original = nn.load_model(run_dir.global_model_path, manifest)
     assert payload["comm_ct"] == original.num_params
     # touched once at step 1, then ages 1..H-1 over the deploy horizon
@@ -407,7 +408,7 @@ def test_mini_cnn_pipeline_evaluates_every_method(tmp_path):
         assert cli.main(["unlearn", "--run", str(out), "--method", m,
                          "--request", "client:1"]) == 0, m
     rd = RunDir(out)
-    model = nn.load_model(rd.global_model_path, nn.load_manifest(rd.manifest_path))
+    model = nn.load_model(rd.global_model_path, read_json(rd.manifest_path))
     assert baselines.full_group_index(model, 4).layers == (0, 1, 3)
     assert cli.main(["eval", "--run", str(out), "--methods", ALL_METHODS]) == 0
     _, _, rows = read_csv(rd.comparison_path)
