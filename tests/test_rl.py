@@ -107,11 +107,6 @@ def test_sparsify_validation():
         rl.sparsify(model, idx, 0, (), 0.5)
     with pytest.raises(rl.RlError):
         rl.sparsify(model, idx, 0, (3,), 0.5)
-
-
-def test_sparsify_rejects_a_duplicated_group():
-    model = vec_model([1.0, 2.0, 3.0, 4.0])
-    idx = GroupIndex(layers=(0,), ranges=(((0, 2), (2, 4)),))
     with pytest.raises(rl.RlError, match="duplicate"):
         rl.sparsify(model, idx, 0, (0, 0), 0.5)
 
@@ -159,13 +154,6 @@ def test_reward_fresh_hand_values():
     assert got == pytest.approx((2 / 2 + 1 / 2) / 2)
     solo = rl.Action(layer_rank=0, groups=(1,), ratio_level=1, s=0.5)
     assert rl.reward_fresh(solo, ledger) == pytest.approx(0.5 * 0.5)
-
-
-def test_reward_fresh_rejects_groups_out_of_range():
-    model = dense_model((4, 3, 2))
-    idx = partition_groups(model, [0], 2)
-    ledger = AoiLedger(idx)
-    ledger.advance()
     for j in (-1, 2):
         act = rl.Action(layer_rank=0, groups=(0, j), ratio_level=1, s=1.0)
         with pytest.raises(rl.RlError, match="out of range"):
