@@ -31,6 +31,7 @@ from .config import (
     parse_json,
     ppo_config,
     read_json,
+    require_keys,
     validate_config,
     write_csv,
 )
@@ -148,7 +149,11 @@ def load_history(rd: RunDir, model: nn.Model) -> federation.FederationHistory:
         raise CliError(
             f"no training history under {rd.history_dir}; run `scale train` first"
         )
-    meta = read_json(rd.history_meta_path)
+    path = rd.history_meta_path
+    meta = require_keys(read_json(path), path, "clients", "sizes", "last_round")
+    clients = [str(c) for c in meta["clients"]]
+    require_keys(meta["sizes"], f"{path} sizes", *clients)
+    require_keys(meta["last_round"], f"{path} last_round", *clients)
     history = federation.FederationHistory()
     for c in meta["clients"]:
         params = nn.read_blob(rd.history_model_path(c), model.layer_dims())
@@ -220,10 +225,12 @@ def _write_meta(rd: RunDir, method: str, h: str, **fields) -> None:
 
 
 def read_meta(rd: RunDir, method: str) -> dict:
+    """A method's unlearn_meta.json, holding the keys eval reads."""
     path = rd.method_dir(method) / "unlearn_meta.json"
     if not path.exists():
         raise CliError(f"no unlearn artifacts for {method!r}; run `scale unlearn` first")
-    return read_json(path)
+    scale_keys = ("selected_layers",) if method == "scale" else ()
+    return require_keys(read_json(path), path, "config_hash", "steps", "seed", *scale_keys)
 
 
 def _persist_request(rd: RunDir, block: dict, seed: int, h: str) -> None:
@@ -418,7 +425,8 @@ def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metr
     cfg, h = rd.read_config()
     if not rd.request_path.exists():
         raise CliError("no request.json; run `scale unlearn` first")
-    req_payload = read_json(rd.request_path)
+    req_payload = require_keys(read_json(rd.request_path), rd.request_path,
+                               "config_hash", "request", "string", "seed")
     if req_payload["config_hash"] != h and not force:
         raise CliError("request.json config hash mismatch (use --force to override)")
     cfg = dict(cfg)

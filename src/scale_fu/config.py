@@ -251,6 +251,18 @@ def read_json(path: str | Path) -> object:
     return parse_json(Path(path).read_text(), path)
 
 
+def require_keys(payload, source, *keys) -> dict:
+    """`payload`, a JSON value read from `source`, checked to be an object
+    holding every key in `keys`; otherwise a ConfigError names `source` and
+    the first missing key."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{source}: not a JSON object")
+    for key in keys:
+        if key not in payload:
+            raise ConfigError(f"{source}: missing key {key!r}")
+    return payload
+
+
 def load_config(path: str | Path) -> dict:
     return validate_config(read_json(path))
 

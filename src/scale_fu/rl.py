@@ -97,15 +97,22 @@ class Transition:
 # --- sparsifier -------------------------------------------------------------
 
 
+def zero_order(row: np.ndarray) -> np.ndarray:
+    """Indices of the nonzero entries of the 1-d `row`, smallest magnitude
+    first (stable argsort, ties to the lowest index): the one zeroing rule of
+    the adaptive sparsifier and the uniform baseline. Zeroing a prefix of the
+    order leaves the rest of it the order of the survivors, since a stable
+    sort restricted to a subset keeps that subset's relative order."""
+    nz = np.flatnonzero(row != 0.0)
+    return nz[np.argsort(np.abs(row[nz]), kind="stable")]
+
+
 def zero_smallest(rows: np.ndarray, k: list[int]) -> None:
-    """Zero, in place, the k[i] smallest-magnitude nonzero entries of row i of
-    the 2-d `rows` (stable argsort, ties to the lowest index; 0 <= k[i] <= the
-    row's nonzeros). The one zeroing rule of the adaptive sparsifier and the
-    uniform baseline."""
+    """Zero, in place, the first k[i] entries of the `zero_order` of row i of
+    the 2-d `rows` (0 <= k[i] <= the row's nonzeros)."""
     for row, c in zip(rows, k):
         if c:
-            nz = np.flatnonzero(row != 0.0)
-            row[nz[np.argsort(np.abs(row[nz]), kind="stable")[:c]]] = 0.0
+            row[zero_order(row)[:c]] = 0.0
 
 
 def zero_budget(s: float, nnz: int) -> int:
@@ -204,15 +211,6 @@ def reward(
 # --- numerics ---------------------------------------------------------------
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|)."""
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    out = e / d
-    np.divide(1.0, d, out=out, where=z >= 0)
-    return out
-
-
 def _softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
 
@@ -223,7 +221,10 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Standard Adam over one flat parameter vector."""
+    """Standard Adam over one flat parameter vector, with the bias corrections
+    folded into the step size and epsilon (Kingma and Ba, section 2):
+    lr * (m/c1) / (sqrt(v/c2) + eps) equals
+    (lr * sqrt(c2)/c1) * m / (sqrt(v) + eps * sqrt(c2))."""
 
     def __init__(self, params: np.ndarray, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
@@ -234,13 +235,13 @@ class Adam:
         self._den = np.empty_like(params)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        """Update `params` in place from the flat gradient `grad`. Every
-        update is in place, with the operations and their order of
-        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-        params -= (lr * (m/c1)) / (sqrt(v/c2) + eps)."""
+        """Update `params` in place from the flat gradient `grad`:
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, then
+        params -= step * (m / (sqrt(v) + eps * sqrt(c2))), every operation
+        in place."""
         self.t += 1
         c1 = 1.0 - self.b1**self.t
-        c2 = 1.0 - self.b2**self.t
+        root_c2 = math.sqrt(1.0 - self.b2**self.t)
         num, den = self._num, self._den
         self.m *= self.b1
         np.multiply(1 - self.b1, grad, out=num)
@@ -249,21 +250,17 @@ class Adam:
         np.multiply(1 - self.b2, grad, out=den)
         den *= grad
         self.v += den
-        np.divide(self.m, c1, out=num)
-        num *= self.lr
-        np.divide(self.v, c2, out=den)
-        np.sqrt(den, out=den)
-        den += self.eps
-        num /= den
+        np.sqrt(self.v, out=den)
+        den += self.eps * root_c2
+        np.divide(self.m, den, out=num)
+        num *= self.lr * root_c2 / c1
         params -= num
 
 
-def clip_grad_norm(grad: np.ndarray, blocks, max_norm: float) -> float:
+def clip_grad_norm(grad: np.ndarray, max_norm: float) -> float:
     """Scale the flat gradient in place to norm <= max_norm; returns the norm
-    before scaling. The squared norm is a Python sum of one pairwise sum per
-    block (slices of `grad`, in order), so it keeps the bits of a per-array sum."""
-    sq = grad * grad
-    total = math.sqrt(sum(float(np.add.reduce(sq[sl])) for sl in blocks))
+    before scaling, from one pairwise sum of the squares."""
+    total = math.sqrt(float(np.add.reduce(grad * grad)))
     if total > max_norm and total > 0:
         grad *= max_norm / total
     return total
@@ -306,18 +303,26 @@ class PolicyLayout:
         )
 
 
-def _views(buf: np.ndarray, shapes: dict, blocks) -> dict:
-    return {k: buf[sl].reshape(shapes[k]) for k, sl in zip(shapes, blocks)}
+def _views(buf: np.ndarray, shapes: dict) -> dict:
+    """Named views of consecutive blocks of `buf`, in the order of `shapes`."""
+    out, start = {}, 0
+    for k, shape in shapes.items():
+        n = math.prod(shape)
+        out[k] = buf[start : start + n].reshape(shape)
+        start += n
+    return out
 
 
 class _TrunkNet:
-    """Two tanh hidden layers; heads are added by subclasses (zero-init).
+    """Two tanh hidden layers and one stacked linear head block (zero-init).
 
-    Parameters live in one flat float64 buffer `flat`; `params` holds named
-    views into it. `backward` writes the gradient into the flat buffer `grad`
-    through `grads`, views of the same shapes. Blocks are laid out in
-    backward's order (heads, then W2, b2, W1, b1), which `clip_grad_norm`
-    sums in."""
+    The heads a subclass names are the rows of one block `W_heads`
+    (total head dim, hidden) with bias `b_heads`, so every head comes from
+    one GEMM; `head_cols` maps each head name to its columns of the head
+    output, in the order given. Parameters live in one flat float64 buffer
+    `flat` with named views `params`, laid out W_heads, b_heads, W2, b2, W1,
+    b1. `backward` writes the gradient into the flat buffer `grad` through
+    `grads`, views of the same shapes."""
 
     def __init__(self, in_dim: int, hidden: int, head_dims: dict, seed: int):
         rng = np.random.default_rng(seed)
@@ -326,27 +331,19 @@ class _TrunkNet:
             a = math.sqrt(6.0 / (n_in + n_out))
             return rng.uniform(-a, a, size=(n_out, n_in))
 
-        shapes = {}
-        for name, dim in head_dims.items():
-            shapes[f"W_{name}"] = (dim, hidden)
-            shapes[f"b_{name}"] = (dim,)
-        shapes.update(W2=(hidden, hidden), b2=(hidden,), W1=(hidden, in_dim), b1=(hidden,))
-        ends = list(accumulate(math.prod(shape) for shape in shapes.values()))
-        self.blocks = tuple(slice(s, e) for s, e in zip([0] + ends, ends))
-        self.flat = np.zeros(ends[-1])
-        self.grad = np.zeros(ends[-1])
-        self.params = _views(self.flat, shapes, self.blocks)
-        self.grads = _views(self.grad, shapes, self.blocks)
+        ends = list(accumulate(head_dims.values()))
+        self.head_cols = {name: slice(e - dim, e)
+                          for (name, dim), e in zip(head_dims.items(), ends)}
+        shapes = dict(W_heads=(ends[-1], hidden), b_heads=(ends[-1],), W2=(hidden, hidden),
+                      b2=(hidden,), W1=(hidden, in_dim), b1=(hidden,))
+        size = sum(math.prod(shape) for shape in shapes.values())
+        self.flat = np.zeros(size)
+        self.grad = np.zeros(size)
+        self.params = _views(self.flat, shapes)
+        self.grads = _views(self.grad, shapes)
         self.params["W1"][:] = xavier(hidden, in_dim)
         self.params["W2"][:] = xavier(hidden, hidden)
-        self.head_names = tuple(head_dims)
         self.in_dim = in_dim
-        # per head: (name, W, b, grad of W, grad of b), all views of the buffers
-        self._heads = tuple(
-            (name, self.params[f"W_{name}"], self.params[f"b_{name}"],
-             self.grads[f"W_{name}"], self.grads[f"b_{name}"])
-            for name in self.head_names
-        )
 
     def trunk(self, X: np.ndarray):
         p = self.params
@@ -358,24 +355,20 @@ class _TrunkNet:
         np.tanh(h2, out=h2)
         return h1, h2
 
-    def heads(self, h2: np.ndarray) -> dict:
-        out = {}
-        for name, W, b, _, _ in self._heads:
-            z = out[name] = h2 @ W.T
-            z += b
-        return out
+    def heads(self, h2: np.ndarray) -> np.ndarray:
+        """Every head's output, (batch, total head dim); `head_cols` splits it."""
+        z = h2 @ self.params["W_heads"].T
+        z += self.params["b_heads"]
+        return z
 
-    def backward(self, X, h1, h2, dheads: dict) -> np.ndarray:
+    def backward(self, X, h1, h2, dZ: np.ndarray) -> np.ndarray:
         """Fill and return the flat gradient `self.grad` (overwritten by the
-        next call). `dheads` names every head."""
+        next call) from `dZ`, the gradient of the stacked head output."""
         grads = self.grads
-        dh2 = np.zeros_like(h2)
-        for name, W, _, gW, gb in self._heads:
-            dz = dheads[name]
-            np.matmul(dz.T, h2, out=gW)
-            np.add.reduce(dz, axis=0, out=gb)
-            dh2 += dz @ W
-        dp2 = dh2 * (1.0 - h2 * h2)
+        np.matmul(dZ.T, h2, out=grads["W_heads"])
+        np.add.reduce(dZ, axis=0, out=grads["b_heads"])
+        dp2 = dZ @ self.params["W_heads"]
+        dp2 *= 1.0 - h2 * h2
         np.matmul(dp2.T, h1, out=grads["W2"])
         np.add.reduce(dp2, axis=0, out=grads["b2"])
         dh1 = dp2 @ self.params["W2"]
@@ -400,9 +393,12 @@ class PolicyNet(_TrunkNet):
         self.layout = layout
 
     def logits(self, X: np.ndarray):
+        """Layer, group and ratio logits (column views of one head output)
+        and the cache `backward` takes."""
         h1, h2 = self.trunk(X)
-        hs = self.heads(h2)
-        return hs["layer"], hs["group"], hs["ratio"], (X, h1, h2)
+        z = self.heads(h2)
+        cols = self.head_cols
+        return z[:, cols["layer"]], z[:, cols["group"]], z[:, cols["ratio"]], (X, h1, h2)
 
 
 class ValueNet(_TrunkNet):
@@ -411,11 +407,11 @@ class ValueNet(_TrunkNet):
 
     def value(self, state: np.ndarray) -> float:
         h1, h2 = self.trunk(state[None, :])
-        return float(self.heads(h2)["v"][0, 0])
+        return float(self.heads(h2)[0, 0])
 
     def values(self, X: np.ndarray):
         h1, h2 = self.trunk(X)
-        return self.heads(h2)["v"][:, 0], (X, h1, h2)
+        return self.heads(h2)[:, 0], (X, h1, h2)
 
 
 # --- action probability machinery -------------------------------------------
@@ -430,9 +426,11 @@ def _oldest_group(layout: PolicyLayout, state: np.ndarray, rank: int) -> int:
 
 
 def _mask_log_prob(z_g: np.ndarray, bits: np.ndarray) -> float:
-    """Sum of -softplus(-z) * b + -softplus(z) * (1 - b); the negations are
-    taken once, on the sum, which is exact."""
-    return -float(np.add.reduce(_softplus(-z_g) * bits + _softplus(z_g) * (1.0 - bits)))
+    """Log-prob of the mask `bits` under independent sigmoid(z_g) bits: a bit
+    b has log-prob -softplus(-z) if set and -softplus(z) if not, that is
+    -softplus((1 - 2b) * z), one softplus over the row. (z - softplus(z), the
+    same log sigmoid(z), rounds to 0 once softplus(z) rounds to z.)"""
+    return -float(np.add.reduce(_softplus(z_g * (1.0 - 2.0 * bits))))
 
 
 def _decode_heads(policy: PolicyNet, state: np.ndarray, pick):
@@ -480,7 +478,8 @@ def policy_sample(policy: PolicyNet, state: np.ndarray, rng: np.random.Generator
 
     def pick(z_l, z_g, z_r, lsm_l, lsm_r):
         rank = _draw(rng, np.exp(lsm_l))
-        probs = _sigmoid(z_g[lay.group_cols(rank)])
+        z = z_g[lay.group_cols(rank)]
+        probs = np.exp(z - _softplus(z))         # sigmoid(z)
         bits = (rng.random(probs.size) < probs).astype(np.float64)
         level = _draw(rng, np.exp(lsm_r)) + 1
         return rank, bits, level
@@ -525,11 +524,10 @@ def batch_log_probs(policy: PolicyNet, states: np.ndarray, arrays: tuple):
     lsm_r = _log_softmax(z_r)
     sp = _softplus(z_g)
     lp = lsm_l[rows, ranks] + lsm_r[rows, levels]
-    # the mask term is -(softplus(-z) * b + softplus(z) * (1 - b)); its
-    # negation is exact and taken once, on the row sums
-    lp = lp - np.add.reduce(mask * (_softplus(-z_g) * bits + sp * (1 - bits)), axis=1)
+    # the mask term of each row, as in _mask_log_prob
+    lp = lp - np.add.reduce(mask * _softplus(z_g * (1.0 - 2.0 * bits)), axis=1)
     p_l, p_r = np.exp(lsm_l), np.exp(lsm_r)
-    sig = _sigmoid(z_g)
+    sig = np.exp(z_g - sp)                      # sigmoid(z_g)
     ent_l = -np.add.reduce(p_l * lsm_l, axis=1)
     ent_r = -np.add.reduce(p_r * lsm_r, axis=1)
     ent_g = np.add.reduce(mask * (sp - z_g * sig), axis=1)
@@ -581,15 +579,16 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
 
 class UnlearnEnv:
     """Episode over a working model the env owns: reward is computed on the
-    pre-mutation ledger, then sparsify, then the clock advances and the acted
-    groups are touched (so they end the step at age zero).
+    pre-mutation ledger, then the acted groups are sparsified, then the clock
+    advances and they are touched (so they end the step at age zero).
 
     `reset` copies the input model once and restores the state computed at
-    construction; each step's `sparsify` copies only the acted layer. The
-    state is kept incrementally: every step rewrites the age column, and the
-    mean and std of the acted layer's groups when the step zeroed anything.
-    A zero count per group, advanced by each acted group's `zero_budget`,
-    drives the sparsity-cap check."""
+    construction; each step zeroes entries of that copy in place. Each
+    group's `zero_order` is taken once, at construction: a step zeroes the
+    next `zero_budget` entries of it, which are the ones `sparsify` would
+    zero. The state is kept incrementally: every step rewrites the age
+    column, and the mean and std of the acted layer's groups when the step
+    zeroed anything. A zero count per group drives the sparsity-cap check."""
 
     def __init__(
         self,
@@ -603,12 +602,16 @@ class UnlearnEnv:
         self.idx = idx
         self.cfg = cfg
         self._first = [idx.positions[(l, 0)] for l in idx.layers]
-        sizes, zeros = [], []
+        # per group, in canonical order: its size, its zero_order as indices
+        # into the layer vector, and its zero count after reset
+        sizes, orders, zeros = [], [], []
         for layer, span, size, _ in idx.runs:
-            rows = model.params[layer][span].reshape(-1, size)
-            sizes += [size] * rows.shape[0]
-            zeros += np.add.reduce(rows == 0.0, axis=1).tolist()
-        self._sizes, self._zeros0 = sizes, zeros
+            for start in range(span.start, span.stop, size):
+                order = zero_order(model.params[layer][start : start + size])
+                sizes.append(size)
+                orders.append(order + start)
+                zeros.append(size - order.size)
+        self._sizes, self._orders, self._zeros0 = sizes, orders, zeros
         self._state0 = state_vector(model, AoiLedger(idx), idx)
         self.reset()
 
@@ -627,10 +630,22 @@ class UnlearnEnv:
         if self.done:
             raise RlError("env is done; reset before stepping again")
         layer = self.idx.layers[action.layer_rank]
+        if min(action.groups) < 0 or max(action.groups) >= self.idx.n_groups(layer):
+            raise RlError(f"group out of range for layer {layer}")
         r, r_f, r_c = reward(action, self.report, self.ledger, self.idx, self.cfg.w_f,
                              self.cfg.w_c)
         prev_state = self.state
-        self.model = sparsify(self.model, self.idx, layer, action.groups, action.s)
+        # zero the next zero_budget(s, nnz) entries of each acted group's order
+        vec = self.model.params[layer]
+        zeroed = 0
+        for p in (self._first[action.layer_rank] + j for j in action.groups):
+            nnz = self._sizes[p] - self._zeros[p]
+            k = zero_budget(action.s, nnz)
+            if k:
+                cut = self._orders[p].size - nnz
+                vec[self._orders[p][cut : cut + k]] = 0.0
+                self._zeros[p] += k
+                zeroed += k
         self.ledger.advance()
         self.ledger.touch([(layer, j) for j in action.groups])
         self.steps += 1
@@ -643,12 +658,6 @@ class UnlearnEnv:
                 "s": action.s,
             }
         )
-        # the zeros sparsify added: zero_budget(s, nnz) per acted group
-        zeroed = 0
-        for p in (self._first[action.layer_rank] + j for j in action.groups):
-            k = zero_budget(action.s, self._sizes[p] - self._zeros[p])
-            self._zeros[p] += k
-            zeroed += k
         grid = prev_state.reshape(-1, 3).copy()
         grid[:, 0] = normalized_ages(self.ledger.ages())
         if zeroed:
@@ -707,6 +716,8 @@ def ppo_update(
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "clip_frac": 0.0}
     n_batches = 0
     lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
+    head_cols = tuple(policy.head_cols[h] for h in ("layer", "group", "ratio"))
+    n_heads = policy.params["b_heads"].size
     for _ in range(cfg.epochs):
         # one permutation per epoch; each minibatch is then a slice of it
         perm = rng.permutation(n)
@@ -723,11 +734,14 @@ def ppo_update(
             surr = np.minimum(unclipped_a, clipped_a)
             active = unclipped_a <= clipped_a
 
-            # d(-surrogate)/d lp, averaged over the minibatch
+            # d(-surrogate)/d lp, averaged over the minibatch, written into
+            # the columns of one stacked head gradient
             coef = (np.where(active, unclipped_a, 0.0) * (-1.0 / m))[:, None]
-            dz_l = coef * (one_l - p_l)
-            dz_r = coef * (one_r - p_r)
-            dz_g = coef * mask * (bits - sig)
+            dZ = np.empty((m, n_heads))
+            dz_l, dz_g, dz_r = (dZ[:, c] for c in head_cols)
+            np.multiply(coef, one_l - p_l, out=dz_l)
+            np.multiply(coef, one_r - p_r, out=dz_r)
+            np.multiply(coef * mask, bits - sig, out=dz_g)
 
             # entropy bonus gradients (minimizing -c*H): each term is
             # -ce * (-x), which equals ce * x exactly
@@ -736,16 +750,15 @@ def ppo_update(
             dz_r += ce * (p_r * (lsm_r + ent_r[:, None]))
             dz_g += ce * mask * (z_g * sig * (1.0 - sig))
 
-            grad = policy.backward(cache[0], cache[1], cache[2],
-                                   {"layer": dz_l, "group": dz_g, "ratio": dz_r})
-            clip_grad_norm(grad, policy.blocks, cfg.grad_clip)
+            grad = policy.backward(cache[0], cache[1], cache[2], dZ)
+            clip_grad_norm(grad, cfg.grad_clip)
             policy_opt.step(policy.flat, grad)
 
             v, vcache = value_net.values(x)
             verr = v - ret_mb
             dv = (2.0 / m) * verr
-            vgrad = value_net.backward(vcache[0], vcache[1], vcache[2], {"v": dv[:, None]})
-            clip_grad_norm(vgrad, value_net.blocks, cfg.grad_clip)
+            vgrad = value_net.backward(vcache[0], vcache[1], vcache[2], dv[:, None])
+            clip_grad_norm(vgrad, cfg.grad_clip)
             value_opt.step(value_net.flat, vgrad)
 
             # each mean as mean() takes it: the pairwise sum over m

@@ -1,5 +1,6 @@
 """Microbenchmarks of the PPO hot-path kernels on the default ref-mlp index
-(among them one env step, one policy sample and one PPO update), and of the
+(among them one env step, one policy sample, one PPO update and its
+minibatch's forward, backward and optimizer parts), and of the
 dense and conv2d layer kernels on cnn-fed's mini_cnn shapes.
 
     PYTHONPATH=src python -m pytest tests/bench_kernels.py -m bench
@@ -125,6 +126,47 @@ def test_bench_ppo_update(benchmark, loop):
         return (policy, value_net, list(buffer), cfg, np.random.default_rng(2), *opts), {}
 
     benchmark.pedantic(rl.ppo_update, setup=fresh, rounds=40)
+
+
+# --- the three parts of one PPO minibatch: forward, backward, optimizer -------
+
+
+@pytest.fixture(scope="module")
+def minibatch(loop):
+    """A fresh policy, one batch_size slice of the fixed buffer as states and
+    action arrays, and a head gradient of that batch's shape."""
+    _, cfg, nets, _, buffer = loop
+    policy, _ = nets()
+    part = buffer[: cfg.batch_size]
+    states = np.stack([tr.state for tr in part])
+    arrays = rl.action_arrays(policy.layout, [tr.action for tr in part])
+    dZ = np.random.default_rng(3).standard_normal((len(part), policy.params["b_heads"].size))
+    return cfg, policy, states, arrays, dZ
+
+
+def test_bench_batch_log_probs(benchmark, minibatch):
+    _, policy, states, arrays, _ = minibatch
+    benchmark(rl.batch_log_probs, policy, states, arrays)
+
+
+def test_bench_policy_backward(benchmark, minibatch):
+    _, policy, states, _, dZ = minibatch
+    _, _, _, cache = policy.logits(states)
+    benchmark(policy.backward, *cache, dZ)
+
+
+def test_bench_clip_and_adam_step(benchmark, minibatch):
+    cfg, policy, states, _, dZ = minibatch
+    grad = policy.backward(*policy.logits(states)[3], dZ).copy()
+    opt = rl.Adam(policy.flat.copy(), cfg.actor_lr)
+    params = policy.flat.copy()
+
+    def clip_and_step():
+        g = grad.copy()
+        rl.clip_grad_norm(g, cfg.grad_clip)
+        opt.step(params, g)
+
+    benchmark(clip_and_step)
 
 
 # --- NN layer kinds on cnn-fed's mini_cnn: 8x8 inputs, 4 classes ---------------

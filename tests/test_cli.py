@@ -306,8 +306,13 @@ def test_unlearn_names_a_blob_cut_mid_value(run_dir, tmp_path, capsys):
         path.write_bytes(blob)
 
 
+def drop_key(key):
+    """A cut that keeps the JSON object valid but deletes one key."""
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
 # each file a command reads as JSON, the command that reads it, and a cut of
-# its text; the command must exit 2 and name the file
+# its text; the command must exit 2 and name the file and what is wrong
 CORRUPT_JSON = [
     ("config.json", "eval", lambda text: text[: len(text) // 2]),
     ("manifest.json", "eval", lambda text: text[:-5]),
@@ -317,10 +322,17 @@ CORRUPT_JSON = [
     ("history/meta.json", "unlearn", lambda text: text[:-3]),
     ("request.json", "unlearn", lambda text: ""),
 ]
+# valid JSON that lacks a key the command reads
+MISSING_KEY = [
+    ("request.json", "eval", lambda text: "{}"),
+    ("unlearn_scale/unlearn_meta.json", "eval", drop_key("steps")),
+    ("history/meta.json", "unlearn", drop_key("sizes")),
+]
 
 
-@pytest.mark.parametrize("name,command,cut", CORRUPT_JSON,
-                         ids=[f"{c}-{n}" for n, c, _ in CORRUPT_JSON])
+@pytest.mark.parametrize("name,command,cut", CORRUPT_JSON + MISSING_KEY,
+                         ids=[f"{c}-{n}" for n, c, _ in CORRUPT_JSON]
+                         + [f"{c}-{n}-missing-key" for n, c, _ in MISSING_KEY])
 def test_corrupt_json_artifact_is_named(run_dir, tmp_path, capsys, name, command, cut):
     rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
     path = rd.root / name
@@ -332,7 +344,7 @@ def test_corrupt_json_artifact_is_named(run_dir, tmp_path, capsys, name, command
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert str(path) in err and "not valid JSON" in err
+    assert str(path) in err and ("not valid JSON" in err or "missing key" in err)
 
 
 def test_config_without_config_object_is_refused(run_dir, tmp_path):

@@ -2,22 +2,28 @@
 replaced.
 
 Compared for exact equality, never a tolerance:
-- `rl.sparsify` and `baselines.baseline_uniform`, which share the
-  row-vectorized `rl.zero_smallest`, against their own per-group loops
+- `rl.sparsify` and `baselines.baseline_uniform`, which share
+  `rl.zero_order`, against their own per-group loops
 - `state_vector` against a loop over `group_stats`
 - `min_group_sparsity` against `min(group_sparsity(...))`
 - `AoiLedger` against a ledger keeping dict stamps
-- the incremental `UnlearnEnv` against `RefEnv`, the env that copied the
-  model and rebuilt the whole state on every step
+- the incremental `UnlearnEnv`, which zeroes along each group's order taken
+  once, against `RefEnv`, the env that copied the model, argsorted every
+  acted group and rebuilt the whole state on every step
 - the sampler's inverse-CDF draw against `Generator.choice`
-- flat `Adam.step` and `clip_grad_norm` against per-key dict versions
-- a whole `train_unlearner` run with every reference swapped in
+- the episode rewards and actions of a whole `train_unlearner` run with every
+  reference swapped in
 
 Compared within a fixed float64 tolerance, since the summation order changed:
 - the patch-matrix GEMM `_conv_forward` / `_conv_backward` against the einsum
   loops they replaced; repeated calls must still agree exactly, and so must
   backward with the forward pass's cached patch matrix and with a rebuilt one,
   and the weight gradients with the input gradient skipped and computed
+- the stacked policy heads (one GEMM each way), the one-softplus sigmoid and
+  log-probs, the one-sum clip norm and Adam with folded bias corrections,
+  against the per-head GEMMs, the old sigmoid, the per-block clip and the
+  per-key Adam; and the parameters and update stats of the whole
+  `train_unlearner` run above
 """
 
 import math
@@ -191,6 +197,67 @@ class RefEnv:
                              value=value, r_forget=r_f, r_fresh=r_c)
 
 
+def ref_sigmoid(z):
+    """`rl._sigmoid` as it was: 1 / (1 + e) where z >= 0, else e / (1 + e),
+    e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    out = e / d
+    np.divide(1.0, d, out=out, where=z >= 0)
+    return out
+
+
+def ref_logits(net, X):
+    """`PolicyNet.logits` as it was: one GEMM per head."""
+    h1, h2 = net.trunk(X)
+    W, b = net.params["W_heads"], net.params["b_heads"]
+    out = []
+    for name in ("layer", "group", "ratio"):
+        c = net.head_cols[name]
+        z = h2 @ W[c].T
+        z += b[c]
+        out.append(z)
+    return (*out, (X, h1, h2))
+
+
+def ref_backward(net, X, h1, h2, dZ):
+    """`_TrunkNet.backward` as it was: two GEMMs per head, the heads' input
+    gradients summed into a zeroed buffer."""
+    p, g = net.params, net.grads
+    dh2 = np.zeros_like(h2)
+    for c in net.head_cols.values():
+        dz = np.ascontiguousarray(dZ[:, c])
+        np.matmul(dz.T, h2, out=g["W_heads"][c])
+        np.add.reduce(dz, axis=0, out=g["b_heads"][c])
+        dh2 += dz @ p["W_heads"][c]
+    dp2 = dh2 * (1.0 - h2 * h2)
+    np.matmul(dp2.T, h1, out=g["W2"])
+    np.add.reduce(dp2, axis=0, out=g["b2"])
+    dp1 = (dp2 @ p["W2"]) * (1.0 - h1 * h1)
+    np.matmul(dp1.T, X, out=g["W1"])
+    np.add.reduce(dp1, axis=0, out=g["b1"])
+    return net.grad
+
+
+def ref_batch_log_probs(policy, states, arrays):
+    """`rl.batch_log_probs` as it was: per-head logits, the mask term as
+    softplus(-z) * b + softplus(z) * (1 - b), and `ref_sigmoid`."""
+    z_l, z_g, z_r, cache = ref_logits(policy, states)
+    ranks, levels, bits, mask = arrays
+    rows = np.arange(ranks.size)
+    lsm_l, lsm_r = rl._log_softmax(z_l), rl._log_softmax(z_r)
+    sp = rl._softplus(z_g)
+    lp = lsm_l[rows, ranks] + lsm_r[rows, levels]
+    lp = lp - np.add.reduce(mask * (rl._softplus(-z_g) * bits + sp * (1 - bits)), axis=1)
+    p_l, p_r = np.exp(lsm_l), np.exp(lsm_r)
+    sig = ref_sigmoid(z_g)
+    ent_l = -np.add.reduce(p_l * lsm_l, axis=1)
+    ent_r = -np.add.reduce(p_r * lsm_r, axis=1)
+    ent_g = np.add.reduce(mask * (sp - z_g * sig), axis=1)
+    aux = (z_g, cache, lsm_l, lsm_r, p_l, p_r, sig, ent_l, ent_r)
+    return lp, ent_l + ent_r + ent_g, aux
+
+
 def ref_conv_forward(x, W, b):
     # x: (B, C, H, W), W: (O, C, k, k) -> (B, O, H-k+1, W-k+1), valid padding
     B, C, H, Wd = x.shape
@@ -221,7 +288,8 @@ def ref_conv_backward(x, W, dz):
 
 
 class DictAdam:
-    """Adam over a dict of parameter arrays, one key at a time."""
+    """Adam over a dict of parameter arrays, one key at a time, with the bias
+    corrections applied to m and v."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
@@ -240,6 +308,7 @@ class DictAdam:
 
 
 def dict_clip_grad_norm(grads, max_norm):
+    """The clip with a squared norm summed per key, in the dict's order."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if total > max_norm and total > 0:
         scale = max_norm / total
@@ -442,6 +511,16 @@ def random_action(idx, cfg, rng):
     return rl.Action(rank, groups, level, level / cfg.ratio_levels)
 
 
+def tie(model, seed):
+    """A copy of `model` whose parameters are drawn from TIED_VALUES' finite
+    part: equal magnitudes of opposite sign and zeros of both signs."""
+    rng = np.random.default_rng(seed)
+    out = model.copy()
+    for vec in out.params:
+        vec[:] = rng.choice(TIED_VALUES[:8], size=vec.size)
+    return out
+
+
 def run_env_against_reference(model, idx, cfg, seed, episodes=6):
     """Drive UnlearnEnv and RefEnv with the same random actions and compare
     every transition, the AoI and action rows and the model bit for bit.
@@ -468,20 +547,26 @@ def run_env_against_reference(model, idx, cfg, seed, episodes=6):
     return lengths
 
 
+@pytest.mark.parametrize("tied", [False, True])
 @pytest.mark.parametrize("seed", range(4))
-def test_env_matches_reference_env_on_unequal_runs(seed):
+def test_env_matches_reference_env_on_unequal_runs(seed, tied):
     # layer 1: 5 * 4 + 4 = 24 parameters in 5 groups, sizes 5 | 5 | 5 | 5 | 4;
     # layer 0: 6 * 5 + 5 = 35 in 5 groups of 7; layer 2: 4 * 3 + 3 = 15, 3 | 3 | 3 | 3 | 3
     model = dense_model((6, 5, 4, 3), seed=seed)
+    if tied:
+        model = tie(model, seed)
     idx = partition_groups(model, [1, 0, 2], 5)
     cfg = rl.PpoConfig(t_collect=40, ratio_levels=4, sparsity_cap=0.3)
     lengths = run_env_against_reference(model, idx, cfg, seed)
     assert min(lengths) < cfg.t_collect            # the sparsity cap ended some
 
 
-def test_env_matches_reference_env_on_mini_cnn():
+@pytest.mark.parametrize("tied", [False, True])
+def test_env_matches_reference_env_on_mini_cnn(tied):
     # layer 2 is the parameter-free flatten layer
     model = nn.make_model("mini_cnn", 25, 3, seed=2)
+    if tied:
+        model = tie(model, 2)
     idx = partition_groups(model, [1, 0, 3], 7)
     assert idx.layers == (1, 0, 3)
     cfg = rl.PpoConfig(t_collect=40, ratio_levels=5, sparsity_cap=0.2)
@@ -490,9 +575,12 @@ def test_env_matches_reference_env_on_mini_cnn():
 
 
 @settings(max_examples=60, deadline=None)
-@given(grouped_models(), st.integers(0, 2**16), st.sampled_from([0.2, 0.7, 1.0]))
-def test_env_matches_reference_env_on_random_models(case, seed, cap):
+@given(grouped_models(), st.integers(0, 2**16), st.sampled_from([0.2, 0.7, 1.0]),
+       st.booleans())
+def test_env_matches_reference_env_on_random_models(case, seed, cap, tied):
     model, idx = case
+    if tied:
+        model = tie(model, seed)
     cfg = rl.PpoConfig(t_collect=8, ratio_levels=3, sparsity_cap=cap)
     run_env_against_reference(model, idx, cfg, seed, episodes=2)
 
@@ -635,15 +723,47 @@ for B in (32, 57, 129, 600):
 """
 
 
+def run_probe(probe, threads):
+    """The stdout of `probe` run in a fresh interpreter at `threads` BLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
 def test_mini_cnn_bits_do_not_depend_on_blas_threads():
     # cnn-fed's training minibatch, a forget set, two and many blocks
-    def run(threads):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        return subprocess.run([sys.executable, "-c", THREADS_PROBE], env=env, check=True,
-                              capture_output=True, text=True, timeout=120).stdout
+    assert run_probe(THREADS_PROBE, 1) == run_probe(THREADS_PROBE, 2)
 
-    assert run(1) == run(2)
+
+PPO_THREADS_PROBE = """
+import dataclasses, hashlib, numpy as np
+from scale_fu import aoi, nn, rl
+from scale_fu.config import ppo_config, validate_config
+from scale_fu.sensitivity import SensitivityReport
+cfg = validate_config({})
+ds = cfg["dataset"]
+model = nn.make_model("mlp", ds["dim"], ds["classes"], seed=0,
+                      hidden=tuple(cfg["model"]["hidden"]))
+zeros = np.zeros(model.num_layers)
+report = SensitivityReport(client=0, lam=0.5, rho=zeros, s_align=zeros, s_impact=zeros,
+                           s_combined=np.arange(1.0, model.num_layers + 1.0), selected=[1],
+                           m_sel=1)
+ppo = dataclasses.replace(ppo_config(cfg), episodes=20)
+for groups in (cfg["scale"]["groups_per_layer"], 32):
+    idx = aoi.partition_groups(model, [1], groups)
+    res = rl.train_unlearner(model, report, idx, ppo, seed=5)
+    deployed = rl.deploy(res.policy, model, report, idx, ppo, cfg["scale"]["deploy_steps"])
+    h = hashlib.sha256(res.policy.flat.tobytes() + res.value_net.flat.tobytes())
+    h.update(repr([e.total_reward for e in res.episodes]).encode())
+    h.update(repr(deployed.action_rows).encode())
+    print(groups, len(res.update_stats), h.hexdigest())
+"""
+
+
+def test_ppo_bits_do_not_depend_on_blas_threads():
+    # the default 8-group index and fine-groups' 32, the widest head GEMM
+    assert run_probe(PPO_THREADS_PROBE, 1) == run_probe(PPO_THREADS_PROBE, 2)
 
 
 def test_dense_backward_without_input_grad_is_exact():
@@ -655,7 +775,84 @@ def test_dense_backward_without_input_grad_is_exact():
     assert np.array_equal(skip_dW, dW) and np.array_equal(skip_db, db)
 
 
-# --- optimizer ------------------------------------------------------------------
+# --- policy step ----------------------------------------------------------------
+
+# fixed before measuring: one fused step rounds float64 in another order
+# (a few ulp); a training run compounds that over its updates
+STEP_RTOL = 1e-12
+RUN_RTOL = 1e-9
+
+
+def assert_step_close(got, ref, rtol=STEP_RTOL, scale=0.0):
+    """Within rtol of the largest of |ref| and `scale`, the size of the
+    terms a result was summed from when they cancel."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=rtol,
+                               atol=rtol * max(np.abs(ref).max(initial=0.0), scale))
+
+
+def random_policy(groups, ratio_levels, hidden, seed, scale):
+    """A policy whose zero-initialized heads are given random weights of
+    size `scale`, so that large `scale` saturates the sigmoid and softmax."""
+    layout = rl.PolicyLayout(groups_per_layer=groups, ratio_levels=ratio_levels)
+    net = rl.PolicyNet(layout, seed=seed, hidden=hidden)
+    rng = np.random.default_rng(seed)
+    for name in ("W_heads", "b_heads"):
+        net.params[name][:] = scale * rng.standard_normal(net.params[name].shape)
+    return net
+
+
+def random_actions(layout, n, rng):
+    actions = []
+    for _ in range(n):
+        rank = int(rng.integers(layout.n_layers))
+        g = layout.groups_per_layer[rank]
+        groups = rng.choice(g, size=int(rng.integers(1, g + 1)), replace=False)
+        level = int(rng.integers(1, layout.ratio_levels + 1))
+        actions.append(rl.Action(rank, tuple(int(j) for j in groups), level,
+                                 level / layout.ratio_levels))
+    return actions
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.3, 3.0, 40.0])
+@pytest.mark.parametrize("groups,B", [((3, 5), 7), ((8,), 15), ((32,), 1)])
+def test_fused_policy_step_matches_per_head_reference(groups, B, scale):
+    net = random_policy(groups, 4, 11, seed=len(groups) + B, scale=scale)
+    rng = np.random.default_rng(B)
+    X = rng.standard_normal((B, net.layout.state_dim))
+    arrays = rl.action_arrays(net.layout, random_actions(net.layout, B, rng))
+    for got, ref in zip(net.logits(X)[:3], ref_logits(net, X)[:3]):
+        assert_step_close(got, ref)
+    lp, entropy, aux = rl.batch_log_probs(net, X, arrays)
+    ref_lp, ref_entropy, ref_aux = ref_batch_log_probs(net, X, arrays)
+    assert_step_close(lp, ref_lp)
+    # a saturated bit's entropy, softplus(z) - z * sigmoid(z), cancels terms
+    # of size |z|; both sigmoids round 1 - sigmoid(z) differently there
+    assert_step_close(entropy, ref_entropy, scale=np.abs(aux[0]).max())
+    assert_step_close(aux[6], ref_aux[6])         # sigmoid(z_g)
+    assert np.all(lp <= 0.0) and np.all(np.isfinite(lp))
+    dZ = rng.standard_normal((B, net.params["b_heads"].size))
+    grad = net.backward(X, *aux[1][1:], dZ).copy()
+    assert_step_close(grad, ref_backward(net, X, *aux[1][1:], dZ))
+    assert np.array_equal(net.backward(X, *aux[1][1:], dZ), grad)
+
+
+@pytest.mark.parametrize("scale", [0.3, 40.0])
+def test_mask_log_prob_matches_batch_and_reference(scale):
+    net = random_policy((6,), 3, 5, seed=2, scale=scale)
+    rng = np.random.default_rng(3)
+    for action in random_actions(net.layout, 10, rng):
+        state = rng.standard_normal(net.layout.state_dim)
+        z_g = net.logits(state[None, :])[1][0]
+        bits = np.zeros(6)
+        bits[list(action.groups)] = 1.0
+        ref = -float(np.add.reduce(rl._softplus(-z_g) * bits + rl._softplus(z_g) * (1 - bits)))
+        assert rl._mask_log_prob(z_g, bits) == ref
+        lp, _, _ = rl.batch_log_probs(net, state[None, :], rl.action_arrays(net.layout, [action]))
+        z_l, _, z_r, _ = net.logits(state[None, :])
+        rest = rl._log_softmax(z_l)[0, 0] + rl._log_softmax(z_r)[0, action.ratio_level - 1]
+        assert float(lp[0]) == pytest.approx(ref + rest, rel=STEP_RTOL, abs=STEP_RTOL)
 
 
 @pytest.mark.parametrize("max_norm,clips", [(1e-3, True), (1e6, False)])
@@ -668,17 +865,16 @@ def test_flat_adam_and_clip_match_per_key_reference(max_norm, clips):
     for _ in range(6):
         X = rng.standard_normal((7, layout.state_dim))
         _, _, _, (X, h1, h2) = net.logits(X)
-        dheads = {name: rng.standard_normal((7, net.params[f"b_{name}"].size))
-                  for name in net.head_names}
-        grad = net.backward(X, h1, h2, dheads)
+        grad = net.backward(X, h1, h2, rng.standard_normal((7, net.params["b_heads"].size)))
         ref_grads = {k: g.copy() for k, g in net.grads.items()}
-        norm = rl.clip_grad_norm(grad, net.blocks, max_norm)
-        assert norm == dict_clip_grad_norm(ref_grads, max_norm)
+        norm = rl.clip_grad_norm(grad, max_norm)
+        assert norm == pytest.approx(dict_clip_grad_norm(ref_grads, max_norm), rel=STEP_RTOL)
         assert (norm > max_norm) is clips
+        assert_step_close(grad, np.concatenate([g.ravel() for g in ref_grads.values()]))
         opt.step(net.flat, grad)
         ref_opt.step(ref_params, ref_grads)
         for k, v in net.params.items():
-            assert np.array_equal(v, ref_params[k]), k
+            assert_step_close(v, ref_params[k])
 
 
 def test_params_are_views_of_one_flat_buffer():
@@ -686,8 +882,9 @@ def test_params_are_views_of_one_flat_buffer():
     assert sum(v.size for v in net.params.values()) == net.flat.size
     for k, v in net.params.items():
         assert v.base is net.flat and net.grads[k].base is net.grad
-    net.params["b_v"][:] = 2.5
-    assert net.flat[net.blocks[1]].tolist() == [2.5]
+    # laid out W_heads (1 x 5), b_heads, ...
+    net.params["b_heads"][:] = 2.5
+    assert net.flat[5] == 2.5 and np.count_nonzero(net.flat[:5]) == 0
 
 
 # --- end to end -------------------------------------------------------------------
@@ -703,6 +900,17 @@ def test_train_unlearner_matches_reference_kernels(monkeypatch):
     )
     cfg = rl.PpoConfig(episodes=12, t_collect=10, epochs=3, batch_size=5, ratio_levels=4,
                        hidden=8, sparsity_cap=0.5, actor_lr=0.01, critic_lr=0.01)
+    sample = rl.policy_sample
+
+    def recording(log):
+        def record(policy, state, rng):
+            action, lp = sample(policy, state, rng)
+            log.append(action)
+            return action, lp
+        return record
+
+    flat_actions, ref_actions = [], []
+    monkeypatch.setattr(rl, "policy_sample", recording(flat_actions))
     flat = rl.train_unlearner(model, report, idx, cfg, seed=31)
 
     nets = []
@@ -723,18 +931,31 @@ def test_train_unlearner_matches_reference_kernels(monkeypatch):
             net = net_of(params)
             super().step(net.params, net.grads)
 
+    monkeypatch.setattr(rl, "policy_sample", recording(ref_actions))
     monkeypatch.setattr(rl._TrunkNet, "__init__", recording_init)
+    monkeypatch.setattr(rl.PolicyNet, "logits", ref_logits)
+    monkeypatch.setattr(rl._TrunkNet, "backward", ref_backward)
+    monkeypatch.setattr(rl, "batch_log_probs", ref_batch_log_probs)
     monkeypatch.setattr(rl, "Adam", RefAdam)
     monkeypatch.setattr(rl, "clip_grad_norm",
-                        lambda grad, blocks, max_norm: dict_clip_grad_norm(
-                            net_of(grad).grads, max_norm))
+                        lambda grad, max_norm: dict_clip_grad_norm(net_of(grad).grads, max_norm))
     monkeypatch.setattr(rl, "UnlearnEnv", RefEnv)
     ref = rl.train_unlearner(model, report, idx, cfg, seed=31)
+    monkeypatch.undo()
 
     assert len(nets) == 2
     assert any(e.steps < cfg.t_collect for e in ref.episodes)   # the cap ended some
+    assert len(flat_actions) == sum(e.steps for e in ref.episodes)
+    assert flat_actions == ref_actions
     assert [e.total_reward for e in flat.episodes] == [e.total_reward for e in ref.episodes]
-    assert flat.update_stats == ref.update_stats
+    flat_deploy, ref_deploy = (rl.deploy(r.policy, model, report, idx, cfg, 10).action_rows
+                               for r in (flat, ref))
+    assert flat_deploy == ref_deploy and ref_deploy
+    assert len(flat.update_stats) == len(ref.update_stats)
+    for got, want in zip(flat.update_stats, ref.update_stats):
+        assert got.keys() == want.keys()
+        for k in got:
+            assert got[k] == pytest.approx(want[k], rel=RUN_RTOL, abs=RUN_RTOL), k
     for a, b in ((flat.policy, ref.policy), (flat.value_net, ref.value_net)):
         for k in a.params:
-            assert np.array_equal(a.params[k], b.params[k]), k
+            assert_step_close(a.params[k], b.params[k], rtol=RUN_RTOL)

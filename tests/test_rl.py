@@ -332,10 +332,15 @@ def action_log_prob(policy, state, action):
     return lp
 
 
+def head_bias(policy, name):
+    """The bias of one head: a view into the stacked head bias."""
+    return policy.params["b_heads"][policy.head_cols[name]]
+
+
 def test_empty_mask_coerced_to_oldest_group():
     policy, layout, model, idx = policy_fixture(groups=2)
     # force empty group draws: massively negative group logits
-    policy.params["b_group"][:] = -60.0
+    head_bias(policy, "group")[:] = -60.0
     state = np.zeros(layout.state_dim)
     state[3 * 1] = 1.0   # group 1 of layer rank 0 is the oldest
     rng = np.random.default_rng(2)
@@ -362,9 +367,9 @@ def test_policy_mode_frozen_at_init():
 
 def test_saturated_logits_stay_finite():
     policy, layout, _, _ = policy_fixture(ratio_levels=4)
-    policy.params["b_layer"][:] = np.array([60.0, -60.0])
-    policy.params["b_group"][:] = 60.0
-    policy.params["b_ratio"][:] = np.array([-60.0, 60.0, -60.0, -60.0])
+    head_bias(policy, "layer")[:] = np.array([60.0, -60.0])
+    head_bias(policy, "group")[:] = 60.0
+    head_bias(policy, "ratio")[:] = np.array([-60.0, 60.0, -60.0, -60.0])
     state = np.zeros(layout.state_dim)
     rng = np.random.default_rng(3)
     act, lp = rl.policy_sample(policy, state, rng)
@@ -448,11 +453,11 @@ def test_adam_matches_reference_first_step():
 
 def test_grad_clip_scales_to_max_norm():
     grad = np.array([3.0, 4.0])
-    norm = rl.clip_grad_norm(grad, [slice(0, 2)], 0.5)
+    norm = rl.clip_grad_norm(grad, 0.5)
     assert norm == pytest.approx(5.0)
     assert np.linalg.norm(grad) == pytest.approx(0.5)
     small = np.array([0.1, 0.0])
-    rl.clip_grad_norm(small, [slice(0, 2)], 0.5)
+    rl.clip_grad_norm(small, 0.5)
     assert small[0] == pytest.approx(0.1)
 
 
