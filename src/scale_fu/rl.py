@@ -379,6 +379,11 @@ class _TrunkNet:
 
 
 class PolicyNet(_TrunkNet):
+    """The actor. `W_heads` stacks the layer head (L rows, one per sensitive
+    layer), the group-mask head (G rows, one per group in canonical order)
+    and the ratio-level head (R rows), so `head_cols` is layer 0:L, group
+    L:L+G and ratio L+G:L+G+R."""
+
     def __init__(self, layout: PolicyLayout, seed: int, hidden: int = 64):
         super().__init__(
             layout.state_dim,

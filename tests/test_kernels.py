@@ -547,31 +547,44 @@ def run_env_against_reference(model, idx, cfg, seed, episodes=6):
     return lengths
 
 
-@pytest.mark.parametrize("tied", [False, True])
-@pytest.mark.parametrize("seed", range(4))
-def test_env_matches_reference_env_on_unequal_runs(seed, tied):
+def unequal_runs_model(seed):
     # layer 1: 5 * 4 + 4 = 24 parameters in 5 groups, sizes 5 | 5 | 5 | 5 | 4;
     # layer 0: 6 * 5 + 5 = 35 in 5 groups of 7; layer 2: 4 * 3 + 3 = 15, 3 | 3 | 3 | 3 | 3
-    model = dense_model((6, 5, 4, 3), seed=seed)
-    if tied:
-        model = tie(model, seed)
+    return dense_model((6, 5, 4, 3), seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_env_matches_reference_env_on_unequal_runs(seed):
+    model = unequal_runs_model(seed)
     idx = partition_groups(model, [1, 0, 2], 5)
     cfg = rl.PpoConfig(t_collect=40, ratio_levels=4, sparsity_cap=0.3)
     lengths = run_env_against_reference(model, idx, cfg, seed)
     assert min(lengths) < cfg.t_collect            # the sparsity cap ended some
 
 
-@pytest.mark.parametrize("tied", [False, True])
-def test_env_matches_reference_env_on_mini_cnn(tied):
+def test_env_matches_reference_env_on_mini_cnn():
     # layer 2 is the parameter-free flatten layer
     model = nn.make_model("mini_cnn", 25, 3, seed=2)
-    if tied:
-        model = tie(model, 2)
     idx = partition_groups(model, [1, 0, 3], 7)
     assert idx.layers == (1, 0, 3)
     cfg = rl.PpoConfig(t_collect=40, ratio_levels=5, sparsity_cap=0.2)
     lengths = run_env_against_reference(model, idx, cfg, seed=11, episodes=3)
     assert min(lengths) < cfg.t_collect
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_env_matches_reference_env_on_tied_magnitudes(seed):
+    """The env's zero order is taken once; where magnitudes tie, only a
+    stable order, ties to the lowest index, keeps it the order RefEnv's
+    per-step argsort gives."""
+    model = tie(unequal_runs_model(seed), seed)
+    idx = partition_groups(model, [1, 0, 2], 5)
+    cfg = rl.PpoConfig(t_collect=40, ratio_levels=4, sparsity_cap=0.3)
+    run_env_against_reference(model, idx, cfg, seed)
+    cnn = tie(nn.make_model("mini_cnn", 25, 3, seed=2), seed)
+    idx = partition_groups(cnn, [1, 0, 3], 7)
+    cfg = rl.PpoConfig(t_collect=40, ratio_levels=5, sparsity_cap=0.2)
+    run_env_against_reference(cnn, idx, cfg, seed=11 + seed, episodes=3)
 
 
 @settings(max_examples=60, deadline=None)
