@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -71,6 +71,17 @@ class GroupIndex:
     def positions(self) -> dict[tuple[int, int], int]:
         """(layer, group) -> position in canonical order."""
         return {key: pos for pos, key in enumerate(self.keys())}
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Each rank's first canonical position."""
+        return tuple(accumulate((len(rs) for rs in self.ranges[:-1]), initial=0))
+
+    def cols(self, rank: int) -> slice:
+        """Rank's canonical positions: its group-head columns and its rows of
+        the (total_groups, 3) state grid."""
+        first = self.offsets[rank]
+        return slice(first, first + len(self.ranges[rank]))
 
     @cached_property
     def runs(self) -> tuple[tuple[int, slice, int, slice], ...]:

@@ -75,8 +75,7 @@ def baseline_uniform(model: nn.Model, total_budget: int, groups_per_layer: int) 
     # one (n_groups, size) view per run of equal-size groups, canonical order
     rows = [out.params[layer][span].reshape(-1, size) for layer, span, size, _ in idx.runs]
     group_caps = [c for r in rows for c in np.add.reduce(r != 0.0, axis=1).tolist()]
-    layers = [slice(idx.positions[(l, 0)], idx.positions[(l, 0)] + idx.n_groups(l))
-              for l in idx.layers]
+    layers = [idx.cols(r) for r in range(idx.n_layers)]
     per_layer = _equal_split_with_spill(total_budget, [sum(group_caps[sl]) for sl in layers])
     per_group = [k for sl, budget in zip(layers, per_layer)
                  for k in _equal_split_with_spill(budget, group_caps[sl])]

@@ -270,7 +270,16 @@ def _unlearn_scale(rd, cfg, h, model, split, seed: int) -> None:
 
     mdir = rd.method_dir("scale")
     mdir.mkdir(parents=True, exist_ok=True)
-    sensitivity.write_sensitivity_csv(report, mdir / "sensitivity.csv", config_hash=h)
+    chosen = set(report.selected)
+    write_csv(
+        mdir / "sensitivity.csv",
+        ["layer", "rho", "s_align", "s_impact", "s_combined", "selected"],
+        [[l, repr(float(report.rho[l])), repr(float(report.s_align[l])),
+          repr(float(report.s_impact[l])), repr(float(report.s_combined[l])),
+          int(l in chosen)]
+         for l in range(report.n_layers)],
+        h,
+    )
     write_csv(
         mdir / "ppo_rewards.csv",
         ["episode", "total_reward", "r_f_sum", "r_c_sum"],

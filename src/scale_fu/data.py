@@ -141,14 +141,6 @@ class ClientPartition:
         if any(ix.size == 0 for ix in self.indices):
             raise PartitionError("empty client")
 
-    def to_json_dict(self) -> dict:
-        return {str(c): ix.tolist() for c, ix in enumerate(self.indices)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ClientPartition":
-        n = len(d)
-        return cls(indices=[np.asarray(d[str(c)], dtype=np.int64) for c in range(n)])
-
 
 def largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
     """Integer quotas summing to `total`, by floor + largest fractional part.
@@ -234,25 +226,6 @@ class UnlearnRequest:
         if self.granularity == GRANULARITY_SAMPLE:
             return f"sample:{who}:{self.sample_fraction:g}"
         return f"client:{who}"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "granularity": self.granularity,
-            "clients": list(self.clients),
-            "class_set": list(self.class_set),
-            "sample_fraction": self.sample_fraction,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "UnlearnRequest":
-        return cls(
-            granularity=d["granularity"],
-            clients=tuple(d["clients"]),
-            class_set=tuple(d.get("class_set", ())),
-            sample_fraction=float(d.get("sample_fraction", 0.0)),
-            seed=int(d.get("seed", 0)),
-        )
 
 
 @dataclass

@@ -138,7 +138,7 @@ def sparsify(model: nn.Model, idx: GroupIndex, layer: int, groups, s: float) -> 
     if len(set(groups)) != len(groups):
         raise RlError("duplicate group to sparsify")
     out = model.with_layer(layer, model.params[layer].copy())
-    first = idx.positions[(layer, 0)]
+    first = idx.offsets[idx.rank_of(layer)]
     for _, span, size, pos in idx.layer_runs[layer]:
         lo, hi = pos.start - first, pos.stop - first
         picked = {j - lo for j in groups if lo <= j < hi}
@@ -186,12 +186,10 @@ def reward_fresh(action: Action, ledger: AoiLedger) -> float:
     if max_age <= 0.0:
         return 0.0
     idx = ledger.idx
-    layer = idx.layers[action.layer_rank]
-    n = idx.n_groups(layer)
-    if min(action.groups) < 0 or max(action.groups) >= n:
-        raise RlError(f"group out of range for layer {layer}")
-    first = idx.positions[(layer, 0)]
-    share = sum((ages[first : first + n][list(action.groups)] / max_age).tolist())
+    cols = idx.cols(action.layer_rank)
+    if min(action.groups) < 0 or max(action.groups) >= cols.stop - cols.start:
+        raise RlError(f"group out of range for layer {idx.layers[action.layer_rank]}")
+    share = sum((ages[cols][list(action.groups)] / max_age).tolist())
     return (share / len(action.groups)) * action.s
 
 
@@ -267,40 +265,6 @@ def clip_grad_norm(grad: np.ndarray, max_norm: float) -> float:
 
 
 # --- policy / value networks ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolicyLayout:
-    """Maps (layer rank, group) to head columns and state positions."""
-
-    groups_per_layer: tuple[int, ...]
-    ratio_levels: int
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.groups_per_layer)
-
-    @property
-    def total_groups(self) -> int:
-        return sum(self.groups_per_layer)
-
-    @property
-    def state_dim(self) -> int:
-        return 3 * self.total_groups
-
-    def group_offset(self, rank: int) -> int:
-        return sum(self.groups_per_layer[:rank])
-
-    def group_cols(self, rank: int) -> slice:
-        off = self.group_offset(rank)
-        return slice(off, off + self.groups_per_layer[rank])
-
-    @classmethod
-    def from_index(cls, idx: GroupIndex, ratio_levels: int) -> "PolicyLayout":
-        return cls(
-            groups_per_layer=tuple(idx.n_groups(l) for l in idx.layers),
-            ratio_levels=ratio_levels,
-        )
 
 
 def _views(buf: np.ndarray, shapes: dict) -> dict:
@@ -382,20 +346,17 @@ class PolicyNet(_TrunkNet):
     """The actor. `W_heads` stacks the layer head (L rows, one per sensitive
     layer), the group-mask head (G rows, one per group in canonical order)
     and the ratio-level head (R rows), so `head_cols` is layer 0:L, group
-    L:L+G and ratio L+G:L+G+R."""
+    L:L+G and ratio L+G:L+G+R. Its input is the 3-per-group state of `idx`."""
 
-    def __init__(self, layout: PolicyLayout, seed: int, hidden: int = 64):
+    def __init__(self, idx: GroupIndex, ratio_levels: int, seed: int, hidden: int = 64):
         super().__init__(
-            layout.state_dim,
+            3 * idx.total_groups,
             hidden,
-            {
-                "layer": layout.n_layers,
-                "group": layout.total_groups,
-                "ratio": layout.ratio_levels,
-            },
+            {"layer": idx.n_layers, "group": idx.total_groups, "ratio": ratio_levels},
             seed,
         )
-        self.layout = layout
+        self.idx = idx
+        self.ratio_levels = ratio_levels
 
     def logits(self, X: np.ndarray):
         """Layer, group and ratio logits (column views of one head output)
@@ -422,12 +383,10 @@ class ValueNet(_TrunkNet):
 # --- action probability machinery -------------------------------------------
 
 
-def _oldest_group(layout: PolicyLayout, state: np.ndarray, rank: int) -> int:
+def _oldest_group(idx: GroupIndex, state: np.ndarray, rank: int) -> int:
     """Group with the largest normalized age within the chosen layer
     (ties to the lowest group index)."""
-    off = layout.group_offset(rank)
-    ages = state[3 * off : 3 * (off + layout.groups_per_layer[rank]) : 3]
-    return int(np.argmax(ages))
+    return int(np.argmax(state[0::3][idx.cols(rank)]))
 
 
 def _mask_log_prob(z_g: np.ndarray, bits: np.ndarray) -> float:
@@ -446,18 +405,17 @@ def _decode_heads(policy: PolicyNet, state: np.ndarray, pick):
     z_l, z_g, z_r, _ = policy.logits(state[None, :])
     lsm_l, lsm_r = _log_softmax(z_l)[0], _log_softmax(z_r)[0]
     rank, bits, level = pick(z_l[0], z_g[0], z_r[0], lsm_l, lsm_r)
-    lay = policy.layout
     groups = np.flatnonzero(bits).tolist()
     if not groups:
-        groups = [_oldest_group(lay, state, rank)]
+        groups = [_oldest_group(policy.idx, state, rank)]
         bits[groups[0]] = 1.0
     action = Action(
         layer_rank=rank,
         groups=tuple(groups),
         ratio_level=level,
-        s=level / lay.ratio_levels,
+        s=level / policy.ratio_levels,
     )
-    lp = float(lsm_l[rank]) + _mask_log_prob(z_g[0, lay.group_cols(rank)], bits)
+    lp = float(lsm_l[rank]) + _mask_log_prob(z_g[0, policy.idx.cols(rank)], bits)
     lp += float(lsm_r[level - 1])
     return action, lp
 
@@ -479,11 +437,10 @@ def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
 
 def policy_sample(policy: PolicyNet, state: np.ndarray, rng: np.random.Generator):
     """Sample layer, then mask bits, then level from `rng`."""
-    lay = policy.layout
 
     def pick(z_l, z_g, z_r, lsm_l, lsm_r):
         rank = _draw(rng, np.exp(lsm_l))
-        z = z_g[lay.group_cols(rank)]
+        z = z_g[policy.idx.cols(rank)]
         probs = np.exp(z - _softplus(z))         # sigmoid(z)
         bits = (rng.random(probs.size) < probs).astype(np.float64)
         level = _draw(rng, np.exp(lsm_r)) + 1
@@ -494,28 +451,28 @@ def policy_sample(policy: PolicyNet, state: np.ndarray, rng: np.random.Generator
 
 def policy_mode(policy: PolicyNet, state: np.ndarray):
     """Greedy action: argmax heads, group bit set when p > 0.5."""
-    lay = policy.layout
 
     def pick(z_l, z_g, z_r, lsm_l, lsm_r):
         rank = int(np.argmax(z_l))
-        bits = (z_g[lay.group_cols(rank)] > 0.0).astype(np.float64)
+        bits = (z_g[policy.idx.cols(rank)] > 0.0).astype(np.float64)
         return rank, bits, int(np.argmax(z_r)) + 1
 
     return _decode_heads(policy, state, pick)
 
 
-def action_arrays(layout: PolicyLayout, actions: list[Action]):
-    """Stored actions as (ranks, levels, bits, mask) arrays, one row each."""
+def action_arrays(idx: GroupIndex, actions: list[Action]):
+    """Stored actions as (ranks, levels, bits, mask) arrays, one row each;
+    bits and mask have one column per group of `idx`, in canonical order."""
     n = len(actions)
     ranks = np.array([a.layer_rank for a in actions], dtype=np.int64)
     levels = np.array([a.ratio_level - 1 for a in actions], dtype=np.int64)
-    bits = np.zeros((n, layout.total_groups))
-    mask = np.zeros((n, layout.total_groups))
+    bits = np.zeros((n, idx.total_groups))
+    mask = np.zeros((n, idx.total_groups))
     for i, a in enumerate(actions):
-        off = layout.group_offset(a.layer_rank)
-        mask[i, off : off + layout.groups_per_layer[a.layer_rank]] = 1.0
+        cols = idx.cols(a.layer_rank)
+        mask[i, cols] = 1.0
         for j in a.groups:
-            bits[i, off + j] = 1.0
+            bits[i, cols.start + j] = 1.0
     return ranks, levels, bits, mask
 
 
@@ -606,7 +563,6 @@ class UnlearnEnv:
         self.report = report
         self.idx = idx
         self.cfg = cfg
-        self._first = [idx.positions[(l, 0)] for l in idx.layers]
         # per group, in canonical order: its size, its zero_order as indices
         # into the layer vector, and its zero count after reset
         sizes, orders, zeros = [], [], []
@@ -625,8 +581,6 @@ class UnlearnEnv:
         self.ledger = AoiLedger(self.idx)
         self.steps = 0
         self.done = False
-        self.aoi_rows: list[tuple] = []
-        self.action_rows: list[dict] = []
         self._zeros = list(self._zeros0)
         self.state = self._state0.copy()
         return self.state
@@ -643,7 +597,7 @@ class UnlearnEnv:
         # zero the next zero_budget(s, nnz) entries of each acted group's order
         vec = self.model.params[layer]
         zeroed = 0
-        for p in (self._first[action.layer_rank] + j for j in action.groups):
+        for p in (self.idx.offsets[action.layer_rank] + j for j in action.groups):
             nnz = self._sizes[p] - self._zeros[p]
             k = zero_budget(action.s, nnz)
             if k:
@@ -654,15 +608,6 @@ class UnlearnEnv:
         self.ledger.advance()
         self.ledger.touch([(layer, j) for j in action.groups])
         self.steps += 1
-        self.aoi_rows.append((self.steps, *aoi_summary(self.ledger)))
-        self.action_rows.append(
-            {
-                "step": self.steps,
-                "layer": int(layer),
-                "groups": [int(j) for j in action.groups],
-                "s": action.s,
-            }
-        )
         grid = prev_state.reshape(-1, 3).copy()
         grid[:, 0] = normalized_ages(self.ledger.ages())
         if zeroed:
@@ -706,10 +651,10 @@ def ppo_update(
     n = len(buffer)
     rows = np.arange(n)
     states = np.stack([tr.state for tr in buffer])
-    ranks, levels, bits, mask = action_arrays(policy.layout, [tr.action for tr in buffer])
-    one_l = np.zeros((n, policy.layout.n_layers))
+    ranks, levels, bits, mask = action_arrays(policy.idx, [tr.action for tr in buffer])
+    one_l = np.zeros((n, policy.idx.n_layers))
     one_l[rows, ranks] = 1.0
-    one_r = np.zeros((n, policy.layout.ratio_levels))
+    one_r = np.zeros((n, policy.ratio_levels))
     one_r[rows, levels] = 1.0
     rewards = np.array([tr.reward for tr in buffer])
     dones = np.array([tr.done for tr in buffer])
@@ -807,13 +752,12 @@ def train_unlearner(
 ) -> TrainResult:
     """PPO training loop; every episode restarts from a fresh model copy and
     a fresh ledger. The input model is never mutated."""
-    layout = PolicyLayout.from_index(idx, cfg.ratio_levels)
     seeds = np.random.SeedSequence(seed)
     net_seed, sample_seed, update_seed = (
         int(s.generate_state(1)[0]) for s in seeds.spawn(3)
     )
-    policy = PolicyNet(layout, seed=net_seed, hidden=cfg.hidden)
-    value_net = ValueNet(layout.state_dim, seed=net_seed + 1, hidden=cfg.hidden)
+    policy = PolicyNet(idx, cfg.ratio_levels, seed=net_seed, hidden=cfg.hidden)
+    value_net = ValueNet(3 * idx.total_groups, seed=net_seed + 1, hidden=cfg.hidden)
     policy_opt = Adam(policy.flat, cfg.actor_lr)
     value_opt = Adam(value_net.flat, cfg.critic_lr)
     sample_rng = np.random.default_rng(sample_seed)
@@ -861,23 +805,33 @@ def deploy(
     cfg: PpoConfig,
     steps: int,
 ) -> DeployResult:
-    """Greedy (mode) rollout on a fresh copy; stops early if the env is done."""
+    """Greedy (mode) rollout on a fresh copy; stops early if the env is done.
+    Each step logs its action and the ledger's `aoi_summary` after it."""
     if steps < 1:
         raise RlError("deploy needs at least one step")
     env = UnlearnEnv(model, report, idx, cfg)
     state = env.reset()
     rewards: list[float] = []
+    action_rows: list[dict] = []
+    aoi_rows: list[tuple] = []
     for _ in range(steps):
         if env.done:
             break
         action, lp = policy_mode(policy, state)
         tr = env.step(action, log_prob=lp)
         rewards.append(tr.reward)
+        action_rows.append({
+            "step": env.steps,
+            "layer": int(idx.layers[action.layer_rank]),
+            "groups": [int(j) for j in action.groups],
+            "s": action.s,
+        })
+        aoi_rows.append((env.steps, *aoi_summary(env.ledger)))
         state = tr.next_state
     return DeployResult(
         model=env.model,
-        action_rows=env.action_rows,
-        aoi_rows=env.aoi_rows,
+        action_rows=action_rows,
+        aoi_rows=aoi_rows,
         rewards=rewards,
         steps=env.steps,
     )

@@ -9,10 +9,8 @@ ranks layers; the top M_sel become the sensitive set.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -190,23 +188,3 @@ def analyze(
         selected=selected,
         m_sel=m_sel,
     )
-
-
-def write_sensitivity_csv(report: SensitivityReport, path: str | Path, config_hash: str = "") -> None:
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        w = csv.writer(fh)
-        w.writerow(["layer", "rho", "s_align", "s_impact", "s_combined", "selected"])
-        chosen = set(report.selected)
-        for l in range(report.n_layers):
-            w.writerow(
-                [
-                    l,
-                    repr(float(report.rho[l])),
-                    repr(float(report.s_align[l])),
-                    repr(float(report.s_impact[l])),
-                    repr(float(report.s_combined[l])),
-                    int(l in chosen),
-                ]
-            )

@@ -64,11 +64,6 @@ class SyntheticDecomposition:
         if self.noise_bound < 0 or self.s_max <= 0:
             raise TheoryError("noise bound must be >= 0 and s_max > 0")
 
-    @property
-    def alphas(self) -> np.ndarray:
-        sizes = np.asarray(self.sizes, dtype=np.float64)
-        return sizes / sizes.sum()
-
 
 @dataclass
 class ClaimReport:

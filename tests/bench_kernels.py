@@ -56,8 +56,7 @@ def test_bench_sparsify(benchmark, setup):
 def test_bench_adam_step(benchmark, setup):
     _, idx, _ = setup
     ppo = rl.PpoConfig()
-    layout = rl.PolicyLayout.from_index(idx, ppo.ratio_levels)
-    policy = rl.PolicyNet(layout, seed=0, hidden=ppo.hidden)
+    policy = rl.PolicyNet(idx, ppo.ratio_levels, seed=0, hidden=ppo.hidden)
     opt = rl.Adam(policy.flat, ppo.actor_lr)
     grad = np.random.default_rng(0).standard_normal(policy.flat.size) * 1e-3
     benchmark(opt.step, policy.flat, grad)
@@ -77,11 +76,10 @@ def loop(setup):
     report = SensitivityReport(client=0, lam=0.5, rho=zeros, s_align=zeros, s_impact=zeros,
                                s_combined=scores, selected=[1], m_sel=1)
     env = rl.UnlearnEnv(model, report, idx, cfg)
-    layout = rl.PolicyLayout.from_index(idx, cfg.ratio_levels)
 
     def nets():
-        policy = rl.PolicyNet(layout, seed=0, hidden=cfg.hidden)
-        return policy, rl.ValueNet(layout.state_dim, seed=1, hidden=cfg.hidden)
+        policy = rl.PolicyNet(idx, cfg.ratio_levels, seed=0, hidden=cfg.hidden)
+        return policy, rl.ValueNet(3 * idx.total_groups, seed=1, hidden=cfg.hidden)
 
     rng = np.random.default_rng(0)
     policy, value_net = nets()
@@ -139,7 +137,7 @@ def minibatch(loop):
     policy, _ = nets()
     part = buffer[: cfg.batch_size]
     states = np.stack([tr.state for tr in part])
-    arrays = rl.action_arrays(policy.layout, [tr.action for tr in part])
+    arrays = rl.action_arrays(policy.idx, [tr.action for tr in part])
     dZ = np.random.default_rng(3).standard_normal((len(part), policy.params["b_heads"].size))
     return cfg, policy, states, arrays, dZ
 

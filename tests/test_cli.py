@@ -154,6 +154,15 @@ def test_train_artifacts_present(run_dir):
     assert h == run_dir.read_config()[1]
 
 
+def test_partition_json_holds_the_rebuilt_partition(run_dir):
+    # unlearn rebuilds the partition from the config; partition.json records it
+    cfg, h = run_dir.read_config()
+    stored = read_json(run_dir.partition_path)
+    assert stored["config_hash"] == h
+    part = cli.build_partition(cfg, cli.build_dataset(cfg))
+    assert stored["indices"] == [ix.tolist() for ix in part.indices]
+
+
 def test_train_rerun_bit_identical(run_dir, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(SMALL))
@@ -176,6 +185,17 @@ def test_unlearn_artifacts_present(run_dir):
     assert run_dir.unlearned_model_path("retrain").exists()
     assert run_dir.unlearned_model_path("uniform").exists()
     assert run_dir.unlearned_model_path("grad_ascent").exists()
+
+
+def test_sensitivity_csv(run_dir):
+    h, header, rows = read_csv(run_dir.method_dir("scale") / "sensitivity.csv")
+    assert h == run_dir.read_config()[1]
+    assert header == ["layer", "rho", "s_align", "s_impact", "s_combined", "selected"]
+    n_layers = cli._load_global(run_dir)[0].num_layers
+    assert [int(row[0]) for row in rows] == list(range(n_layers))
+    assert {row[-1] for row in rows} <= {"0", "1"}
+    selected = [int(row[0]) for row in rows if row[-1] == "1"]
+    assert selected == sorted(cli.read_meta(run_dir, "scale")["selected_layers"])
 
 
 def test_uniform_budget_matches_scale(run_dir):

@@ -133,14 +133,6 @@ def test_partition_infeasible_and_repair():
         part.validate_against(ds)
 
 
-def test_partition_json_roundtrip():
-    ds = data.gen_synthetic(3, 4, 10, 0.1, seed=0)
-    part = data.dirichlet_partition(ds, 3, 1.0, seed=5)
-    back = data.ClientPartition.from_json_dict(part.to_json_dict())
-    for a, b in zip(part.indices, back.indices):
-        assert np.array_equal(a, b)
-
-
 def make_fixture():
     ds = data.gen_synthetic(4, 8, 25, 0.1, seed=11)
     part = data.dirichlet_partition(ds, 5, 1.0, seed=11)

@@ -463,7 +463,28 @@ def test_runs_cover_every_group_in_canonical_order():
         (2, slice(0, 114), 19, slice(14, 20)),
         (2, slice(114, 132), 18, slice(20, 21)),
     ]
-    assert [idx.positions[key] for key in idx.keys()] == list(range(idx.total_groups))
+    assert idx.offsets == (0, 7, 14)
+    assert_canonical_layout(idx)
+    # layer ids differ from ranks past the parameter-free flatten layer 2;
+    # layer 3 has 51 parameters, so it alone gets fewer than 64 groups
+    cnn = partition_groups(nn.make_model("mini_cnn", 25, 3, seed=2), [0, 1, 2, 3], 64)
+    assert cnn.layers == (0, 1, 3)
+    assert cnn.offsets == (0, 64, 128) and cnn.cols(2) == slice(128, 179)
+    assert_canonical_layout(cnn)
+
+
+def assert_canonical_layout(idx):
+    """`offsets` and `cols` agree with `positions`, and every run of `runs`
+    lies inside its rank's `cols`."""
+    pos = idx.positions
+    assert [pos[key] for key in idx.keys()] == list(range(idx.total_groups))
+    assert idx.offsets == tuple(pos[(layer, 0)] for layer in idx.layers)
+    for rank, layer in enumerate(idx.layers):
+        last = idx.n_groups(layer) - 1
+        assert idx.cols(rank) == slice(pos[(layer, 0)], pos[(layer, last)] + 1)
+    for layer, _, _, run_pos in idx.runs:
+        cols = idx.cols(idx.rank_of(layer))
+        assert cols.start <= run_pos.start < run_pos.stop <= cols.stop
 
 
 @settings(max_examples=100, deadline=None)
@@ -523,8 +544,9 @@ def tie(model, seed):
 
 def run_env_against_reference(model, idx, cfg, seed, episodes=6):
     """Drive UnlearnEnv and RefEnv with the same random actions and compare
-    every transition, the AoI and action rows and the model bit for bit.
-    Returns the episode lengths."""
+    every transition and the model bit for bit; then compare one `rl.deploy`
+    with random actions against RefEnv's AoI and action rows. Returns the
+    episode lengths."""
     report = flat_report(np.linspace(2.0, 0.5, model.num_layers))
     env, ref = rl.UnlearnEnv(model, report, idx, cfg), RefEnv(model, report, idx, cfg)
     rng = np.random.default_rng(seed)
@@ -540,11 +562,32 @@ def run_env_against_reference(model, idx, cfg, seed, episodes=6):
                 want.reward, want.r_forget, want.r_fresh, want.done)
             assert (got.log_prob, got.value) == (-0.5, 0.25)
         assert ref.done
-        assert env.aoi_rows == ref.aoi_rows and env.action_rows == ref.action_rows
         assert_same_bits(env.model, ref.model)
         lengths.append(env.steps)
+    deploy_against_reference(model, report, idx, cfg, rng)
     assert_same_bits(model, model.copy())
     return lengths
+
+
+def deploy_against_reference(model, report, idx, cfg, rng):
+    """`rl.deploy` with random actions in place of the greedy policy; RefEnv
+    replaying them must log the same AoI and action rows and end with the
+    same model bits."""
+    actions = []
+
+    def random_mode(policy, state):
+        actions.append(random_action(idx, cfg, rng))
+        return actions[-1], 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rl, "policy_mode", random_mode)
+        deployed = rl.deploy(None, model, report, idx, cfg, cfg.t_collect)
+    ref = RefEnv(model, report, idx, cfg)
+    for action in actions:
+        ref.step(action)
+    assert ref.done and deployed.steps == ref.steps == len(actions)
+    assert deployed.aoi_rows == ref.aoi_rows and deployed.action_rows == ref.action_rows
+    assert_same_bits(deployed.model, ref.model)
 
 
 def unequal_runs_model(seed):
@@ -805,26 +848,31 @@ def assert_step_close(got, ref, rtol=STEP_RTOL, scale=0.0):
                                atol=rtol * max(np.abs(ref).max(initial=0.0), scale))
 
 
+def singleton_index(groups):
+    """A GroupIndex of one-parameter groups, groups[r] of them at rank r."""
+    return GroupIndex(layers=tuple(range(len(groups))),
+                      ranges=tuple(aoi.balanced_ranges(g, g) for g in groups))
+
+
 def random_policy(groups, ratio_levels, hidden, seed, scale):
     """A policy whose zero-initialized heads are given random weights of
     size `scale`, so that large `scale` saturates the sigmoid and softmax."""
-    layout = rl.PolicyLayout(groups_per_layer=groups, ratio_levels=ratio_levels)
-    net = rl.PolicyNet(layout, seed=seed, hidden=hidden)
+    net = rl.PolicyNet(singleton_index(groups), ratio_levels, seed=seed, hidden=hidden)
     rng = np.random.default_rng(seed)
     for name in ("W_heads", "b_heads"):
         net.params[name][:] = scale * rng.standard_normal(net.params[name].shape)
     return net
 
 
-def random_actions(layout, n, rng):
+def random_actions(net, n, rng):
     actions = []
     for _ in range(n):
-        rank = int(rng.integers(layout.n_layers))
-        g = layout.groups_per_layer[rank]
+        rank = int(rng.integers(net.idx.n_layers))
+        g = net.idx.n_groups(net.idx.layers[rank])
         groups = rng.choice(g, size=int(rng.integers(1, g + 1)), replace=False)
-        level = int(rng.integers(1, layout.ratio_levels + 1))
+        level = int(rng.integers(1, net.ratio_levels + 1))
         actions.append(rl.Action(rank, tuple(int(j) for j in groups), level,
-                                 level / layout.ratio_levels))
+                                 level / net.ratio_levels))
     return actions
 
 
@@ -833,8 +881,8 @@ def random_actions(layout, n, rng):
 def test_fused_policy_step_matches_per_head_reference(groups, B, scale):
     net = random_policy(groups, 4, 11, seed=len(groups) + B, scale=scale)
     rng = np.random.default_rng(B)
-    X = rng.standard_normal((B, net.layout.state_dim))
-    arrays = rl.action_arrays(net.layout, random_actions(net.layout, B, rng))
+    X = rng.standard_normal((B, 3 * net.idx.total_groups))
+    arrays = rl.action_arrays(net.idx, random_actions(net, B, rng))
     for got, ref in zip(net.logits(X)[:3], ref_logits(net, X)[:3]):
         assert_step_close(got, ref)
     lp, entropy, aux = rl.batch_log_probs(net, X, arrays)
@@ -855,14 +903,14 @@ def test_fused_policy_step_matches_per_head_reference(groups, B, scale):
 def test_mask_log_prob_matches_batch_and_reference(scale):
     net = random_policy((6,), 3, 5, seed=2, scale=scale)
     rng = np.random.default_rng(3)
-    for action in random_actions(net.layout, 10, rng):
-        state = rng.standard_normal(net.layout.state_dim)
+    for action in random_actions(net, 10, rng):
+        state = rng.standard_normal(3 * net.idx.total_groups)
         z_g = net.logits(state[None, :])[1][0]
         bits = np.zeros(6)
         bits[list(action.groups)] = 1.0
         ref = -float(np.add.reduce(rl._softplus(-z_g) * bits + rl._softplus(z_g) * (1 - bits)))
         assert rl._mask_log_prob(z_g, bits) == ref
-        lp, _, _ = rl.batch_log_probs(net, state[None, :], rl.action_arrays(net.layout, [action]))
+        lp, _, _ = rl.batch_log_probs(net, state[None, :], rl.action_arrays(net.idx, [action]))
         z_l, _, z_r, _ = net.logits(state[None, :])
         rest = rl._log_softmax(z_l)[0, 0] + rl._log_softmax(z_r)[0, action.ratio_level - 1]
         assert float(lp[0]) == pytest.approx(ref + rest, rel=STEP_RTOL, abs=STEP_RTOL)
@@ -870,13 +918,13 @@ def test_mask_log_prob_matches_batch_and_reference(scale):
 
 @pytest.mark.parametrize("max_norm,clips", [(1e-3, True), (1e6, False)])
 def test_flat_adam_and_clip_match_per_key_reference(max_norm, clips):
-    layout = rl.PolicyLayout(groups_per_layer=(3, 5), ratio_levels=4)
-    net = rl.PolicyNet(layout, seed=8, hidden=11)
+    idx = singleton_index((3, 5))
+    net = rl.PolicyNet(idx, 4, seed=8, hidden=11)
     ref_params = {k: v.copy() for k, v in net.params.items()}
     opt, ref_opt = rl.Adam(net.flat, lr=0.01), DictAdam(ref_params, lr=0.01)
     rng = np.random.default_rng(5)
     for _ in range(6):
-        X = rng.standard_normal((7, layout.state_dim))
+        X = rng.standard_normal((7, 3 * idx.total_groups))
         _, _, _, (X, h1, h2) = net.logits(X)
         grad = net.backward(X, h1, h2, rng.standard_normal((7, net.params["b_heads"].size)))
         ref_grads = {k: g.copy() for k, g in net.grads.items()}

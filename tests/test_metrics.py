@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scale_fu import metrics, nn, rl
-from scale_fu.aoi import GroupIndex, partition_groups
+from scale_fu.aoi import GroupIndex, aoi_summary, partition_groups
 
 
 def bias_model(biases, in_dim=3):
@@ -138,14 +138,16 @@ def test_replay_matches_live_environment_trajectory():
     cfg = rl.PpoConfig(t_collect=6, ratio_levels=4)
     env = rl.UnlearnEnv(model, flat_report([2.0, 1.0]), idx, cfg)
     rng = np.random.default_rng(3)
-    layout = rl.PolicyLayout.from_index(idx, 4)
-    policy = rl.PolicyNet(layout, seed=0, hidden=8)
+    policy = rl.PolicyNet(idx, 4, seed=0, hidden=8)
     state = env.reset()
+    action_rows, live_means = [], []
     while not env.done:
         act, lp = rl.policy_sample(policy, state, rng)
         state = env.step(act, log_prob=lp).next_state
-    series = metrics.replay_global_aoi(env.action_rows, idx, horizon=env.steps)
-    live_means = [row[2] for row in env.aoi_rows]
+        action_rows.append({"step": env.steps, "layer": idx.layers[act.layer_rank],
+                            "groups": list(act.groups), "s": act.s})
+        live_means.append(aoi_summary(env.ledger)[1])
+    series = metrics.replay_global_aoi(action_rows, idx, horizon=env.steps)
     assert series == pytest.approx(live_means)
 
 

@@ -197,9 +197,7 @@ def test_env_step_clock_and_rows():
     assert tr.reward == pytest.approx(env.cfg.w_f * tr.r_forget)
     assert not tr.done
     assert tr.log_prob == -1.0 and tr.value == 0.3
-    assert env.aoi_rows[0][0] == 1
-    assert env.action_rows[0] == {"step": 1, "layer": idx.layers[0],
-                                  "groups": [0], "s": 0.5}
+    assert env.steps == 1
     assert tr.state.shape == tr.next_state.shape == (3 * idx.total_groups,)
 
 
@@ -278,29 +276,30 @@ def test_normalize_advantages():
 def policy_fixture(groups=2, ratio_levels=4, hidden=16, seed=11):
     model = dense_model((4, 3, 2), seed=5)
     idx = partition_groups(model, [0, 1], groups)
-    layout = rl.PolicyLayout.from_index(idx, ratio_levels)
-    policy = rl.PolicyNet(layout, seed=seed, hidden=hidden)
-    return policy, layout, model, idx
+    policy = rl.PolicyNet(idx, ratio_levels, seed=seed, hidden=hidden)
+    return policy, model, idx
 
 
 def test_layout_geometry():
-    _, layout, _, idx = policy_fixture(groups=2, ratio_levels=4)
-    assert layout.n_layers == 2
-    assert layout.groups_per_layer == (2, 2)
-    assert layout.total_groups == 4
-    assert layout.state_dim == 12
-    assert layout.group_cols(1) == slice(2, 4)
+    policy, _, idx = policy_fixture(groups=2, ratio_levels=4, hidden=16)
+    assert idx.n_layers == 2
+    assert idx.total_groups == 4
+    assert idx.offsets == (0, 2)
+    assert idx.cols(1) == slice(2, 4)
+    assert policy.params["W1"].shape == (16, 12)      # 3 state entries a group
+    assert policy.head_cols == {"layer": slice(0, 2), "group": slice(2, 6),
+                                "ratio": slice(6, 10)}
 
 
 def test_initial_heads_are_uniform():
-    policy, layout, _, _ = policy_fixture(ratio_levels=4)
+    policy, _, idx = policy_fixture(ratio_levels=4)
     rng = np.random.default_rng(0)
     # zero ages: empty-mask coercion always lands on group 0, so the
     # group-1 bit stays an untouched Bernoulli(1/2)
-    state = np.zeros(layout.state_dim)
+    state = np.zeros(3 * idx.total_groups)
     n = 10_000
-    ranks = np.zeros(layout.n_layers)
-    levels = np.zeros(layout.ratio_levels)
+    ranks = np.zeros(idx.n_layers)
+    levels = np.zeros(4)
     g1_on = 0
     for _ in range(n):
         act, lp = rl.policy_sample(policy, state, rng)
@@ -322,10 +321,9 @@ def action_log_prob(policy, state, action):
     """Log-probability of a fully specified action under the current policy,
     one head at a time: the oracle for the log-probs policy_sample returns."""
     z_l, z_g, z_r, _ = policy.logits(state[None, :])
-    lay = policy.layout
     lp = float(rl._log_softmax(z_l)[0, action.layer_rank])
-    cols = lay.group_cols(action.layer_rank)
-    bits = np.zeros(lay.groups_per_layer[action.layer_rank])
+    cols = policy.idx.cols(action.layer_rank)
+    bits = np.zeros(cols.stop - cols.start)
     bits[list(action.groups)] = 1.0
     lp += rl._mask_log_prob(z_g[0, cols], bits)
     lp += float(rl._log_softmax(z_r)[0, action.ratio_level - 1])
@@ -338,10 +336,10 @@ def head_bias(policy, name):
 
 
 def test_empty_mask_coerced_to_oldest_group():
-    policy, layout, model, idx = policy_fixture(groups=2)
+    policy, model, idx = policy_fixture(groups=2)
     # force empty group draws: massively negative group logits
     head_bias(policy, "group")[:] = -60.0
-    state = np.zeros(layout.state_dim)
+    state = np.zeros(3 * idx.total_groups)
     state[3 * 1] = 1.0   # group 1 of layer rank 0 is the oldest
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -356,8 +354,8 @@ def test_empty_mask_coerced_to_oldest_group():
 
 
 def test_policy_mode_frozen_at_init():
-    policy, layout, _, _ = policy_fixture(ratio_levels=4)
-    state = np.zeros(layout.state_dim)
+    policy, _, idx = policy_fixture(ratio_levels=4)
+    state = np.zeros(3 * idx.total_groups)
     act, lp = rl.policy_mode(policy, state)
     # all logits zero: argmax ties resolve low, p=0.5 bits stay off, coercion
     # then picks group 0 of layer rank 0; lowest ratio level
@@ -366,11 +364,11 @@ def test_policy_mode_frozen_at_init():
 
 
 def test_saturated_logits_stay_finite():
-    policy, layout, _, _ = policy_fixture(ratio_levels=4)
+    policy, _, idx = policy_fixture(ratio_levels=4)
     head_bias(policy, "layer")[:] = np.array([60.0, -60.0])
     head_bias(policy, "group")[:] = 60.0
     head_bias(policy, "ratio")[:] = np.array([-60.0, 60.0, -60.0, -60.0])
-    state = np.zeros(layout.state_dim)
+    state = np.zeros(3 * idx.total_groups)
     rng = np.random.default_rng(3)
     act, lp = rl.policy_sample(policy, state, rng)
     assert act.layer_rank == 0
@@ -381,7 +379,7 @@ def test_saturated_logits_stay_finite():
 
 def test_stored_log_probs_match_batch_recompute():
     """Ratio must be exactly one on the first pass over fresh data."""
-    policy, layout, model, idx = policy_fixture()
+    policy, model, idx = policy_fixture()
     cfg = rl.PpoConfig(t_collect=6, ratio_levels=4)
     env = rl.UnlearnEnv(model, flat_report([2.0, 1.0]), idx, cfg)
     rng = np.random.default_rng(7)
@@ -393,7 +391,7 @@ def test_stored_log_probs_match_batch_recompute():
         buffer.append(tr)
         state = tr.next_state
     states = np.stack([tr.state for tr in buffer])
-    acts = rl.action_arrays(layout, [tr.action for tr in buffer])
+    acts = rl.action_arrays(idx, [tr.action for tr in buffer])
     lps, ent, _ = rl.batch_log_probs(policy, states, acts)
     stored = np.array([tr.log_prob for tr in buffer])
     assert np.allclose(lps, stored, atol=1e-10)
@@ -418,9 +416,9 @@ def collect_buffer(policy, model, idx, cfg, seed=0, episodes=2):
 
 
 def test_ppo_update_runs_and_clears_buffer():
-    policy, layout, model, idx = policy_fixture()
+    policy, model, idx = policy_fixture()
     cfg = rl.PpoConfig(t_collect=5, ratio_levels=4, epochs=3, batch_size=4)
-    value_net = rl.ValueNet(layout.state_dim, seed=1, hidden=16)
+    value_net = rl.ValueNet(3 * idx.total_groups, seed=1, hidden=16)
     buffer = collect_buffer(policy, model, idx, cfg)
     popt = rl.Adam(policy.flat, cfg.actor_lr)
     vopt = rl.Adam(value_net.flat, cfg.critic_lr)
@@ -434,9 +432,9 @@ def test_ppo_update_runs_and_clears_buffer():
 
 
 def test_ppo_update_rejects_empty_buffer():
-    policy, layout, model, idx = policy_fixture()
+    policy, model, idx = policy_fixture()
     cfg = rl.PpoConfig()
-    value_net = rl.ValueNet(layout.state_dim, seed=1)
+    value_net = rl.ValueNet(3 * idx.total_groups, seed=1)
     with pytest.raises(rl.RlError):
         rl.ppo_update(policy, value_net, [], cfg, np.random.default_rng(0),
                       rl.Adam(policy.flat, 1e-3), rl.Adam(value_net.flat, 1e-3))
@@ -543,8 +541,7 @@ def test_deploy_greedy_and_deterministic():
     model, report, idx, cfg = bandit_setup()
     cfg = rl.PpoConfig(episodes=0, t_collect=8, ratio_levels=2, hidden=8,
                        sparsity_cap=0.95)
-    layout = rl.PolicyLayout.from_index(idx, cfg.ratio_levels)
-    policy = rl.PolicyNet(layout, seed=2, hidden=cfg.hidden)
+    policy = rl.PolicyNet(idx, cfg.ratio_levels, seed=2, hidden=cfg.hidden)
     r1 = rl.deploy(policy, model, report, idx, cfg, steps=5)
     r2 = rl.deploy(policy, model, report, idx, cfg, steps=5)
     assert r1.action_rows == r2.action_rows
@@ -563,7 +560,6 @@ def test_deploy_greedy_and_deterministic():
 
 def test_deploy_validates_steps():
     model, report, idx, cfg = bandit_setup()
-    layout = rl.PolicyLayout.from_index(idx, cfg.ratio_levels)
-    policy = rl.PolicyNet(layout, seed=2, hidden=cfg.hidden)
+    policy = rl.PolicyNet(idx, cfg.ratio_levels, seed=2, hidden=cfg.hidden)
     with pytest.raises(rl.RlError):
         rl.deploy(policy, model, report, idx, cfg, steps=0)

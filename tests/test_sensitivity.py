@@ -190,18 +190,3 @@ def test_analyze_default_m_sel_and_errors():
     with pytest.raises(sen.SensitivityError):
         sen.analyze(h, gp, n=0, m_sel=99)
 
-
-def test_sensitivity_csv(tmp_path):
-    rng = np.random.default_rng(2)
-    l0 = [rng.normal(size=10) for _ in range(2)]
-    l1 = [rng.normal(size=10) for _ in range(2)]
-    h = make_history({0: l0, 1: l1}, {0: 2, 1: 2})
-    gp = [(a + b) / 2 for a, b in zip(l0, l1)]
-    rep = sen.analyze(h, gp, n=0, m_sel=1)
-    out = tmp_path / "sensitivity.csv"
-    sen.write_sensitivity_csv(rep, out, config_hash="abc123")
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# config_hash=abc123"
-    assert lines[1] == "layer,rho,s_align,s_impact,s_combined,selected"
-    assert len(lines) == 4
-    assert sum(int(row.split(",")[-1]) for row in lines[2:]) == 1
