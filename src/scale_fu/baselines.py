@@ -124,7 +124,7 @@ def baseline_grad_ascent(
         except nn.NumericError as err:
             return AscentResult(current, log, halted=True,
                                 halt_reason=f"step {t}: {err}")
-        current = nn.sgd_step(current, [-g for g in grads], eta_u)   # ascend
+        nn.sgd_step_inplace(current, [-g for g in grads], eta_u)   # ascend
         norm = float(np.linalg.norm(nn.flat_params(current)))
         projected = norm > norm_cap > 0.0
         if projected:

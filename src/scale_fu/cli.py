@@ -10,12 +10,14 @@ config hash so cross-run comparisons fail loudly.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
 
 from . import baselines, data, federation, metrics, nn, rl, sensitivity, theory
 from .aoi import partition_groups
+from .atomic import atomic_write, write_json
 from .config import (
     ConfigError,
     RunDir,
@@ -141,7 +143,7 @@ def save_history(rd: RunDir, history: federation.FederationHistory, h: str) -> N
         "last_round": {str(c): history.last_round[c] for c in history.clients()},
         "config_hash": h,
     }
-    rd.history_meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    write_json(rd.history_meta_path, meta)
 
 
 def load_history(rd: RunDir, model: nn.Model) -> federation.FederationHistory:
@@ -202,16 +204,9 @@ def cmd_train(config_path: str, out_dir: str) -> RunDir:
     nn.save_manifest(manifest, rd.manifest_path)
     save_history(rd, history, h)
     write_rounds_csv(rd.rounds_path, rounds, h)
-    rd.partition_path.write_text(
-        json.dumps(
-            {
-                "indices": [idx.tolist() for idx in part.indices],
-                "config_hash": h,
-            },
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    payload = {"indices": [idx.tolist() for idx in part.indices], "config_hash": h}
+    with atomic_write(rd.partition_path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
     return rd
 
 
@@ -220,8 +215,7 @@ def cmd_train(config_path: str, out_dir: str) -> RunDir:
 
 def _write_meta(rd: RunDir, method: str, h: str, **fields) -> None:
     payload = {"method": method, "config_hash": h, **fields}
-    path = rd.method_dir(method) / "unlearn_meta.json"
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(rd.method_dir(method) / "unlearn_meta.json", payload)
 
 
 def read_meta(rd: RunDir, method: str) -> dict:
@@ -248,7 +242,7 @@ def _persist_request(rd: RunDir, block: dict, seed: int, h: str) -> None:
                 "methods under one run directory must share the request"
             )
         return
-    rd.request_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(rd.request_path, payload)
 
 
 def _unlearn_scale(rd, cfg, h, model, split, seed: int) -> None:
@@ -293,7 +287,7 @@ def _unlearn_scale(rd, cfg, h, model, split, seed: int) -> None:
         [[step, repr(s), repr(m), repr(x)] for step, s, m, x in deployed.aoi_rows],
         h,
     )
-    with open(mdir / "actions.jsonl", "w") as fh:
+    with atomic_write(mdir / "actions.jsonl") as fh:
         fh.write(json.dumps({"config_hash": h}, sort_keys=True) + "\n")
         for row in deployed.action_rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
@@ -511,6 +505,29 @@ def cmd_theory(samples: int = 100_000, aoi_paper_literal: bool = False,
     return 1 if theory.has_failures(reports) else 0
 
 
+# --- process set-up
+
+# glibc mallopt parameters
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+def keep_freed_heap() -> None:
+    """Ask glibc to keep freed memory in the process: do not trim the heap
+    below 1 GiB free, and serve blocks under 32 MiB from the heap. A training
+    step frees about 1 MB and allocates it again; with glibc's defaults every
+    array of 128 KB or more is a fresh mmap, paid for in page faults. A silent
+    no-op where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+
+
 # --- argparse plumbing
 
 
@@ -546,6 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    keep_freed_heap()
     try:
         if args.command == "train":
             rd = cmd_train(args.config, args.out)

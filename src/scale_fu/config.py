@@ -17,6 +17,7 @@ import os
 from pathlib import Path
 
 from . import nn
+from .atomic import atomic_write, write_json
 from .data import (
     GRANULARITY_CLASS,
     GRANULARITY_CLIENT,
@@ -368,7 +369,7 @@ class RunDir:
     def write_config(self, cfg: dict) -> str:
         h = config_hash(cfg)
         payload = {"config": cfg, "config_hash": h}
-        self.config_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_json(self.config_path, payload)
         return h
 
     def read_config(self) -> tuple[dict, str]:
@@ -387,7 +388,7 @@ class RunDir:
 def write_csv(path: Path, header: list[str], rows: list[list], config_hash: str) -> None:
     """CSV with a `# config_hash=` comment line ahead of the header."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         w = csv.writer(fh)
         w.writerow(header)

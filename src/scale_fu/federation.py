@@ -87,18 +87,19 @@ def local_update(
     batch_size: int,
     seed: int,
 ) -> nn.Model:
-    """E epochs of shuffled minibatch SGD starting from `model` (untouched)."""
+    """E epochs of shuffled minibatch SGD starting from `model` (untouched):
+    one copy of it is stepped in place."""
     if X.shape[0] == 0:
         raise FederationError("client has no samples")
     rng = np.random.default_rng(seed)
-    current = model  # sgd_step returns a new model; `model` is never written
+    current = model.copy()
     m = X.shape[0]
     for _ in range(epochs):
         order = rng.permutation(m)
         for start in range(0, m, batch_size):
             sel = order[start : start + batch_size]
             _, grads = nn.loss_and_grads(current, nn.Batch(X[sel], y[sel]))
-            current = nn.sgd_step(current, grads, eta)
+            nn.sgd_step_inplace(current, grads, eta)
     return current
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import nn
 from .aoi import AoiLedger, GroupIndex, global_aoi
+from .atomic import write_json
 
 CONFIDENCE_FLOOR = 1e-8
 
@@ -168,8 +169,7 @@ class EvalReport:
 def write_metrics_json(report: EvalReport, path: str | Path, config_hash: str) -> None:
     payload = report.json_dict()
     payload["config_hash"] = config_hash
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text)
+    write_json(path, payload)
 
 
 def read_metrics_json(path: str | Path) -> dict:

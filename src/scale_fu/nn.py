@@ -7,12 +7,14 @@ loss and gradients are plain deterministic numpy with analytic backprop.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
+
+from .atomic import atomic_write, write_json
 
 DENSE = "dense"
 CONV2D = "conv2d"
@@ -123,7 +125,7 @@ class Model:
 
     @property
     def input_dim(self) -> int:
-        return int(np.prod(self.input_shape))
+        return math.prod(self.input_shape)
 
     @property
     def num_layers(self) -> int:
@@ -225,7 +227,7 @@ def init_params(layers: tuple[LayerSpec, ...], seed: int) -> list[np.ndarray]:
 
 
 def _check_finite(arr: np.ndarray, layer: int, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite {what} at layer {layer}")
 
 
@@ -238,7 +240,7 @@ def _dense_backward(
     a: np.ndarray, W: np.ndarray, dz: np.ndarray, input_grad: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     # Gradients w.r.t. W, b and, unless input_grad is False, the input a.
-    return dz.T @ a, dz.sum(axis=0), (dz @ W if input_grad else None)
+    return dz.T @ a, np.add.reduce(dz, axis=0), (dz @ W if input_grad else None)
 
 
 # Samples per patch matrix. A whole 600-sample batch in one patch matrix
@@ -253,17 +255,19 @@ CONV_BLOCK = 32
 def _patch_blocks(xt: np.ndarray, k: int):
     """Yield (lo, hi, P) per block of CONV_BLOCK samples of the channels-last
     input xt (B, H, W, C): P is the (n*Ho*Wo, k*k*C) patch matrix of samples
-    lo:hi, columns in (u, v, c) order. Blocks share one buffer, so a P is
-    valid only until the next block is built."""
+    lo:hi, columns in (u, v, c) order, copied in one go from a read-only
+    strided window view of xt. Blocks share one buffer, so a P is valid only
+    until the next block is built."""
     B, H, Wd, C = xt.shape
     Ho, Wo = H - k + 1, Wd - k + 1
+    sB, sH, sW, sC = xt.strides
     buf = np.empty((min(B, CONV_BLOCK), Ho, Wo, k, k, C))
     for lo in range(0, B, CONV_BLOCK):
         hi = min(lo + CONV_BLOCK, B)
         p = buf[: hi - lo]
-        for u in range(k):
-            for v in range(k):
-                p[:, :, :, u, v] = xt[lo:hi, u : u + Ho, v : v + Wo]
+        windows = as_strided(xt[lo:hi], shape=p.shape,
+                             strides=(sB, sH, sW, sH, sW, sC), writeable=False)
+        np.copyto(p, windows)
         yield lo, hi, p.reshape(-1, k * k * C)
 
 
@@ -296,8 +300,8 @@ def _conv_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     # Gradients w.r.t. W (O, C, k, k), b (O,) and, unless input_grad is
     # False, x (B, C, H, W). dW is one GEMM against the forward pass's patch
-    # matrix P, rebuilt block by block when none is given; dx is one GEMM
-    # per kernel offset.
+    # matrix P, rebuilt block by block when none is given; dx is one stacked
+    # matmul, a GEMM per kernel offset, added in (u, v) order.
     B, C, H, Wd = x.shape
     O, _, k, _ = W.shape
     Ho, Wo = dz.shape[2], dz.shape[3]
@@ -310,14 +314,15 @@ def _conv_backward(
         for lo, hi, Pb in _patch_blocks(x.transpose(0, 2, 3, 1), k):
             dW += d[lo * rows : hi * rows].T @ Pb
     dW = dW.reshape(O, k, k, C).transpose(0, 3, 1, 2)
-    db = d.sum(axis=0)
+    db = np.add.reduce(d, axis=0)
     if not input_grad:
         return dW, db, None
-    Wt = np.ascontiguousarray(W.transpose(2, 3, 0, 1))  # (k, k, O, C)
+    Wt = np.ascontiguousarray(W.transpose(2, 3, 0, 1)).reshape(k * k, O, C)
+    G = np.matmul(d, Wt).reshape(k, k, B, Ho, Wo, C)
     dxt = np.zeros((B, H, Wd, C))
     for u in range(k):
         for v in range(k):
-            dxt[:, u : u + Ho, v : v + Wo] += (d @ Wt[u, v]).reshape(B, Ho, Wo, C)
+            dxt[:, u : u + Ho, v : v + Wo] += G[u, v]
     return dW, db, dxt.transpose(0, 3, 1, 2)
 
 
@@ -364,7 +369,9 @@ def _forward(model: Model, X: np.ndarray) -> tuple[np.ndarray, list]:
             z, P = _conv_forward(a, W, b)
         else:  # flatten
             z, P = a.reshape(B, -1), None
-        _check_finite(z, i, "activation")
+        if spec.kind != FLATTEN or i == 0:
+            # past layer 0, a flatten reshapes an activation already checked
+            _check_finite(z, i, "activation")
         out = np.maximum(z, 0.0) if spec.activation == ACT_RELU else z
         caches.append((a, z, P))
         a = out
@@ -384,8 +391,8 @@ def forward(model: Model, batch: Batch) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -400,10 +407,11 @@ def loss_and_grads(model: Model, batch: Batch) -> tuple[float, list[np.ndarray]]
         raise ShapeError("label out of range")
     logits, caches = _forward(model, batch.inputs)
     B = len(batch)
+    rows = np.arange(B)
     logp = log_softmax(logits)
-    loss = float(-logp[np.arange(B), batch.labels].mean())
+    loss = float(-(np.add.reduce(logp[rows, batch.labels]) / B))
     dlogits = np.exp(logp)
-    dlogits[np.arange(B), batch.labels] -= 1.0
+    dlogits[rows, batch.labels] -= 1.0
     dlogits /= B
 
     grads: list[np.ndarray | None] = [None] * model.num_layers
@@ -412,7 +420,7 @@ def loss_and_grads(model: Model, batch: Batch) -> tuple[float, list[np.ndarray]]
         spec = model.layers[i]
         a_prev, z, P = caches[i]
         if spec.activation == ACT_RELU:
-            dz = da * (z > 0.0)
+            dz = da * (z > 0.0).astype(np.float64)
         else:
             dz = da
         # layer 0's input is the data: nothing consumes its gradient
@@ -427,23 +435,30 @@ def loss_and_grads(model: Model, batch: Batch) -> tuple[float, list[np.ndarray]]
         else:  # flatten: reshape gradient back to the cached input shape
             grads[i] = np.zeros(0, dtype=np.float64)
             da = dz.reshape(a_prev.shape)
+            continue  # its gradient is empty
         _check_finite(grads[i], i, "gradient")
     return loss, grads  # type: ignore[return-value]
 
 
-def sgd_step(model: Model, grads: list[np.ndarray], eta: float) -> Model:
-    """One descent step; returns a new model, the input is untouched."""
+def sgd_step_inplace(model: Model, grads: list[np.ndarray], eta: float) -> None:
+    """One descent step, p -= eta * g, written into `model`'s own vectors:
+    the one SGD update rule."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     if len(grads) != model.num_layers:
         raise ShapeError("gradient list length mismatch")
-    new_params = []
     for i, (p, g) in enumerate(zip(model.params, grads)):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeError(f"layer {i}: gradient shape {g.shape} vs params {p.shape}")
-        new_params.append(p - eta * g)
-    return replace(model, params=new_params)
+        p -= eta * g
+
+
+def sgd_step(model: Model, grads: list[np.ndarray], eta: float) -> Model:
+    """One descent step; returns a new model, the input is untouched."""
+    out = model.copy()
+    sgd_step_inplace(out, grads, eta)
+    return out
 
 
 def layer_view(model: Model, l: int) -> np.ndarray:
@@ -503,7 +518,9 @@ def model_manifest(model: Model, seed: int | None = None, **extra) -> dict:
 def write_blob(vectors, path: str | Path) -> None:
     """Write flat vectors, in order, as one run of little-endian float64: the
     one on-disk format of model and history files."""
-    Path(path).write_bytes(b"".join(v.astype("<f8").tobytes() for v in vectors))
+    with atomic_write(path, "wb") as fh:
+        for v in vectors:
+            fh.write(v.astype("<f8").tobytes())
 
 
 def read_blob(path: str | Path, dims) -> list[np.ndarray]:
@@ -548,5 +565,5 @@ def load_model(path: str | Path, manifest: dict) -> Model:
 
 
 def save_manifest(manifest: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest)
 

@@ -10,13 +10,13 @@ silently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_json
 from .federation import FederationHistory
 from .sensitivity import ALIGNMENT_CEILING, alignment_score, analyze
 
@@ -437,5 +437,4 @@ def has_failures(reports: list[ClaimReport]) -> bool:
 
 
 def write_theory_report(reports: list[ClaimReport], path: str | Path) -> None:
-    payload = [r.to_dict() for r in reports]
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(path, [r.to_dict() for r in reports])

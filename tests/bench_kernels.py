@@ -1,7 +1,8 @@
 """Microbenchmarks of the PPO hot-path kernels on the default ref-mlp index
 (among them one env step, one policy sample, one PPO update and its
-minibatch's forward, backward and optimizer parts), and of the
-dense and conv2d layer kernels on cnn-fed's mini_cnn shapes.
+minibatch's forward, backward and optimizer parts), of the
+dense and conv2d layer kernels on cnn-fed's mini_cnn shapes, and of one
+cnn-fed client's FedAvg local update.
 
     PYTHONPATH=src python -m pytest tests/bench_kernels.py -m bench
 
@@ -14,11 +15,17 @@ import functools
 import numpy as np
 import pytest
 
-from scale_fu import aoi, nn, rl
+from scale_fu import aoi, cli, data, federation, nn, rl
 from scale_fu.config import ppo_config, validate_config
 from scale_fu.sensitivity import SensitivityReport
 
 pytestmark = pytest.mark.bench
+
+
+@pytest.fixture(scope="module", autouse=True)
+def kept_heap():
+    # the heap policy `scale` runs under
+    cli.keep_freed_heap()
 
 CFG = validate_config({})
 
@@ -234,3 +241,12 @@ def test_bench_mini_cnn_loss_and_grads(benchmark):
 
 def test_bench_mini_cnn_forward(benchmark):
     benchmark(nn.forward, cnn_model(), cnn_batch(EVAL_B))
+
+
+def test_bench_mini_cnn_local_update(benchmark):
+    # client 5 of cnn-fed's partition (75 samples, near the median client):
+    # two local epochs of minibatches of 32, 32 and 11
+    ds = cli.build_dataset(CNN_CFG)
+    X, y = data.client_view(ds, cli.build_partition(CNN_CFG, ds).indices[5])
+    fed = cli.build_fed_config(CNN_CFG)
+    benchmark(federation.local_update, cnn_model(), X, y, 2, fed.eta, fed.batch_size, seed=0)

@@ -1,8 +1,12 @@
 """Config schema enforcement, request-string parsing, and the CLI pipeline
 end to end on a small run directory shared across tests."""
 
+import ctypes
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from scale_fu.config import (
     read_csv,
     read_json,
     validate_config,
+    write_csv,
 )
 
 SMALL = {
@@ -445,3 +450,73 @@ def test_mini_cnn_pipeline_evaluates_every_method(tmp_path):
     assert cli.main(["eval", "--run", str(out), "--methods", ALL_METHODS]) == 0
     _, _, rows = read_csv(rd.comparison_path)
     assert [r[0] for r in rows] == ALL_METHODS.split(",")
+
+
+# --- atomic artifact writes
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot print")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_csv(path, ["a"], [[1], [Unprintable()]], "h"),
+    lambda path: nn.write_blob([np.ones(3), None], path),
+], ids=["write_csv", "write_blob"])
+def test_writer_failing_partway_keeps_old_file(tmp_path, write):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old bytes")
+    with pytest.raises((RuntimeError, AttributeError)):
+        write(path)
+    assert path.read_bytes() == b"old bytes"
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_atomic_write_replaces_whole_file(tmp_path):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old bytes, longer than the new ones")
+    nn.write_blob([np.arange(2.0), np.array([-0.0])], path)
+    assert path.read_bytes() == np.array([0.0, 1.0, -0.0], dtype="<f8").tobytes()
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+# --- process set-up
+
+
+HEAP_PROBE = """
+import resource
+import numpy as np
+from scale_fu import cli, nn
+cli.keep_freed_heap()
+rng = np.random.default_rng(0)
+model = nn.make_model("mini_cnn", 64, 4, seed=0)
+train = nn.Batch(rng.standard_normal((32, 64)), rng.integers(0, 4, 32))
+full = nn.Batch(rng.standard_normal((600, 64)), rng.integers(0, 4, 600))
+def work():
+    for _ in range(50):
+        nn.loss_and_grads(model, train)
+    for _ in range(5):
+        nn.forward(model, full)
+work()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+work()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not has_mallopt(), reason="libc has no mallopt")
+def test_kept_heap_makes_warm_steps_fault_free():
+    # in a fresh interpreter, as `scale` runs: with glibc's defaults the same
+    # steps take thousands of minor faults (each freed MB handed back)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert int(out) <= 16

@@ -13,6 +13,11 @@ Compared for exact equality, never a tolerance:
 - the sampler's inverse-CDF draw against `Generator.choice`
 - the episode rewards and actions of a whole `train_unlearner` run with every
   reference swapped in
+- the FedAvg local step (one-copy patch blocks, the stacked input-gradient
+  matmul, the float ReLU mask, SGD in place) against the k²-slice patch
+  blocks, the per-offset input-gradient loop, the bool-mask ReLU and a new
+  model per SGD step: `forward`, `loss_and_grads`, `local_update` and a
+  3-round `run_rounds`, values and signs alike
 
 Compared within a fixed float64 tolerance, since the summation order changed:
 - the patch-matrix GEMM `_conv_forward` / `_conv_backward` against the einsum
@@ -26,6 +31,7 @@ Compared within a fixed float64 tolerance, since the summation order changed:
   `train_unlearner` run above
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -36,8 +42,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scale_fu import aoi, baselines, nn, rl
+from scale_fu import aoi, baselines, cli, federation, nn, rl
 from scale_fu.aoi import AoiError, GroupIndex, partition_groups
+from scale_fu.config import validate_config
 from scale_fu.sensitivity import SensitivityReport
 
 # --- reference loops -----------------------------------------------------------
@@ -829,6 +836,221 @@ def test_dense_backward_without_input_grad_is_exact():
     skip_dW, skip_db, skip_da = nn._dense_backward(a, W, dz, input_grad=False)
     assert skip_da is None and da.shape == a.shape
     assert np.array_equal(skip_dW, dW) and np.array_equal(skip_db, db)
+
+
+# --- FedAvg local step -------------------------------------------------------------
+
+
+def ref_patch_blocks(xt, k):
+    # one slice copy per kernel offset into the block buffer
+    B, H, Wd, C = xt.shape
+    Ho, Wo = H - k + 1, Wd - k + 1
+    buf = np.empty((min(B, nn.CONV_BLOCK), Ho, Wo, k, k, C))
+    for lo in range(0, B, nn.CONV_BLOCK):
+        hi = min(lo + nn.CONV_BLOCK, B)
+        p = buf[: hi - lo]
+        for u in range(k):
+            for v in range(k):
+                p[:, :, :, u, v] = xt[lo:hi, u : u + Ho, v : v + Wo]
+        yield lo, hi, p.reshape(-1, k * k * C)
+
+
+def ref_offset_conv_backward(x, W, dz, P=None, input_grad=True):
+    # `nn._conv_backward` with one `d @ Wt[u, v]` GEMM per kernel offset
+    B, C, H, Wd = x.shape
+    O, _, k, _ = W.shape
+    Ho, Wo = dz.shape[2], dz.shape[3]
+    d = dz.transpose(0, 2, 3, 1).reshape(-1, O)
+    if P is not None:
+        dW = d.T @ P
+    else:
+        dW = np.zeros((O, k * k * C))
+        rows = Ho * Wo
+        for lo, hi, Pb in nn._patch_blocks(x.transpose(0, 2, 3, 1), k):
+            dW += d[lo * rows : hi * rows].T @ Pb
+    dW = dW.reshape(O, k, k, C).transpose(0, 3, 1, 2)
+    db = d.sum(axis=0)
+    if not input_grad:
+        return dW, db, None
+    Wt = np.ascontiguousarray(W.transpose(2, 3, 0, 1))
+    dxt = np.zeros((B, H, Wd, C))
+    for u in range(k):
+        for v in range(k):
+            dxt[:, u : u + Ho, v : v + Wo] += (d @ Wt[u, v]).reshape(B, Ho, Wo, C)
+    return dW, db, dxt.transpose(0, 3, 1, 2)
+
+
+def ref_check_finite(arr, layer, what):
+    if not np.all(np.isfinite(arr)):
+        raise nn.NumericError(f"non-finite {what} at layer {layer}")
+
+
+def ref_forward_caches(model, X):
+    # every layer's output checked, the flatten's too
+    B = X.shape[0]
+    a = X.reshape(B, *model.input_shape) if len(model.input_shape) == 3 else X
+    caches = []
+    for i, (spec, vec) in enumerate(zip(model.layers, model.params)):
+        if spec.kind == nn.DENSE:
+            W, b = nn._split_dense(spec, vec)
+            z, P = a @ W.T + b, None
+        elif spec.kind == nn.CONV2D:
+            W, b = nn._split_conv(spec, vec)
+            z, P = nn._conv_forward(a, W, b)
+        else:
+            z, P = a.reshape(B, -1), None
+        ref_check_finite(z, i, "activation")
+        out = np.maximum(z, 0.0) if spec.activation == nn.ACT_RELU else z
+        caches.append((a, z, P))
+        a = out
+    return a, caches
+
+
+def ref_loss_and_grads(model, batch):
+    # a bool ReLU mask, `.mean()`, the flatten's empty gradient checked
+    logits, caches = ref_forward_caches(model, batch.inputs)
+    B = len(batch)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(B), batch.labels].mean())
+    dlogits = np.exp(logp)
+    dlogits[np.arange(B), batch.labels] -= 1.0
+    dlogits /= B
+    grads = [None] * model.num_layers
+    da = dlogits
+    for i in range(model.num_layers - 1, -1, -1):
+        spec = model.layers[i]
+        a_prev, z, P = caches[i]
+        dz = da * (z > 0.0) if spec.activation == nn.ACT_RELU else da
+        if spec.kind == nn.DENSE:
+            W, _ = nn._split_dense(spec, model.params[i])
+            dW, db, da = nn._dense_backward(a_prev, W, dz, input_grad=i > 0)
+            grads[i] = np.concatenate([dW.ravel(), db])
+        elif spec.kind == nn.CONV2D:
+            W, _ = nn._split_conv(spec, model.params[i])
+            dW, db, da = nn._conv_backward(a_prev, W, dz, P, input_grad=i > 0)
+            grads[i] = np.concatenate([dW.ravel(), db])
+        else:
+            grads[i] = np.zeros(0, dtype=np.float64)
+            da = dz.reshape(a_prev.shape)
+        ref_check_finite(grads[i], i, "gradient")
+    return loss, grads
+
+
+def ref_forward(model, batch):
+    return ref_forward_caches(model, batch.inputs)[0]
+
+
+def ref_local_update(model, X, y, epochs, eta, batch_size, seed):
+    # a new model from every SGD step
+    rng = np.random.default_rng(seed)
+    current = model
+    for _ in range(epochs):
+        order = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], batch_size):
+            sel = order[start : start + batch_size]
+            _, grads = nn.loss_and_grads(current, nn.Batch(X[sel], y[sel]))
+            current = dataclasses.replace(
+                current, params=[p - eta * g for p, g in zip(current.params, grads)])
+    return current
+
+
+def patch_reference_step(monkeypatch):
+    """Swap the reference local step into nn and federation."""
+    monkeypatch.setattr(nn, "_patch_blocks", ref_patch_blocks)
+    monkeypatch.setattr(nn, "_conv_backward", ref_offset_conv_backward)
+    monkeypatch.setattr(nn, "loss_and_grads", ref_loss_and_grads)
+    monkeypatch.setattr(nn, "forward", ref_forward)
+    monkeypatch.setattr(federation, "local_update", ref_local_update)
+
+
+def same_bytes(got, ref):
+    """Equal values, signs of zero and NaN payloads."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+# every minibatch a client can see: B = 1 is the last minibatch of a
+# 33-sample client; 600 is the cnn-fed evaluate forward
+STEP_BATCHES = [*range(1, 71), 600]
+STEP_MODELS = [("mini_cnn", 64), ("mini_cnn", 49), ("mlp", 32), ("mlp", 784)]
+
+
+def step_model(arch, dim):
+    return nn.make_model(arch, dim, 4, seed=dim, hidden=(16, 8))
+
+
+def step_data(dim, n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, dim)), rng.integers(0, 4, n)
+
+
+@pytest.mark.parametrize("arch,dim", STEP_MODELS)
+def test_local_step_bits_match_reference(monkeypatch, arch, dim):
+    model = step_model(arch, dim)
+    X, y = step_data(dim, 600, seed=dim)
+    got = []
+    for B in STEP_BATCHES:
+        batch = nn.Batch(X[:B], y[:B])
+        got.append((nn.forward(model, batch), *nn.loss_and_grads(model, batch),
+                    federation.local_update(model, X[:B], y[:B], 2, 0.05, 32, seed=B)))
+    before = [p.copy() for p in model.params]
+    patch_reference_step(monkeypatch)
+    for B, (logits, loss, grads, local) in zip(STEP_BATCHES, got):
+        batch = nn.Batch(X[:B], y[:B])
+        assert same_bytes(logits, nn.forward(model, batch)), B
+        ref_loss, ref_grads = nn.loss_and_grads(model, batch)
+        assert same_bytes(loss, ref_loss), B
+        for g, r in zip(grads, ref_grads, strict=True):
+            assert same_bytes(g, r), B
+        ref_local = federation.local_update(model, X[:B], y[:B], 2, 0.05, 32, seed=B)
+        for p, q in zip(local.params, ref_local.params, strict=True):
+            assert same_bytes(p, q), B
+    # local_update steps its own copy
+    assert all(same_bytes(p, q) for p, q in zip(model.params, before))
+
+
+def test_run_rounds_bits_match_reference(monkeypatch):
+    cfg = validate_config({"model": {"arch": "mini_cnn"},
+                           "dataset": {"dim": 64, "per_class": 150},
+                           "federation": {"rounds": 3}})
+    ds = cli.build_dataset(cfg)
+    args = (cli.build_fed_config(cfg), cli.build_partition(cfg, ds), ds,
+            cli.build_model0(cfg, ds))
+    model, history, logs = federation.run_rounds(*args)
+    patch_reference_step(monkeypatch)
+    ref_model, ref_history, ref_logs = federation.run_rounds(*args)
+    assert len(logs) == 3 and repr(logs) == repr(ref_logs)
+    assert all(same_bytes(p, q) for p, q in zip(model.params, ref_model.params, strict=True))
+    assert history.clients() == ref_history.clients() and history.sizes == ref_history.sizes
+    assert history.last_round == ref_history.last_round
+    for c in history.clients():
+        for p, q in zip(history.models[c], ref_history.models[c], strict=True):
+            assert same_bytes(p, q)
+
+
+@pytest.mark.parametrize("arch,dim", STEP_MODELS[::2])
+@pytest.mark.parametrize("where", ["input nan", "input inf", "weights inf", "head nan"])
+def test_non_finite_step_raises_reference_message(monkeypatch, arch, dim, where):
+    model = step_model(arch, dim)
+    X, y = step_data(dim, 5, seed=1)
+    if where == "input nan":
+        X[2, 3] = np.nan
+    elif where == "input inf":
+        X[0, 0] = -np.inf
+    elif where == "weights inf":
+        model.params[1][0] = np.inf
+    else:
+        model.params[-1][-1] = np.nan
+    messages = []
+    for patch in (False, True):
+        if patch:
+            patch_reference_step(monkeypatch)
+        for call in (nn.forward, nn.loss_and_grads):
+            with np.errstate(invalid="ignore"), pytest.raises(nn.NumericError) as err:
+                call(model, nn.Batch(X, y))
+            messages.append(str(err.value))
+    assert messages[:2] == messages[2:]
 
 
 # --- policy step ----------------------------------------------------------------
