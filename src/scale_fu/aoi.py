@@ -173,9 +173,6 @@ class AoiLedger:
     def max_age(self) -> float:
         return float(self.ages().max())
 
-    def copy(self) -> "AoiLedger":
-        return AoiLedger(idx=self.idx, t=self.t, stamps=self.stamps.copy())
-
 
 def group_stats(model: nn.Model, idx: GroupIndex, layer: int, j: int) -> tuple[float, float]:
     """(mean, population std) of the group's current parameter values."""
@@ -218,14 +215,9 @@ def state_vector(model: nn.Model, ledger: AoiLedger, idx: GroupIndex) -> np.ndar
     return out.ravel()
 
 
-def global_aoi(ledger: AoiLedger, paper_literal: bool = False) -> float:
-    """Mean age over tracked groups; the literal variant divides again by the
-    number of sensitive layers (reproducing the source formula's double count)."""
-    ages = ledger.ages()
-    mean = float(ages.mean())
-    if paper_literal:
-        return mean / ledger.idx.n_layers
-    return mean
+def global_aoi(ledger: AoiLedger) -> float:
+    """Mean age over tracked groups."""
+    return float(ledger.ages().mean())
 
 
 def aoi_summary(ledger: AoiLedger) -> tuple[float, float, float]:

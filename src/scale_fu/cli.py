@@ -16,19 +16,19 @@ import sys
 from pathlib import Path
 
 from . import baselines, data, federation, metrics, nn, rl, sensitivity, theory
-from .aoi import partition_groups
+from .aoi import AoiError, partition_groups
 from .atomic import atomic_write, write_json
 from .config import (
     ConfigError,
     RunDir,
     TAG_DATA,
-    TAG_FEDERATION,
     TAG_INIT,
     TAG_PARTITION,
     TAG_PPO,
     build_request,
     component_seed,
     config_hash,
+    fed_config,
     load_config,
     parse_json,
     ppo_config,
@@ -37,7 +37,7 @@ from .config import (
     validate_config,
     write_csv,
 )
-from .data import UnlearnRequest
+from .data import UnlearnRequest, is_index
 
 METHODS = ("scale", "retrain", "uniform", "grad_ascent")
 
@@ -76,19 +76,6 @@ def build_model0(cfg: dict, ds: data.Dataset) -> nn.Model:
         ds.num_classes,
         seed,
         hidden=tuple(cfg["model"]["hidden"]),
-    )
-
-
-def build_fed_config(cfg: dict) -> federation.FedConfig:
-    fed = cfg["federation"]
-    return federation.FedConfig(
-        n_clients=fed["n_clients"],
-        rounds=fed["rounds"],
-        local_epochs=fed["local_epochs"],
-        eta=fed["eta"],
-        clients_per_round=fed["clients_per_round"],
-        batch_size=fed["batch_size"],
-        seed=component_seed(cfg["seeds"]["master"], TAG_FEDERATION),
     )
 
 
@@ -194,7 +181,7 @@ def cmd_train(config_path: str, out_dir: str) -> RunDir:
     ds = build_dataset(cfg)
     part = build_partition(cfg, ds)
     model0 = build_model0(cfg, ds)
-    fed_cfg = build_fed_config(cfg)
+    fed_cfg = fed_config(cfg)
     model, history, rounds = federation.run_rounds(fed_cfg, part, ds, model0)
 
     nn.save_model(model, rd.global_model_path)
@@ -302,7 +289,7 @@ def _unlearn_scale(rd, cfg, h, model, split, seed: int) -> None:
 
 def _unlearn_retrain(rd, cfg, h, ds, part, split, seed: int) -> None:
     model0 = build_model0(cfg, ds)
-    fed_cfg = build_fed_config(cfg)
+    fed_cfg = fed_config(cfg)
     model, rounds = federation.retrain_baseline(fed_cfg, part, ds, split, model0)
     mdir = rd.method_dir("retrain")
     mdir.mkdir(parents=True, exist_ok=True)
@@ -381,15 +368,32 @@ def cmd_unlearn(run_dir: str, method: str, request: str, seed: int | None = None
 # --- eval
 
 
-def _read_actions(path: Path, h: str, force: bool) -> list[dict]:
+def _check_action(row, idx, source: str) -> dict:
+    """`row`, an action read from `source`, checked to name a positive step,
+    a layer of `idx` and group ids of that layer; otherwise a CliError names
+    `source`."""
+    require_keys(row, source, "step", "layer", "groups")
+    step, layer, groups = row["step"], row["layer"], row["groups"]
+    if not is_index(step) or step < 1:
+        raise CliError(f"{source}: step {step!r} is not a positive integer")
+    if not is_index(layer) or layer not in idx.layers:
+        raise CliError(f"{source}: layer {layer!r} is not a selected layer {list(idx.layers)}")
+    n = idx.n_groups(layer)
+    if not isinstance(groups, list) or not all(is_index(j) and j < n for j in groups):
+        raise CliError(f"{source}: groups {groups!r} are not group ids of layer {layer} "
+                       f"(0 to {n - 1})")
+    return row
+
+
+def _read_actions(path: Path, h: str, force: bool, idx) -> list[dict]:
     with open(path) as fh:
-        lines = [parse_json(line, f"{path} line {n}")
-                 for n, line in enumerate(fh, 1) if line.strip()]
-    if not lines or "config_hash" not in lines[0]:
+        lines = [(f"{path} line {n}", line) for n, line in enumerate(fh, 1) if line.strip()]
+    head = parse_json(lines[0][1], lines[0][0]) if lines else None
+    if not isinstance(head, dict) or "config_hash" not in head:
         raise CliError(f"{path}: missing config hash header")
-    if lines[0]["config_hash"] != h and not force:
+    if head["config_hash"] != h and not force:
         raise CliError(f"{path}: config hash mismatch (use --force to override)")
-    return lines[1:]
+    return [_check_action(parse_json(line, source), idx, source) for source, line in lines[1:]]
 
 
 def _touch_all_rows(idx, steps: int) -> list[dict]:
@@ -407,8 +411,15 @@ def _method_accounting(rd: RunDir, cfg: dict, h: str, method: str, meta: dict,
     G = cfg["scale"]["groups_per_layer"]
     steps = int(meta["steps"])
     if method == "scale":
-        idx = partition_groups(model, [int(l) for l in meta["selected_layers"]], G)
-        rows = _read_actions(rd.method_dir("scale") / "actions.jsonl", h, force)
+        mdir = rd.method_dir("scale")
+        selected = meta["selected_layers"]
+        if not isinstance(selected, list) or not selected or not all(
+            is_index(l) and l < model.num_layers for l in selected
+        ):
+            raise CliError(f"{mdir / 'unlearn_meta.json'}: selected_layers {selected!r} "
+                           f"are not layers of the model (0 to {model.num_layers - 1})")
+        idx = partition_groups(model, selected, G)
+        rows = _read_actions(mdir / "actions.jsonl", h, force, idx)
         return rows, idx, max(steps, 1)
     idx = baselines.full_group_index(model, G)
     if method == "uniform":
@@ -443,7 +454,7 @@ def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metr
     original, manifest = _load_global(rd)
     X_r, y_r = data.client_view(ds, split.remain)
     X_f, y_f = data.client_view(ds, split.forget)
-    met = cfg["metrics"]
+    secs_per_step = cfg["metrics"]["secs_per_step"]
 
     reports = []
     for method in methods:
@@ -455,10 +466,7 @@ def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metr
             )
         model = nn.load_model(rd.unlearned_model_path(method), manifest)
         rows, idx, horizon = _method_accounting(rd, cfg, h, method, meta, original, force)
-        comm = metrics.comm_overhead(
-            rows, idx, met["alpha_w"], met["beta_w"], met["secs_per_step"],
-            horizon=horizon,
-        )
+        comm = metrics.comm_overhead(rows, idx, secs_per_step, horizon=horizon)
         report = metrics.EvalReport(
             method=method,
             scenario=scenario,
@@ -468,10 +476,8 @@ def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metr
             comm_ct=comm["comm_ct"],
             mean_aoi_steps=comm["mean_aoi_steps"],
             mean_aoi_secs=comm["mean_aoi_secs"],
-            wall_secs=int(meta["steps"]) * met["secs_per_step"],
+            wall_secs=int(meta["steps"]) * secs_per_step,
             seed=int(meta["seed"]),
-            aoi_sum_series=comm["aoi_series"],
-            comm_cost=comm["cost"],
         )
         metrics.write_metrics_json(report, rd.metrics_path(method), h)
         reports.append(report)
@@ -580,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return cmd_theory(args.samples, args.aoi_paper_literal, args.out)
     except (CliError, ConfigError, nn.ShapeError, nn.NumericError, data.DataError,
-            data.PartitionError, data.RequestError, federation.FederationError,
+            data.PartitionError, data.RequestError, federation.FederationError, AoiError,
             sensitivity.SensitivityError, rl.RlError, metrics.MetricsError,
             baselines.BaselineError, theory.TheoryError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)

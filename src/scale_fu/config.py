@@ -1,8 +1,11 @@
 """Experiment configuration and run-directory plumbing.
 
 A config is a JSON document of named blocks. Validation is strict: unknown
-keys are rejected with their full field path, values are type- and
-range-checked, and the canonical serialization's SHA-256 identifies every
+keys are rejected with their full field path and values are type-checked.
+A block consumed by a typed object (`scale.ppo` by PpoConfig, `federation`
+by FedConfig, `request` by UnlearnRequest) takes its range rules, and the
+PPO block its defaults, from that object; the other blocks are
+range-checked here. The canonical serialization's SHA-256 identifies every
 artifact the run emits. Component seeds derive from the master seed XOR a
 fixed per-component tag, so one master seed pins the whole pipeline.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,12 +22,8 @@ from pathlib import Path
 
 from . import nn
 from .atomic import atomic_write, write_json
-from .data import (
-    GRANULARITY_CLASS,
-    GRANULARITY_CLIENT,
-    GRANULARITY_SAMPLE,
-    UnlearnRequest,
-)
+from .data import RequestError, UnlearnRequest
+from .federation import FedConfig, FederationError
 from .rl import PpoConfig
 
 ENV_SEED = "SCALE_SEED"
@@ -70,24 +70,7 @@ DEFAULT_CONFIG: dict = {
         "dist_scheme": "softmax",
         "groups_per_layer": 8,
         "deploy_steps": 32,
-        "ppo": {
-            "episodes": 200,
-            "t_collect": 32,
-            "epochs": 10,
-            "clip_eps": 0.2,
-            "discount": 0.99,
-            "gae_lambda": 0.95,
-            "actor_lr": 3e-4,
-            "critic_lr": 3e-4,
-            "batch_size": 15,  # tuned on the bundled synthetic scenario
-            "entropy_coef": 0.01,
-            "w_f": 0.7,
-            "w_c": 0.3,
-            "ratio_levels": 10,
-            "sparsity_cap": 0.95,
-            "hidden": 19,  # tuned on the bundled synthetic scenario
-            "grad_clip": 0.5,
-        },
+        "ppo": dataclasses.asdict(PpoConfig()),
     },
     "request": {
         "granularity": "client",
@@ -96,8 +79,6 @@ DEFAULT_CONFIG: dict = {
         "sample_fraction": 0.3,
     },
     "metrics": {
-        "alpha_w": 1.0,
-        "beta_w": 1.0,
         "secs_per_step": 0.25,
     },
     "baselines": {
@@ -180,14 +161,8 @@ def _validate_ranges(cfg: dict) -> None:
         not isinstance(h, int) or h < 1 for h in cfg["model"]["hidden"]
     ):
         raise ConfigError("model.hidden: expected two positive integers")
-    fed = cfg["federation"]
-    if fed["n_clients"] < 1 or fed["rounds"] < 0 or fed["local_epochs"] < 1:
-        raise ConfigError("federation: n_clients >= 1, rounds >= 0, local_epochs >= 1")
-    if fed["eta"] <= 0 or fed["batch_size"] < 1:
-        raise ConfigError("federation: eta > 0 and batch_size >= 1")
-    if not 1 <= fed["clients_per_round"] <= fed["n_clients"]:
-        raise ConfigError("federation.clients_per_round: must be in [1, n_clients]")
-    if fed["dirichlet_alpha"] <= 0:
+    fed_config(cfg)
+    if cfg["federation"]["dirichlet_alpha"] <= 0:
         raise ConfigError("federation.dirichlet_alpha: must be > 0")
     sc = cfg["scale"]
     if not 0.0 <= sc["lam"] <= 1.0:
@@ -198,28 +173,14 @@ def _validate_ranges(cfg: dict) -> None:
         raise ConfigError("scale.dist_scheme: must be 'softmax' or 'abs'")
     if sc["groups_per_layer"] < 1 or sc["deploy_steps"] < 1:
         raise ConfigError("scale: groups_per_layer >= 1 and deploy_steps >= 1")
-    req = cfg["request"]
-    if req["granularity"] not in (
-        GRANULARITY_CLIENT, GRANULARITY_CLASS, GRANULARITY_SAMPLE
-    ):
-        raise ConfigError(f"request.granularity: unknown value {req['granularity']!r}")
-    if not req["clients"]:
-        raise ConfigError("request.clients: at least one client index")
-    if any(not isinstance(c, int) or c < 0 for c in req["clients"]):
-        raise ConfigError("request.clients: non-negative integers")
-    if req["granularity"] == GRANULARITY_CLASS and not req["class_set"]:
-        raise ConfigError("request.class_set: required for class unlearning")
-    if req["granularity"] == GRANULARITY_SAMPLE and not 0 < req["sample_fraction"] <= 1:
-        raise ConfigError("request.sample_fraction: must be in (0, 1]")
-    met = cfg["metrics"]
-    if met["alpha_w"] < 0 or met["beta_w"] < 0 or met["secs_per_step"] < 0:
-        raise ConfigError("metrics: weights must be non-negative")
+    build_request(cfg)
+    if cfg["metrics"]["secs_per_step"] < 0:
+        raise ConfigError("metrics.secs_per_step: must be non-negative")
     bl = cfg["baselines"]
     if bl["grad_steps"] < 0 or bl["grad_eta"] <= 0:
         raise ConfigError("baselines: grad_steps >= 0 and grad_eta > 0")
     if cfg["seeds"]["master"] < 0:
         raise ConfigError("seeds.master: must be non-negative")
-    # PpoConfig re-validates its own block
     ppo_config(cfg)
 
 
@@ -288,19 +249,39 @@ def ppo_config(cfg: dict) -> PpoConfig:
         raise ConfigError(f"scale.ppo: {err}") from err
 
 
+def fed_config(cfg: dict) -> FedConfig:
+    """The FedConfig of `cfg["federation"]`, seeded from the master seed."""
+    fed = cfg["federation"]
+    try:
+        return FedConfig(
+            n_clients=fed["n_clients"],
+            rounds=fed["rounds"],
+            local_epochs=fed["local_epochs"],
+            eta=fed["eta"],
+            clients_per_round=fed["clients_per_round"],
+            batch_size=fed["batch_size"],
+            seed=component_seed(cfg["seeds"]["master"], TAG_FEDERATION),
+        )
+    except FederationError as err:
+        raise ConfigError(f"federation: {err}") from err
+
+
 def build_request(cfg: dict, seed: int | None = None) -> UnlearnRequest:
     """The UnlearnRequest of `cfg["request"]`. Its sampling seed derives from
     `seed`, the unlearn run's seed (default: the master seed)."""
     req = cfg["request"]
     if seed is None:
         seed = cfg["seeds"]["master"]
-    return UnlearnRequest(
-        granularity=req["granularity"],
-        clients=tuple(req["clients"]),
-        class_set=tuple(req["class_set"]),
-        sample_fraction=float(req["sample_fraction"]),
-        seed=component_seed(seed, TAG_REQUEST),
-    )
+    try:
+        return UnlearnRequest(
+            granularity=req["granularity"],
+            clients=tuple(req["clients"]),
+            class_set=tuple(req["class_set"]),
+            sample_fraction=float(req["sample_fraction"]),
+            seed=component_seed(seed, TAG_REQUEST),
+        )
+    except RequestError as err:
+        raise ConfigError(f"request: {err}") from err
 
 
 # --- run directory --------------------------------------------------------------

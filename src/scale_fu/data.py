@@ -33,6 +33,12 @@ class RequestError(ValueError):
     """Degenerate or malformed unlearning request."""
 
 
+def is_index(value) -> bool:
+    """True for a non-negative int (a bool is not one): a valid client,
+    class, layer or group id read from JSON."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass
 class Dataset:
     inputs: np.ndarray   # (M, dim) float64
@@ -212,6 +218,10 @@ class UnlearnRequest:
             raise RequestError(f"unknown granularity {self.granularity!r}")
         if not self.clients:
             raise RequestError("request names no clients")
+        if not all(map(is_index, self.clients)):
+            raise RequestError(f"clients must be non-negative integers: {list(self.clients)}")
+        if not all(map(is_index, self.class_set)):
+            raise RequestError(f"class_set must be non-negative integers: {list(self.class_set)}")
         if len(set(self.clients)) != len(self.clients):
             raise RequestError("duplicate client in request")
         if self.granularity == GRANULARITY_CLASS and not self.class_set:
@@ -236,14 +246,6 @@ class ForgetSplit:
     remain: np.ndarray
     remain_per_client: list[np.ndarray]
     forget_per_client: list[np.ndarray]
-
-    @property
-    def m_u(self) -> int:
-        return int(self.forget.size)
-
-    @property
-    def m_r(self) -> int:
-        return int(self.remain.size)
 
 
 def build_split(ds: Dataset, part: ClientPartition, req: UnlearnRequest) -> ForgetSplit:

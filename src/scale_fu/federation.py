@@ -22,6 +22,8 @@ class FederationError(ValueError):
 
 @dataclass(frozen=True)
 class FedConfig:
+    """The `federation` config block's FedAvg settings and their range rules."""
+
     n_clients: int
     rounds: int
     local_epochs: int

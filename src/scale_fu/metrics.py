@@ -2,15 +2,14 @@
 
 Remaining/forgetting accuracy are exact argmax counts (ties resolve to the
 lowest class index). The forgetting rate compares true-label confidence
-before and after unlearning. Communication overhead combines transmitted
-scalar counts with the mean global age over the action trajectory, replayed
+before and after unlearning. Communication overhead is the transmitted
+scalar count and the mean global age over the action trajectory, replayed
 deterministically from the action log.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -101,29 +100,25 @@ def replay_global_aoi(action_rows: list[dict], idx: GroupIndex, horizon: int | N
 def comm_overhead(
     action_rows: list[dict],
     idx: GroupIndex,
-    alpha_w: float,
-    beta_w: float,
     secs_per_step: float,
     horizon: int | None = None,
 ) -> dict:
-    """C = alpha_w * C_t + beta_w * mean global AoI (second-denominated).
+    """C_t and the mean global AoI (in steps and in seconds) of a trajectory.
 
     C_t counts transmitted scalars. The freshness term is the mean of the
-    global AoI over the replayed trajectory, scaled by secs_per_step. The
-    C_t term is additive over trajectory segments; the freshness term
-    composes as a step-weighted mean."""
-    if alpha_w < 0 or beta_w < 0 or secs_per_step < 0:
-        raise MetricsError("comm weights must be non-negative")
+    global AoI over the replayed trajectory, scaled by secs_per_step. C_t is
+    additive over trajectory segments; the freshness term composes as a
+    step-weighted mean."""
+    if secs_per_step < 0:
+        raise MetricsError("secs_per_step must be non-negative")
     c_t = transmitted_count(action_rows, idx)
     series = replay_global_aoi(action_rows, idx, horizon)
     mean_steps = float(np.mean(series)) if series else 0.0
-    mean_secs = mean_steps * secs_per_step
     return {
         "comm_ct": c_t,
         "mean_aoi_steps": mean_steps,
-        "mean_aoi_secs": mean_secs,
+        "mean_aoi_secs": mean_steps * secs_per_step,
         "aoi_series": series,
-        "cost": alpha_w * c_t + beta_w * mean_secs,
     }
 
 
@@ -142,8 +137,6 @@ class EvalReport:
     mean_aoi_secs: float
     wall_secs: float
     seed: int
-    aoi_sum_series: list = field(default_factory=list)
-    comm_cost: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.ra <= 1.0 or not 0.0 <= self.fa <= 1.0:
@@ -170,7 +163,3 @@ def write_metrics_json(report: EvalReport, path: str | Path, config_hash: str) -
     payload = report.json_dict()
     payload["config_hash"] = config_hash
     write_json(path, payload)
-
-
-def read_metrics_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -461,25 +461,6 @@ def sgd_step(model: Model, grads: list[np.ndarray], eta: float) -> Model:
     return out
 
 
-def layer_view(model: Model, l: int) -> np.ndarray:
-    """Copy of layer l's flat parameter vector."""
-    if not 0 <= l < model.num_layers:
-        raise IndexError(f"layer {l} out of range")
-    return model.params[l].copy()
-
-
-def layer_write(model: Model, l: int, vector: np.ndarray) -> None:
-    """Overwrite layer l's parameters (length-checked, stored as a copy)."""
-    if not 0 <= l < model.num_layers:
-        raise IndexError(f"layer {l} out of range")
-    vec = np.asarray(vector, dtype=np.float64)
-    if vec.shape != model.params[l].shape:
-        raise ShapeError(
-            f"layer {l}: vector length {vec.shape} vs expected {model.params[l].shape}"
-        )
-    model.params[l] = vec.copy()
-
-
 def flat_params(model: Model) -> np.ndarray:
     if model.num_layers == 0:
         return np.zeros(0, dtype=np.float64)

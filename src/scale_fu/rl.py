@@ -27,6 +27,8 @@ class RlError(ValueError):
 
 @dataclass(frozen=True)
 class PpoConfig:
+    """The `scale.ppo` config block: its defaults and its range rules."""
+
     episodes: int = 200
     t_collect: int = 32
     epochs: int = 10
@@ -35,13 +37,13 @@ class PpoConfig:
     gae_lambda: float = 0.95
     actor_lr: float = 3e-4
     critic_lr: float = 3e-4
-    batch_size: int = 15
+    batch_size: int = 15  # tuned on the bundled synthetic scenario
     entropy_coef: float = 0.01
     w_f: float = 0.7
     w_c: float = 0.3
     ratio_levels: int = 10
     sparsity_cap: float = 0.95
-    hidden: int = 19
+    hidden: int = 19  # tuned on the bundled synthetic scenario
     grad_clip: float = 0.5
 
     def __post_init__(self):

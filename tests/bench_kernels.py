@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from scale_fu import aoi, cli, data, federation, nn, rl
-from scale_fu.config import ppo_config, validate_config
+from scale_fu.config import fed_config, ppo_config, validate_config
 from scale_fu.sensitivity import SensitivityReport
 
 pytestmark = pytest.mark.bench
@@ -248,5 +248,5 @@ def test_bench_mini_cnn_local_update(benchmark):
     # two local epochs of minibatches of 32, 32 and 11
     ds = cli.build_dataset(CNN_CFG)
     X, y = data.client_view(ds, cli.build_partition(CNN_CFG, ds).indices[5])
-    fed = cli.build_fed_config(CNN_CFG)
+    fed = fed_config(CNN_CFG)
     benchmark(federation.local_update, cnn_model(), X, y, 2, fed.eta, fed.batch_size, seed=0)

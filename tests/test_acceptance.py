@@ -61,7 +61,7 @@ def family(tmp_path_factory):
         rd = build_run(tmp_path_factory.mktemp(f"ref_{seed}"), seed)
         entry = {"rd": rd}
         for m in METHODS:
-            entry[m] = metrics.read_metrics_json(rd.metrics_path(m))
+            entry[m] = read_json(rd.metrics_path(m))
         manifest = read_json(rd.manifest_path)
         original = nn.load_model(rd.global_model_path, manifest)
         X_f, y_f = forget_view(rd)
@@ -79,7 +79,7 @@ def alpha_means(tmp_path_factory):
         for seed in R1_SEEDS:
             base = tmp_path_factory.mktemp(f"alpha{int(alpha * 10)}_{seed}")
             rd = build_run(base, seed, alpha=alpha, methods=("scale", "retrain"))
-            ras.append(metrics.read_metrics_json(rd.metrics_path("scale"))["ra"])
+            ras.append(read_json(rd.metrics_path("scale"))["ra"])
         means[alpha] = sum(ras) / len(ras)
     return means
 
@@ -106,15 +106,13 @@ def test_training_reaches_accuracy_within_budget(tmp_path):
 def _fd_grads(model, batch, eps=1e-4):
     grads = []
     for l in range(model.num_layers):
-        vec = nn.layer_view(model, l)
+        vec = model.params[l]
         g = np.zeros_like(vec)
         for i in range(vec.size):
             for sign in (+1, -1):
                 pert = vec.copy()
                 pert[i] += sign * eps
-                m = model.copy()
-                nn.layer_write(m, l, pert)
-                loss, _ = nn.loss_and_grads(m, batch)
+                loss, _ = nn.loss_and_grads(model.with_layer(l, pert), batch)
                 g[i] += sign * loss
             g[i] /= 2 * eps
         grads.append(g)

@@ -2,6 +2,7 @@
 end to end on a small run directory shared across tests."""
 
 import ctypes
+import dataclasses
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from scale_fu import baselines, cli, metrics, nn, theory
+from scale_fu import baselines, cli, nn, theory
 from scale_fu.config import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -23,6 +24,9 @@ from scale_fu.config import (
     validate_config,
     write_csv,
 )
+from scale_fu.data import UnlearnRequest
+from scale_fu.federation import FedConfig
+from scale_fu.rl import PpoConfig
 
 SMALL = {
     "dataset": {"classes": 3, "dim": 8, "per_class": 30},
@@ -76,6 +80,17 @@ def test_range_checks():
         validate_config({"request": {"granularity": "tenant"}})
     with pytest.raises(ConfigError, match="scale.ppo"):
         validate_config({"scale": {"ppo": {"clip_eps": 0.0}}})
+    with pytest.raises(ConfigError, match="request: class_set"):
+        validate_config({"request": {"class_set": ["x"]}})
+
+
+def test_typed_configs_own_their_blocks():
+    # a knob added to a typed config or to its block alone fails here
+    fed_fields = {f.name for f in dataclasses.fields(FedConfig)} - {"seed"}
+    assert fed_fields == set(DEFAULT_CONFIG["federation"]) - {"dirichlet_alpha"}
+    req_fields = {f.name for f in dataclasses.fields(UnlearnRequest)} - {"seed"}
+    assert req_fields == set(DEFAULT_CONFIG["request"])
+    assert DEFAULT_CONFIG["scale"]["ppo"] == dataclasses.asdict(PpoConfig())
 
 
 def test_env_seed_override(monkeypatch):
@@ -231,7 +246,7 @@ def test_retrain_on_empty_budget_uniform_is_identity(tmp_path):
 def test_metrics_json_schema_per_method(run_dir):
     h = run_dir.read_config()[1]
     for m in ("scale", "retrain", "uniform", "grad_ascent"):
-        payload = metrics.read_metrics_json(run_dir.metrics_path(m))
+        payload = read_json(run_dir.metrics_path(m))
         assert set(payload) == {
             "method", "scenario", "ra", "fa", "fr", "comm_ct", "mean_aoi_steps",
             "mean_aoi_secs", "wall_secs", "seed", "config_hash",
@@ -253,7 +268,7 @@ def test_comparison_columns_and_retrain_deltas(run_dir):
 def test_comparison_cross_checks_metrics(run_dir):
     _, _, rows = read_csv(run_dir.comparison_path)
     for row in rows:
-        payload = metrics.read_metrics_json(run_dir.metrics_path(row[0]))
+        payload = read_json(run_dir.metrics_path(row[0]))
         assert float(row[1]) == payload["ra"]
         assert float(row[3]) == payload["fa"]
         assert float(row[5]) == payload["fr"]
@@ -262,7 +277,7 @@ def test_comparison_cross_checks_metrics(run_dir):
 
 
 def test_retrain_accounting_touches_everything(run_dir):
-    payload = metrics.read_metrics_json(run_dir.metrics_path("retrain"))
+    payload = read_json(run_dir.metrics_path("retrain"))
     manifest = read_json(run_dir.manifest_path)
     original = nn.load_model(run_dir.global_model_path, manifest)
     assert payload["comm_ct"] == 5 * original.num_params
@@ -271,7 +286,7 @@ def test_retrain_accounting_touches_everything(run_dir):
 
 
 def test_uniform_accounting_one_burst(run_dir):
-    payload = metrics.read_metrics_json(run_dir.metrics_path("uniform"))
+    payload = read_json(run_dir.metrics_path("uniform"))
     manifest = read_json(run_dir.manifest_path)
     original = nn.load_model(run_dir.global_model_path, manifest)
     assert payload["comm_ct"] == original.num_params
@@ -370,6 +385,41 @@ def test_corrupt_json_artifact_is_named(run_dir, tmp_path, capsys, name, command
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert str(path) in err and ("not valid JSON" in err or "missing key" in err)
+
+
+def test_selected_layer_outside_model_is_named(run_dir, tmp_path, capsys):
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    path = rd.method_dir("scale") / "unlearn_meta.json"
+    meta = json.loads(path.read_text())
+    meta["selected_layers"] = [99]
+    path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(rd.root), "--methods", ALL_METHODS]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "selected_layers" in err
+
+
+# a field of the first action row and a value eval cannot replay
+BAD_ACTION = [("layer", "unselected"), ("groups", [99]), ("step", 0)]
+
+
+@pytest.mark.parametrize("key,value", BAD_ACTION, ids=[k for k, _ in BAD_ACTION])
+def test_bad_action_row_is_named(run_dir, tmp_path, capsys, key, value):
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    path = rd.method_dir("scale") / "actions.jsonl"
+    lines = path.read_text().splitlines()
+    if value == "unselected":
+        selected = cli.read_meta(rd, "scale")["selected_layers"]
+        n_layers = cli._load_global(rd)[0].num_layers
+        value = next(l for l in range(n_layers) if l not in selected)
+    row = json.loads(lines[1])
+    row[key] = value
+    lines[1] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(rd.root), "--methods", ALL_METHODS]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} line 2" in err and key in err
 
 
 def test_config_without_config_object_is_refused(run_dir, tmp_path):

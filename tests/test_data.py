@@ -144,7 +144,7 @@ def test_split_client_granularity():
     req = data.UnlearnRequest(granularity="client", clients=(2,))
     split = data.build_split(ds, part, req)
     assert np.array_equal(split.forget, part.indices[2])
-    assert split.m_u + split.m_r == ds.size
+    assert split.forget.size + split.remain.size == ds.size
     assert split.remain_per_client[2].size == 0
     assert np.array_equal(split.remain_per_client[0], part.indices[0])
     assert not set(split.forget.tolist()) & set(split.remain.tolist())
@@ -184,7 +184,7 @@ def test_split_sample_granularity_count_and_determinism():
     s1 = data.build_split(ds, part, req)
     s2 = data.build_split(ds, part, req)
     want = int(np.ceil(0.3 * part.indices[3].size))
-    assert s1.m_u == want
+    assert s1.forget.size == want
     assert np.array_equal(s1.forget, s2.forget)
     assert np.all(np.isin(s1.forget, part.indices[3]))
     other = data.build_split(

@@ -44,7 +44,7 @@ from hypothesis import strategies as st
 
 from scale_fu import aoi, baselines, cli, federation, nn, rl
 from scale_fu.aoi import AoiError, GroupIndex, partition_groups
-from scale_fu.config import validate_config
+from scale_fu.config import fed_config, validate_config
 from scale_fu.sensitivity import SensitivityReport
 
 # --- reference loops -----------------------------------------------------------
@@ -1015,7 +1015,7 @@ def test_run_rounds_bits_match_reference(monkeypatch):
                            "dataset": {"dim": 64, "per_class": 150},
                            "federation": {"rounds": 3}})
     ds = cli.build_dataset(cfg)
-    args = (cli.build_fed_config(cfg), cli.build_partition(cfg, ds), ds,
+    args = (fed_config(cfg), cli.build_partition(cfg, ds), ds,
             cli.build_model0(cfg, ds))
     model, history, logs = federation.run_rounds(*args)
     patch_reference_step(monkeypatch)

@@ -9,6 +9,7 @@ import pytest
 
 from scale_fu import metrics, nn, rl
 from scale_fu.aoi import GroupIndex, aoi_summary, partition_groups
+from scale_fu.config import read_json
 
 
 def bias_model(biases, in_dim=3):
@@ -91,29 +92,24 @@ def trace_rows():
 
 def test_comm_overhead_hand_trace():
     """Five-step trace simulated by hand: C_t = 19, mean global AoI = 1.4."""
-    out = metrics.comm_overhead(trace_rows(), trace_index(),
-                                alpha_w=1.0, beta_w=2.0, secs_per_step=0.5,
-                                horizon=5)
+    out = metrics.comm_overhead(trace_rows(), trace_index(), secs_per_step=0.5, horizon=5)
     assert out["comm_ct"] == 10 + 2 + 5 + 2
     assert out["aoi_series"] == [0.5, 1.0, 2.0, 1.25, 2.25]
     assert out["mean_aoi_steps"] == pytest.approx(1.4)
     assert out["mean_aoi_secs"] == pytest.approx(0.7)
-    assert out["cost"] == pytest.approx(19 + 2.0 * 0.7)
 
 
 def test_comm_overhead_empty_log_ages_grow_linearly():
-    out = metrics.comm_overhead([], trace_index(), alpha_w=1.0, beta_w=1.0,
-                                secs_per_step=1.0, horizon=4)
+    out = metrics.comm_overhead([], trace_index(), secs_per_step=1.0, horizon=4)
     assert out["comm_ct"] == 0
     assert out["aoi_series"] == [1.0, 2.0, 3.0, 4.0]
-    assert out["cost"] == pytest.approx(2.5)
+    assert out["mean_aoi_secs"] == pytest.approx(2.5)
 
 
 def test_comm_overhead_single_touch_counting():
     rows = [{"step": 1, "layer": 0, "groups": [0], "s": 1.0}]
-    out = metrics.comm_overhead(rows, trace_index(), alpha_w=1.0, beta_w=0.0,
-                                secs_per_step=1.0)
-    assert out["cost"] == 5.0
+    out = metrics.comm_overhead(rows, trace_index(), secs_per_step=1.0)
+    assert out["comm_ct"] == 5
 
 
 def test_comm_ct_additive_and_aoi_composes_as_weighted_mean():
@@ -166,7 +162,7 @@ def test_eval_report_validation_and_json_bytes(tmp_path):
     metrics.write_metrics_json(rep, p1, "deadbeef")
     metrics.write_metrics_json(rep, p2, "deadbeef")
     assert p1.read_bytes() == p2.read_bytes()
-    loaded = metrics.read_metrics_json(p1)
+    loaded = read_json(p1)
     assert loaded["config_hash"] == "deadbeef"
     assert set(loaded) == {
         "method", "scenario", "ra", "fa", "fr", "comm_ct", "mean_aoi_steps",

@@ -29,15 +29,13 @@ def fd_grads(model, batch, eps=1e-4):
     """Central finite differences over every coordinate of every layer."""
     grads = []
     for l in range(model.num_layers):
-        vec = nn.layer_view(model, l)
+        vec = model.params[l]
         g = np.zeros_like(vec)
         for i in range(vec.size):
             for sign in (+1, -1):
                 pert = vec.copy()
                 pert[i] += sign * eps
-                m = model.copy()
-                nn.layer_write(m, l, pert)
-                loss, _ = nn.loss_and_grads(m, batch)
+                loss, _ = nn.loss_and_grads(model.with_layer(l, pert), batch)
                 g[i] += sign * loss
             g[i] /= 2 * eps
         grads.append(g)
@@ -70,7 +68,7 @@ def test_zero_weight_model_loss_is_log_c():
     for classes in (2, 4, 10):
         model = nn.make_model("mlp", 6, classes, seed=0, hidden=(8, 6))
         for l in range(model.num_layers):
-            nn.layer_write(model, l, np.zeros(model.layers[l].d))
+            model.params[l][:] = 0.0
         rng = np.random.default_rng(3)
         batch = small_batch(rng, 6, classes)
         loss, _ = nn.loss_and_grads(model, batch)
@@ -143,20 +141,6 @@ def test_sgd_step_is_pure():
         assert np.array_equal(p, q)
 
 
-def test_layer_view_write_roundtrip():
-    model = nn.make_model("mlp", 4, 2, seed=0, hidden=(5, 4))
-    vec = np.arange(model.layers[1].d, dtype=np.float64)
-    nn.layer_write(model, 1, vec)
-    got = nn.layer_view(model, 1)
-    assert np.array_equal(got, vec)
-    got[0] = 999.0  # view is a copy; model unaffected
-    assert model.params[1][0] == 0.0
-    with pytest.raises(nn.ShapeError):
-        nn.layer_write(model, 1, np.zeros(3))
-    with pytest.raises(IndexError):
-        nn.layer_view(model, 99)
-
-
 def test_with_layer_shares_every_other_layer():
     model = nn.make_model("mlp", 4, 2, seed=0, hidden=(5, 4))
     vec = np.arange(model.layers[1].d, dtype=np.float64)
@@ -185,9 +169,7 @@ def test_shape_errors():
 
 def test_non_finite_raises_with_layer_index():
     model = nn.make_model("mlp", 4, 2, seed=0, hidden=(5, 4))
-    bad = nn.layer_view(model, 1)
-    bad[0] = np.inf
-    nn.layer_write(model, 1, bad)
+    model.params[1][0] = np.inf
     batch = small_batch(np.random.default_rng(0), 4, 2)
     with np.errstate(invalid="ignore"):
         with pytest.raises(nn.NumericError, match="layer 1"):
