@@ -25,7 +25,7 @@ from .config import (
     TAG_INIT,
     TAG_PARTITION,
     TAG_PPO,
-    build_request,
+    TAG_REQUEST,
     component_seed,
     config_hash,
     fed_config,
@@ -34,10 +34,9 @@ from .config import (
     ppo_config,
     read_json,
     require_keys,
-    validate_config,
     write_csv,
 )
-from .data import UnlearnRequest, is_index
+from .data import RequestError, UnlearnRequest, is_index
 
 METHODS = ("scale", "retrain", "uniform", "grad_ascent")
 
@@ -79,42 +78,33 @@ def build_model0(cfg: dict, ds: data.Dataset) -> nn.Model:
     )
 
 
-def parse_request_string(text: str, cfg: dict, seed: int) -> tuple[dict, UnlearnRequest]:
-    """`client:<n>`, `class:<n>:<c1,c2>` or `sample:<n>:<frac>` into a
-    request block and the matching UnlearnRequest."""
-    parts = text.split(":")
-    kind = parts[0]
+def rebuild_split(
+    cfg: dict, req: UnlearnRequest
+) -> tuple[data.Dataset, data.ClientPartition, data.ForgetSplit]:
+    """The dataset, client partition and forget split of `req` under `cfg`,
+    rebuilt from their seeds."""
+    ds = build_dataset(cfg)
+    part = build_partition(cfg, ds)
+    return ds, part, data.build_split(ds, part, req)
+
+
+def read_request(rd: RunDir, h: str, force: bool = False) -> UnlearnRequest:
+    """The request that request.json pins, with the sampling seed of its
+    unlearn run. A file whose hash is not `h` (unless `force`), or that holds
+    a bad seed or request string, raises a CliError naming it."""
+    path = rd.request_path
+    if not path.exists():
+        raise CliError("no request.json; run `scale unlearn` first")
+    payload = require_keys(read_json(path), path, "config_hash", "string", "seed")
+    if payload["config_hash"] != h and not force:
+        raise CliError(f"{path}: config hash mismatch (use --force to override)")
+    if not is_index(payload["seed"]):
+        raise CliError(f"{path}: seed {payload['seed']!r} is not a non-negative integer")
     try:
-        if kind == "client" and len(parts) == 2:
-            block = {"granularity": "client", "clients": [int(parts[1])],
-                     "class_set": [], "sample_fraction": 0.3}
-        elif kind == "class" and len(parts) == 3:
-            classes = [int(c) for c in parts[2].split(",") if c]
-            block = {"granularity": "class", "clients": [int(parts[1])],
-                     "class_set": classes, "sample_fraction": 0.3}
-        elif kind == "sample" and len(parts) == 3:
-            block = {"granularity": "sample", "clients": [int(parts[1])],
-                     "class_set": [], "sample_fraction": float(parts[2])}
-        else:
-            raise CliError(
-                f"bad request {text!r}; expected client:<n>, "
-                "class:<n>:<c1,c2> or sample:<n>:<frac>"
-            )
-    except ValueError as err:
-        raise CliError(f"bad request {text!r}: {err}") from err
-    probe = dict(cfg)
-    probe["request"] = block
-    validate_config(probe)
-    return block, build_request(probe, seed)
-
-
-def request_string(block: dict) -> str:
-    n = block["clients"][0]
-    if block["granularity"] == "client":
-        return f"client:{n}"
-    if block["granularity"] == "class":
-        return f"class:{n}:{','.join(str(c) for c in block['class_set'])}"
-    return f"sample:{n}:{block['sample_fraction']}"
+        return UnlearnRequest.parse(payload["string"],
+                                    component_seed(payload["seed"], TAG_REQUEST))
+    except RequestError as err:
+        raise CliError(f"{path}: {err}") from err
 
 
 # --- history persistence (latest upload per client, flat layer blobs)
@@ -211,19 +201,18 @@ def read_meta(rd: RunDir, method: str) -> dict:
     if not path.exists():
         raise CliError(f"no unlearn artifacts for {method!r}; run `scale unlearn` first")
     scale_keys = ("selected_layers",) if method == "scale" else ()
-    return require_keys(read_json(path), path, "config_hash", "steps", "seed", *scale_keys)
+    meta = require_keys(read_json(path), path, "config_hash", "steps", "seed", *scale_keys)
+    for key in ("steps", "seed"):
+        if not is_index(meta[key]):
+            raise CliError(f"{path}: {key} {meta[key]!r} is not a non-negative integer")
+    return meta
 
 
-def _persist_request(rd: RunDir, block: dict, seed: int, h: str) -> None:
-    payload = {
-        "request": block,
-        "string": request_string(block),
-        "seed": seed,
-        "config_hash": h,
-    }
+def _persist_request(rd: RunDir, req: UnlearnRequest, seed: int, h: str) -> None:
+    payload = {"string": req.describe(), "seed": seed, "config_hash": h}
     if rd.request_path.exists():
-        prior = read_json(rd.request_path)
-        if prior != payload:
+        prior = require_keys(read_json(rd.request_path), rd.request_path, *payload)
+        if any(prior[key] != value for key, value in payload.items()):
             raise CliError(
                 "request.json already pins a different request for this run; "
                 "methods under one run directory must share the request"
@@ -232,14 +221,13 @@ def _persist_request(rd: RunDir, block: dict, seed: int, h: str) -> None:
     write_json(rd.request_path, payload)
 
 
-def _unlearn_scale(rd, cfg, h, model, split, seed: int) -> None:
+def _unlearn_scale(rd, cfg, h, model, req: UnlearnRequest, seed: int) -> None:
     history = load_history(rd, model)
     sc = cfg["scale"]
-    target = cfg["request"]["clients"][0]
     report = sensitivity.analyze(
         history,
         model.params,
-        target,
+        req.clients[0],
         lam=sc["lam"],
         m_sel=sc["m_sel"],
         scheme=sc["dist_scheme"],
@@ -345,18 +333,15 @@ def cmd_unlearn(run_dir: str, method: str, request: str, seed: int | None = None
     cfg, h = rd.read_config()
     if seed is None:
         seed = cfg["seeds"]["master"]
-    block, req = parse_request_string(request, cfg, seed)
-    cfg = dict(cfg)
-    cfg["request"] = block
-
-    ds = build_dataset(cfg)
-    part = build_partition(cfg, ds)
-    split = data.build_split(ds, part, req)
+    if not is_index(seed):
+        raise CliError(f"--seed {seed} is not a non-negative integer")
+    req = UnlearnRequest.parse(request, component_seed(seed, TAG_REQUEST))
+    ds, part, split = rebuild_split(cfg, req)
     model, _ = _load_global(rd)
-    _persist_request(rd, block, seed, h)
+    _persist_request(rd, req, seed, h)
 
     if method == "scale":
-        _unlearn_scale(rd, cfg, h, model, split, seed)
+        _unlearn_scale(rd, cfg, h, model, req, seed)
     elif method == "retrain":
         _unlearn_retrain(rd, cfg, h, ds, part, split, seed)
     elif method == "uniform":
@@ -368,14 +353,17 @@ def cmd_unlearn(run_dir: str, method: str, request: str, seed: int | None = None
 # --- eval
 
 
-def _check_action(row, idx, source: str) -> dict:
-    """`row`, an action read from `source`, checked to name a positive step,
-    a layer of `idx` and group ids of that layer; otherwise a CliError names
-    `source`."""
+def _check_action(row, idx, horizon: int, source: str) -> dict:
+    """`row`, an action read from `source`, checked to name a step in 1 to
+    `horizon`, a layer of `idx` and group ids of that layer; otherwise a
+    CliError names `source`."""
     require_keys(row, source, "step", "layer", "groups")
     step, layer, groups = row["step"], row["layer"], row["groups"]
     if not is_index(step) or step < 1:
         raise CliError(f"{source}: step {step!r} is not a positive integer")
+    if step > horizon:
+        raise CliError(f"{source}: step {step} is past unlearn_meta.json's "
+                       f"{horizon} steps")
     if not is_index(layer) or layer not in idx.layers:
         raise CliError(f"{source}: layer {layer!r} is not a selected layer {list(idx.layers)}")
     n = idx.n_groups(layer)
@@ -385,7 +373,7 @@ def _check_action(row, idx, source: str) -> dict:
     return row
 
 
-def _read_actions(path: Path, h: str, force: bool, idx) -> list[dict]:
+def _read_actions(path: Path, h: str, force: bool, idx, horizon: int) -> list[dict]:
     with open(path) as fh:
         lines = [(f"{path} line {n}", line) for n, line in enumerate(fh, 1) if line.strip()]
     head = parse_json(lines[0][1], lines[0][0]) if lines else None
@@ -393,7 +381,8 @@ def _read_actions(path: Path, h: str, force: bool, idx) -> list[dict]:
         raise CliError(f"{path}: missing config hash header")
     if head["config_hash"] != h and not force:
         raise CliError(f"{path}: config hash mismatch (use --force to override)")
-    return [_check_action(parse_json(line, source), idx, source) for source, line in lines[1:]]
+    return [_check_action(parse_json(line, source), idx, horizon, source)
+            for source, line in lines[1:]]
 
 
 def _touch_all_rows(idx, steps: int) -> list[dict]:
@@ -409,7 +398,7 @@ def _method_accounting(rd: RunDir, cfg: dict, h: str, method: str, meta: dict,
                        model: nn.Model, force: bool) -> tuple[list[dict], object, int]:
     """(action rows, group index, horizon) driving AoI and C_t replay."""
     G = cfg["scale"]["groups_per_layer"]
-    steps = int(meta["steps"])
+    steps = meta["steps"]
     if method == "scale":
         mdir = rd.method_dir("scale")
         selected = meta["selected_layers"]
@@ -419,8 +408,8 @@ def _method_accounting(rd: RunDir, cfg: dict, h: str, method: str, meta: dict,
             raise CliError(f"{mdir / 'unlearn_meta.json'}: selected_layers {selected!r} "
                            f"are not layers of the model (0 to {model.num_layers - 1})")
         idx = partition_groups(model, selected, G)
-        rows = _read_actions(mdir / "actions.jsonl", h, force, idx)
-        return rows, idx, max(steps, 1)
+        horizon = max(steps, 1)
+        return _read_actions(mdir / "actions.jsonl", h, force, idx, horizon), idx, horizon
     idx = baselines.full_group_index(model, G)
     if method == "uniform":
         # one burst at step 1, then the model sits untouched for the horizon
@@ -437,20 +426,8 @@ def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metr
         raise CliError("eval needs the retrain gold standard for delta columns")
     rd = RunDir(run_dir)
     cfg, h = rd.read_config()
-    if not rd.request_path.exists():
-        raise CliError("no request.json; run `scale unlearn` first")
-    req_payload = require_keys(read_json(rd.request_path), rd.request_path,
-                               "config_hash", "request", "string", "seed")
-    if req_payload["config_hash"] != h and not force:
-        raise CliError("request.json config hash mismatch (use --force to override)")
-    cfg = dict(cfg)
-    cfg["request"] = req_payload["request"]
-    scenario = req_payload["string"]
-    unlearn_seed = int(req_payload["seed"])
-
-    ds = build_dataset(cfg)
-    part = build_partition(cfg, ds)
-    split = data.build_split(ds, part, build_request(cfg, unlearn_seed))
+    req = read_request(rd, h, force)
+    ds, _, split = rebuild_split(cfg, req)
     original, manifest = _load_global(rd)
     X_r, y_r = data.client_view(ds, split.remain)
     X_f, y_f = data.client_view(ds, split.forget)
@@ -469,15 +446,15 @@ def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metr
         comm = metrics.comm_overhead(rows, idx, secs_per_step, horizon=horizon)
         report = metrics.EvalReport(
             method=method,
-            scenario=scenario,
+            scenario=req.describe(),
             ra=metrics.accuracy(model, X_r, y_r),
             fa=metrics.accuracy(model, X_f, y_f),
             fr=metrics.forgetting_rate(original, model, X_f, y_f),
             comm_ct=comm["comm_ct"],
             mean_aoi_steps=comm["mean_aoi_steps"],
             mean_aoi_secs=comm["mean_aoi_secs"],
-            wall_secs=int(meta["steps"]) * secs_per_step,
-            seed=int(meta["seed"]),
+            wall_secs=meta["steps"] * secs_per_step,
+            seed=meta["seed"],
         )
         metrics.write_metrics_json(report, rd.metrics_path(method), h)
         reports.append(report)

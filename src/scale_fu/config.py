@@ -3,11 +3,13 @@
 A config is a JSON document of named blocks. Validation is strict: unknown
 keys are rejected with their full field path and values are type-checked.
 A block consumed by a typed object (`scale.ppo` by PpoConfig, `federation`
-by FedConfig, `request` by UnlearnRequest) takes its range rules, and the
-PPO block its defaults, from that object; the other blocks are
-range-checked here. The canonical serialization's SHA-256 identifies every
-artifact the run emits. Component seeds derive from the master seed XOR a
-fixed per-component tag, so one master seed pins the whole pipeline.
+by FedConfig) takes its range rules, and the PPO block its defaults, from
+that object; the other blocks are range-checked here. The unlearning
+request is not part of the config: it is the `--request` string, which
+`data.UnlearnRequest` parses. The canonical serialization's SHA-256
+identifies every artifact the run emits. Component seeds derive from the
+master seed XOR a fixed per-component tag, so one master seed pins the
+whole pipeline.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from pathlib import Path
 
 from . import nn
 from .atomic import atomic_write, write_json
-from .data import RequestError, UnlearnRequest
 from .federation import FedConfig, FederationError
 from .rl import PpoConfig
 
@@ -71,12 +72,6 @@ DEFAULT_CONFIG: dict = {
         "groups_per_layer": 8,
         "deploy_steps": 32,
         "ppo": dataclasses.asdict(PpoConfig()),
-    },
-    "request": {
-        "granularity": "client",
-        "clients": [3],
-        "class_set": [],
-        "sample_fraction": 0.3,
     },
     "metrics": {
         "secs_per_step": 0.25,
@@ -173,7 +168,6 @@ def _validate_ranges(cfg: dict) -> None:
         raise ConfigError("scale.dist_scheme: must be 'softmax' or 'abs'")
     if sc["groups_per_layer"] < 1 or sc["deploy_steps"] < 1:
         raise ConfigError("scale: groups_per_layer >= 1 and deploy_steps >= 1")
-    build_request(cfg)
     if cfg["metrics"]["secs_per_step"] < 0:
         raise ConfigError("metrics.secs_per_step: must be non-negative")
     bl = cfg["baselines"]
@@ -264,24 +258,6 @@ def fed_config(cfg: dict) -> FedConfig:
         )
     except FederationError as err:
         raise ConfigError(f"federation: {err}") from err
-
-
-def build_request(cfg: dict, seed: int | None = None) -> UnlearnRequest:
-    """The UnlearnRequest of `cfg["request"]`. Its sampling seed derives from
-    `seed`, the unlearn run's seed (default: the master seed)."""
-    req = cfg["request"]
-    if seed is None:
-        seed = cfg["seeds"]["master"]
-    try:
-        return UnlearnRequest(
-            granularity=req["granularity"],
-            clients=tuple(req["clients"]),
-            class_set=tuple(req["class_set"]),
-            sample_fraction=float(req["sample_fraction"]),
-            seed=component_seed(seed, TAG_REQUEST),
-        )
-    except RequestError as err:
-        raise ConfigError(f"request: {err}") from err
 
 
 # --- run directory --------------------------------------------------------------

@@ -229,12 +229,32 @@ class UnlearnRequest:
         if self.granularity == GRANULARITY_SAMPLE and not 0 < self.sample_fraction <= 1:
             raise RequestError("sample fraction must be in (0, 1]")
 
+    @classmethod
+    def parse(cls, text: str, seed: int = 0) -> "UnlearnRequest":
+        """The request written `client:<n>`, `class:<n>:<c1,c2>` or
+        `sample:<n>:<frac>`, sampled with `seed`; `describe` is its inverse.
+        Malformed or out-of-range text raises a RequestError naming it."""
+        parts = text.split(":") if isinstance(text, str) else [None]
+        kind = parts[0]
+        try:
+            if kind == GRANULARITY_CLIENT and len(parts) == 2:
+                return cls(kind, (int(parts[1]),), seed=seed)
+            if kind == GRANULARITY_CLASS and len(parts) == 3:
+                classes = tuple(int(c) for c in parts[2].split(",") if c)
+                return cls(kind, (int(parts[1]),), class_set=classes, seed=seed)
+            if kind == GRANULARITY_SAMPLE and len(parts) == 3:
+                return cls(kind, (int(parts[1]),), sample_fraction=float(parts[2]), seed=seed)
+        except ValueError as err:
+            raise RequestError(f"bad request {text!r}: {err}") from err
+        raise RequestError(f"bad request {text!r}; expected client:<n>, "
+                           "class:<n>:<c1,c2> or sample:<n>:<frac>")
+
     def describe(self) -> str:
         who = ",".join(str(c) for c in self.clients)
         if self.granularity == GRANULARITY_CLASS:
             return f"class:{who}:{','.join(str(c) for c in self.class_set)}"
         if self.granularity == GRANULARITY_SAMPLE:
-            return f"sample:{who}:{self.sample_fraction:g}"
+            return f"sample:{who}:{self.sample_fraction!r}"
         return f"client:{who}"
 
 

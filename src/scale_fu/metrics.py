@@ -9,7 +9,7 @@ deterministically from the action log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -144,22 +144,8 @@ class EvalReport:
         if self.comm_ct < 0:
             raise MetricsError("transmission count cannot be negative")
 
-    def json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "scenario": self.scenario,
-            "ra": self.ra,
-            "fa": self.fa,
-            "fr": self.fr,
-            "comm_ct": self.comm_ct,
-            "mean_aoi_steps": self.mean_aoi_steps,
-            "mean_aoi_secs": self.mean_aoi_secs,
-            "wall_secs": self.wall_secs,
-            "seed": self.seed,
-        }
-
 
 def write_metrics_json(report: EvalReport, path: str | Path, config_hash: str) -> None:
-    payload = report.json_dict()
+    payload = asdict(report)
     payload["config_hash"] = config_hash
     write_json(path, payload)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from scale_fu import aoi, cli, data, federation, metrics, nn, rl, sensitivity, theory
-from scale_fu.config import RunDir, build_request, read_csv, read_json
+from scale_fu.config import RunDir, read_csv, read_json
 
 R1_SEEDS = (41, 42, 43, 44, 45)
 METHODS = ("scale", "retrain", "uniform", "grad_ascent")
@@ -43,13 +43,8 @@ def build_run(base, seed, alpha=None, methods=METHODS):
 
 def forget_view(rd):
     """Rebuild the forget split exactly as eval does and return (X_f, y_f)."""
-    cfg, _ = rd.read_config()
-    payload = json.loads(rd.request_path.read_text())
-    cfg = dict(cfg)
-    cfg["request"] = payload["request"]
-    ds = cli.build_dataset(cfg)
-    part = cli.build_partition(cfg, ds)
-    split = data.build_split(ds, part, build_request(cfg, int(payload["seed"])))
+    cfg, h = rd.read_config()
+    ds, _, split = cli.rebuild_split(cfg, cli.read_request(rd, h))
     return data.client_view(ds, split.forget)
 
 

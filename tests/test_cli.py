@@ -24,7 +24,7 @@ from scale_fu.config import (
     validate_config,
     write_csv,
 )
-from scale_fu.data import UnlearnRequest
+from scale_fu.data import RequestError, UnlearnRequest
 from scale_fu.federation import FedConfig
 from scale_fu.rl import PpoConfig
 
@@ -37,7 +37,6 @@ SMALL = {
         "deploy_steps": 4,
         "ppo": {"episodes": 8, "t_collect": 4, "epochs": 2, "batch_size": 8},
     },
-    "request": {"clients": [1]},
     "baselines": {"grad_steps": 3},
 }
 
@@ -62,6 +61,9 @@ def test_unknown_key_named_with_path():
         validate_config({"scale": {"ppo": {"clip": 0.2}}})
     with pytest.raises(ConfigError, match="unknown key: extras"):
         validate_config({"extras": 1})
+    # the request is the `--request` string, not a config block
+    with pytest.raises(ConfigError, match="unknown key: request"):
+        validate_config({"request": {"granularity": "client", "clients": [3]}})
 
 
 def test_type_errors_name_the_field():
@@ -76,20 +78,18 @@ def test_range_checks():
         validate_config({"federation": {"clients_per_round": 9}})
     with pytest.raises(ConfigError, match="scale.lam"):
         validate_config({"scale": {"lam": 1.5}})
-    with pytest.raises(ConfigError, match="granularity"):
-        validate_config({"request": {"granularity": "tenant"}})
     with pytest.raises(ConfigError, match="scale.ppo"):
         validate_config({"scale": {"ppo": {"clip_eps": 0.0}}})
-    with pytest.raises(ConfigError, match="request: class_set"):
-        validate_config({"request": {"class_set": ["x"]}})
+    with pytest.raises(RequestError, match="'tenant:3'; expected client"):
+        UnlearnRequest.parse("tenant:3")
+    with pytest.raises(RequestError, match="'class:3:x': invalid literal"):
+        UnlearnRequest.parse("class:3:x")
 
 
 def test_typed_configs_own_their_blocks():
     # a knob added to a typed config or to its block alone fails here
     fed_fields = {f.name for f in dataclasses.fields(FedConfig)} - {"seed"}
     assert fed_fields == set(DEFAULT_CONFIG["federation"]) - {"dirichlet_alpha"}
-    req_fields = {f.name for f in dataclasses.fields(UnlearnRequest)} - {"seed"}
-    assert req_fields == set(DEFAULT_CONFIG["request"])
     assert DEFAULT_CONFIG["scale"]["ppo"] == dataclasses.asdict(PpoConfig())
 
 
@@ -118,30 +118,24 @@ def test_component_seeds_differ_by_tag():
 
 
 def test_parse_request_forms():
-    cfg = validate_config({})
-    block, req = cli.parse_request_string("client:3", cfg, 42)
-    assert block["granularity"] == "client" and block["clients"] == [3]
-    assert req.clients == (3,)
-
-    block, req = cli.parse_request_string("class:2:0,3", cfg, 42)
-    assert block["class_set"] == [0, 3] and req.class_set == (0, 3)
-
-    block, req = cli.parse_request_string("sample:1:0.5", cfg, 42)
-    assert block["sample_fraction"] == 0.5
+    req = UnlearnRequest.parse("client:3", 42)
+    assert req == UnlearnRequest("client", (3,), seed=42)
+    req = UnlearnRequest.parse("class:2:0,3", 42)
+    assert req.granularity == "class" and req.class_set == (0, 3)
+    req = UnlearnRequest.parse("sample:1:0.5", 42)
+    assert req.granularity == "sample" and req.sample_fraction == 0.5
 
 
 def test_parse_request_rejects_malformed():
-    cfg = validate_config({})
-    for bad in ("client", "client:x", "class:1", "sample:1:2.0", "owner:3"):
-        with pytest.raises((cli.CliError, ConfigError)):
-            cli.parse_request_string(bad, cfg, 42)
+    for bad in ("client", "client:x", "class:1", "class:1:", "sample:1:2.0", "owner:3",
+                "client:-1", "client:3:0.5", ""):
+        with pytest.raises(RequestError, match=repr(bad)):
+            UnlearnRequest.parse(bad, 42)
 
 
 def test_request_string_round_trip():
-    cfg = validate_config({})
-    for text in ("client:3", "class:2:0,3", "sample:1:0.5"):
-        block, _ = cli.parse_request_string(text, cfg, 42)
-        assert cli.request_string(block) == text
+    for text in ("client:3", "class:2:0,3", "sample:1:0.5", "sample:3:0.123456789"):
+        assert UnlearnRequest.parse(text, 42).describe() == text
 
 
 # --- pipeline fixture
@@ -351,8 +345,14 @@ def drop_key(key):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
 
-# each file a command reads as JSON, the command that reads it, and a cut of
-# its text; the command must exit 2 and name the file and what is wrong
+def set_key(key, value):
+    """A cut that keeps the JSON object valid but gives one key a bad value."""
+    return lambda text: json.dumps({**json.loads(text), key: value})
+
+
+# each file a command reads as JSON, the command that reads it, a cut of its
+# text and what the error says; the command must exit 2 and name the file
+# and what is wrong
 CORRUPT_JSON = [
     ("config.json", "eval", lambda text: text[: len(text) // 2]),
     ("manifest.json", "eval", lambda text: text[:-5]),
@@ -368,12 +368,24 @@ MISSING_KEY = [
     ("unlearn_scale/unlearn_meta.json", "eval", drop_key("steps")),
     ("history/meta.json", "unlearn", drop_key("sizes")),
 ]
+# valid JSON holding a value the command cannot use under the named key
+BAD_VALUE = [
+    ("unlearn_scale/unlearn_meta.json", "eval", "steps", "many"),
+    ("unlearn_retrain/unlearn_meta.json", "eval", "seed", "x"),
+    ("request.json", "eval", "seed", 1.5),
+    ("request.json", "eval", "string", "client:-1"),
+]
 
 
-@pytest.mark.parametrize("name,command,cut", CORRUPT_JSON + MISSING_KEY,
-                         ids=[f"{c}-{n}" for n, c, _ in CORRUPT_JSON]
-                         + [f"{c}-{n}-missing-key" for n, c, _ in MISSING_KEY])
-def test_corrupt_json_artifact_is_named(run_dir, tmp_path, capsys, name, command, cut):
+@pytest.mark.parametrize(
+    "name,command,cut,what",
+    [(n, c, cut, "not valid JSON") for n, c, cut in CORRUPT_JSON]
+    + [(n, c, cut, "missing key") for n, c, cut in MISSING_KEY]
+    + [(n, c, set_key(k, v), repr(v)) for n, c, k, v in BAD_VALUE],
+    ids=[f"{c}-{n}" for n, c, _ in CORRUPT_JSON]
+    + [f"{c}-{n}-missing-key" for n, c, _ in MISSING_KEY]
+    + [f"{c}-{n}-bad-{k}" for n, c, k, _ in BAD_VALUE])
+def test_corrupt_json_artifact_is_named(run_dir, tmp_path, capsys, name, command, cut, what):
     rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
     path = rd.root / name
     path.write_text(cut(path.read_text()))
@@ -384,7 +396,7 @@ def test_corrupt_json_artifact_is_named(run_dir, tmp_path, capsys, name, command
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert str(path) in err and ("not valid JSON" in err or "missing key" in err)
+    assert str(path) in err and what in err
 
 
 def test_selected_layer_outside_model_is_named(run_dir, tmp_path, capsys):
@@ -420,6 +432,20 @@ def test_bad_action_row_is_named(run_dir, tmp_path, capsys, key, value):
     assert cli.main(["eval", "--run", str(rd.root), "--methods", ALL_METHODS]) == 2
     err = capsys.readouterr().err
     assert f"{path} line 2" in err and key in err
+
+
+def test_action_past_the_horizon_is_named(run_dir, tmp_path, capsys):
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    path = rd.method_dir("scale") / "actions.jsonl"
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["step"] = cli.read_meta(rd, "scale")["steps"] + 1
+    lines[1] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(rd.root), "--methods", ALL_METHODS]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} line 2" in err and "unlearn_meta.json" in err
 
 
 def test_config_without_config_object_is_refused(run_dir, tmp_path):

@@ -1,10 +1,11 @@
 """Dataset, partitioning, and forget-split tests."""
 
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scale_fu import data, nn
@@ -200,6 +201,27 @@ def test_split_multi_client_union():
     split = data.build_split(ds, part, req)
     want = np.sort(np.concatenate([part.indices[0], part.indices[4]]))
     assert np.array_equal(split.forget, want)
+
+
+INDEX = st.integers(0, 10**6)
+
+# one request of each granularity, as the grammar writes it: one client and
+# only its granularity's fields
+REQUESTS = st.one_of(
+    st.builds(lambda n: data.UnlearnRequest("client", (n,)), INDEX),
+    st.builds(lambda n, cs: data.UnlearnRequest("class", (n,), class_set=tuple(cs)),
+              INDEX, st.lists(INDEX, min_size=1, max_size=5)),
+    st.builds(lambda n, f: data.UnlearnRequest("sample", (n,), sample_fraction=f),
+              INDEX, st.floats(0.0, 1.0, exclude_min=True)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(req=REQUESTS, seed=st.integers(0, 2**32 - 1))
+@example(req=data.UnlearnRequest("sample", (3,), sample_fraction=0.123456789), seed=7)
+def test_request_string_round_trips(req, seed):
+    req = dataclasses.replace(req, seed=seed)
+    assert data.UnlearnRequest.parse(req.describe(), seed) == req
 
 
 def test_request_validation():
