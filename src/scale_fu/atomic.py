@@ -32,8 +32,9 @@ def atomic_write(path: str | Path, mode: str = "w", newline: str | None = None):
         raise
 
 
-def write_json(path: str | Path, payload) -> None:
-    """`payload` as indented JSON with sorted keys and a final newline, the
-    format of the run directory's JSON artifacts, written atomically."""
+def write_json(path: str | Path, payload, indent: int | None = 2) -> None:
+    """`payload` as JSON with sorted keys, indented by `indent` (one line if
+    None), and a final newline, the format of the run directory's JSON
+    artifacts, written atomically."""
     with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=indent) + "\n")

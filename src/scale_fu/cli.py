@@ -3,21 +3,22 @@
 Four subcommands cover the pipeline: `train` fits a federated model and
 persists the run directory, `unlearn` produces an unlearned model per
 method, `eval` scores every method against the retrained gold standard,
-and `theory` runs the claim oracles. Artifacts are stamped with the
-config hash so cross-run comparisons fail loudly.
+and `theory` runs the claim oracles. `train` needs a new or empty run
+directory. Every artifact carries the run's config hash, written and checked
+by `config.RunDir`, so a file edited or copied from another run fails
+loudly, naming the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import baselines, data, federation, metrics, nn, rl, sensitivity, theory
 from .aoi import AoiError, partition_groups
-from .atomic import atomic_write, write_json
 from .config import (
     ConfigError,
     RunDir,
@@ -27,12 +28,9 @@ from .config import (
     TAG_PPO,
     TAG_REQUEST,
     component_seed,
-    config_hash,
     fed_config,
     load_config,
-    parse_json,
     ppo_config,
-    read_json,
     require_keys,
     write_csv,
 )
@@ -88,16 +86,14 @@ def rebuild_split(
     return ds, part, data.build_split(ds, part, req)
 
 
-def read_request(rd: RunDir, h: str, force: bool = False) -> UnlearnRequest:
+def read_request(rd: RunDir) -> UnlearnRequest:
     """The request that request.json pins, with the sampling seed of its
-    unlearn run. A file whose hash is not `h` (unless `force`), or that holds
-    a bad seed or request string, raises a CliError naming it."""
+    unlearn run. A file that holds a bad seed or request string raises a
+    CliError naming it."""
     path = rd.request_path
     if not path.exists():
         raise CliError("no request.json; run `scale unlearn` first")
-    payload = require_keys(read_json(path), path, "config_hash", "string", "seed")
-    if payload["config_hash"] != h and not force:
-        raise CliError(f"{path}: config hash mismatch (use --force to override)")
+    payload = rd.read_json(path, "string", "seed")
     if not is_index(payload["seed"]):
         raise CliError(f"{path}: seed {payload['seed']!r} is not a non-negative integer")
     try:
@@ -110,7 +106,7 @@ def read_request(rd: RunDir, h: str, force: bool = False) -> UnlearnRequest:
 # --- history persistence (latest upload per client, flat layer blobs)
 
 
-def save_history(rd: RunDir, history: federation.FederationHistory, h: str) -> None:
+def save_history(rd: RunDir, history: federation.FederationHistory) -> None:
     rd.history_dir.mkdir(parents=True, exist_ok=True)
     for c in history.clients():
         nn.write_blob(history.models[c], rd.history_model_path(c))
@@ -118,18 +114,15 @@ def save_history(rd: RunDir, history: federation.FederationHistory, h: str) -> N
         "clients": history.clients(),
         "sizes": {str(c): history.sizes[c] for c in history.clients()},
         "last_round": {str(c): history.last_round[c] for c in history.clients()},
-        "config_hash": h,
     }
-    write_json(rd.history_meta_path, meta)
+    rd.write_json(rd.history_meta_path, meta)
 
 
 def load_history(rd: RunDir, model: nn.Model) -> federation.FederationHistory:
-    if not rd.history_meta_path.exists():
-        raise CliError(
-            f"no training history under {rd.history_dir}; run `scale train` first"
-        )
     path = rd.history_meta_path
-    meta = require_keys(read_json(path), path, "clients", "sizes", "last_round")
+    if not path.exists():
+        raise CliError(f"no training history under {rd.history_dir}; run `scale train` first")
+    meta = rd.read_json(path, "clients", "sizes", "last_round")
     clients = [str(c) for c in meta["clients"]]
     require_keys(meta["sizes"], f"{path} sizes", *clients)
     require_keys(meta["last_round"], f"{path} last_round", *clients)
@@ -141,32 +134,37 @@ def load_history(rd: RunDir, model: nn.Model) -> federation.FederationHistory:
 
 
 def _load_global(rd: RunDir) -> tuple[nn.Model, dict]:
+    """The global model and manifest.json, checked to hold every key
+    `nn.load_model` reads."""
     if not rd.global_model_path.exists():
         raise CliError(f"no global.model under {rd.root}; run `scale train` first")
-    manifest = read_json(rd.manifest_path)
+    path = rd.manifest_path
+    manifest = rd.read_json(path, "arch_id", "input_shape", "num_classes", "layers")
+    for n, entry in enumerate(manifest["layers"]):
+        require_keys(entry, f"{path} layers[{n}]", "kind", "activation")
     return nn.load_model(rd.global_model_path, manifest), manifest
 
 
 # --- train
 
 
-def write_rounds_csv(path: Path, rounds: list[federation.RoundLog], h: str) -> None:
+def write_rounds_csv(rd: RunDir, path: Path, rounds: list[federation.RoundLog]) -> None:
     """One row per FedAvg round: participants, mean loss and accuracy."""
     write_csv(
+        rd,
         path,
         ["round", "participants", "loss", "acc"],
         [
             [r.round, " ".join(str(p) for p in r.participants), repr(r.loss), repr(r.accuracy)]
             for r in rounds
         ],
-        h,
     )
 
 
 def cmd_train(config_path: str, out_dir: str) -> RunDir:
     cfg = load_config(config_path)
-    rd = RunDir(out_dir).ensure()
-    h = rd.write_config(cfg)
+    rd = RunDir(out_dir).create()
+    rd.write_config(cfg)
 
     ds = build_dataset(cfg)
     part = build_partition(cfg, ds)
@@ -175,24 +173,20 @@ def cmd_train(config_path: str, out_dir: str) -> RunDir:
     model, history, rounds = federation.run_rounds(fed_cfg, part, ds, model0)
 
     nn.save_model(model, rd.global_model_path)
-    manifest = nn.model_manifest(
-        model, seed=component_seed(cfg["seeds"]["master"], TAG_INIT), config_hash=h
-    )
-    nn.save_manifest(manifest, rd.manifest_path)
-    save_history(rd, history, h)
-    write_rounds_csv(rd.rounds_path, rounds, h)
-    payload = {"indices": [idx.tolist() for idx in part.indices], "config_hash": h}
-    with atomic_write(rd.partition_path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    seed = component_seed(cfg["seeds"]["master"], TAG_INIT)
+    rd.write_json(rd.manifest_path, nn.model_manifest(model, seed=seed))
+    save_history(rd, history)
+    write_rounds_csv(rd, rd.rounds_path, rounds)
+    rd.write_json(rd.partition_path, {"indices": [idx.tolist() for idx in part.indices]},
+                  indent=None)
     return rd
 
 
 # --- unlearn
 
 
-def _write_meta(rd: RunDir, method: str, h: str, **fields) -> None:
-    payload = {"method": method, "config_hash": h, **fields}
-    write_json(rd.method_dir(method) / "unlearn_meta.json", payload)
+def _write_meta(rd: RunDir, method: str, **fields) -> None:
+    rd.write_json(rd.method_dir(method) / "unlearn_meta.json", {"method": method, **fields})
 
 
 def read_meta(rd: RunDir, method: str) -> dict:
@@ -201,27 +195,27 @@ def read_meta(rd: RunDir, method: str) -> dict:
     if not path.exists():
         raise CliError(f"no unlearn artifacts for {method!r}; run `scale unlearn` first")
     scale_keys = ("selected_layers",) if method == "scale" else ()
-    meta = require_keys(read_json(path), path, "config_hash", "steps", "seed", *scale_keys)
+    meta = rd.read_json(path, "steps", "seed", *scale_keys)
     for key in ("steps", "seed"):
         if not is_index(meta[key]):
             raise CliError(f"{path}: {key} {meta[key]!r} is not a non-negative integer")
     return meta
 
 
-def _persist_request(rd: RunDir, req: UnlearnRequest, seed: int, h: str) -> None:
-    payload = {"string": req.describe(), "seed": seed, "config_hash": h}
+def _persist_request(rd: RunDir, req: UnlearnRequest, seed: int) -> None:
+    payload = {"string": req.describe(), "seed": seed}
     if rd.request_path.exists():
-        prior = require_keys(read_json(rd.request_path), rd.request_path, *payload)
+        prior = rd.read_json(rd.request_path, *payload)
         if any(prior[key] != value for key, value in payload.items()):
             raise CliError(
                 "request.json already pins a different request for this run; "
                 "methods under one run directory must share the request"
             )
         return
-    write_json(rd.request_path, payload)
+    rd.write_json(rd.request_path, payload)
 
 
-def _unlearn_scale(rd, cfg, h, model, req: UnlearnRequest, seed: int) -> None:
+def _unlearn_scale(rd, cfg, model, req: UnlearnRequest, seed: int) -> None:
     history = load_history(rd, model)
     sc = cfg["scale"]
     report = sensitivity.analyze(
@@ -241,82 +235,78 @@ def _unlearn_scale(rd, cfg, h, model, req: UnlearnRequest, seed: int) -> None:
     mdir.mkdir(parents=True, exist_ok=True)
     chosen = set(report.selected)
     write_csv(
+        rd,
         mdir / "sensitivity.csv",
         ["layer", "rho", "s_align", "s_impact", "s_combined", "selected"],
         [[l, repr(float(report.rho[l])), repr(float(report.s_align[l])),
           repr(float(report.s_impact[l])), repr(float(report.s_combined[l])),
           int(l in chosen)]
          for l in range(report.n_layers)],
-        h,
     )
     write_csv(
+        rd,
         mdir / "ppo_rewards.csv",
         ["episode", "total_reward", "r_f_sum", "r_c_sum"],
         [[e.episode, repr(e.total_reward), repr(e.r_f_sum), repr(e.r_c_sum)]
          for e in result.episodes],
-        h,
     )
     write_csv(
+        rd,
         mdir / "aoi_timeseries.csv",
         ["step", "sum_aoi", "mean_aoi", "max_aoi"],
         [[step, repr(s), repr(m), repr(x)] for step, s, m, x in deployed.aoi_rows],
-        h,
     )
-    with atomic_write(mdir / "actions.jsonl") as fh:
-        fh.write(json.dumps({"config_hash": h}, sort_keys=True) + "\n")
-        for row in deployed.action_rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    rd.write_jsonl(mdir / "actions.jsonl", deployed.action_rows)
     nn.save_model(deployed.model, rd.unlearned_model_path("scale"))
     _write_meta(
-        rd, "scale", h,
+        rd, "scale",
         seed=seed,
         steps=deployed.steps,
         selected_layers=[int(l) for l in report.selected],
     )
 
 
-def _unlearn_retrain(rd, cfg, h, ds, part, split, seed: int) -> None:
+def _unlearn_retrain(rd, cfg, ds, part, split, seed: int) -> None:
     model0 = build_model0(cfg, ds)
     fed_cfg = fed_config(cfg)
     model, rounds = federation.retrain_baseline(fed_cfg, part, ds, split, model0)
     mdir = rd.method_dir("retrain")
     mdir.mkdir(parents=True, exist_ok=True)
-    write_rounds_csv(mdir / "rounds.csv", rounds, h)
+    write_rounds_csv(rd, mdir / "rounds.csv", rounds)
     nn.save_model(model, rd.unlearned_model_path("retrain"))
-    _write_meta(rd, "retrain", h, seed=seed, steps=fed_cfg.rounds)
+    _write_meta(rd, "retrain", seed=seed, steps=fed_cfg.rounds)
 
 
-def _unlearn_uniform(rd, cfg, h, model, seed: int) -> None:
+def _unlearn_uniform(rd, cfg, model, manifest: dict, seed: int) -> None:
     scale_path = rd.unlearned_model_path("scale")
     if not scale_path.exists():
         raise CliError(
             "uniform matches the zeroed-parameter budget of the scale run; "
             "run `scale unlearn --method scale` first"
         )
-    manifest = read_json(rd.manifest_path)
     scale_model = nn.load_model(scale_path, manifest)
     budget = baselines.newly_zeroed(model, scale_model)
     out = baselines.baseline_uniform(model, budget, cfg["scale"]["groups_per_layer"])
     rd.method_dir("uniform").mkdir(parents=True, exist_ok=True)
     nn.save_model(out, rd.unlearned_model_path("uniform"))
-    _write_meta(rd, "uniform", h, seed=seed, steps=1, budget=budget)
+    _write_meta(rd, "uniform", seed=seed, steps=1, budget=budget)
 
 
-def _unlearn_grad_ascent(rd, cfg, h, model, ds, split, seed: int) -> None:
+def _unlearn_grad_ascent(rd, cfg, model, ds, split, seed: int) -> None:
     X_u, y_u = data.client_view(ds, split.forget)
     bl = cfg["baselines"]
     result = baselines.baseline_grad_ascent(model, X_u, y_u, bl["grad_steps"], bl["grad_eta"])
     mdir = rd.method_dir("grad_ascent")
     mdir.mkdir(parents=True, exist_ok=True)
     write_csv(
+        rd,
         mdir / "ascent_log.csv",
         ["step", "loss", "norm", "projected"],
         [[s.step, repr(s.loss), repr(s.norm), int(s.projected)] for s in result.steps],
-        h,
     )
     nn.save_model(result.model, rd.unlearned_model_path("grad_ascent"))
     _write_meta(
-        rd, "grad_ascent", h,
+        rd, "grad_ascent",
         seed=seed,
         steps=len(result.steps),
         halted=result.halted,
@@ -330,24 +320,24 @@ def cmd_unlearn(run_dir: str, method: str, request: str, seed: int | None = None
     if method not in METHODS:
         raise CliError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     rd = RunDir(run_dir)
-    cfg, h = rd.read_config()
+    cfg = rd.read_config()
     if seed is None:
         seed = cfg["seeds"]["master"]
     if not is_index(seed):
         raise CliError(f"--seed {seed} is not a non-negative integer")
     req = UnlearnRequest.parse(request, component_seed(seed, TAG_REQUEST))
     ds, part, split = rebuild_split(cfg, req)
-    model, _ = _load_global(rd)
-    _persist_request(rd, req, seed, h)
+    model, manifest = _load_global(rd)
+    _persist_request(rd, req, seed)
 
     if method == "scale":
-        _unlearn_scale(rd, cfg, h, model, req, seed)
+        _unlearn_scale(rd, cfg, model, req, seed)
     elif method == "retrain":
-        _unlearn_retrain(rd, cfg, h, ds, part, split, seed)
+        _unlearn_retrain(rd, cfg, ds, part, split, seed)
     elif method == "uniform":
-        _unlearn_uniform(rd, cfg, h, model, seed)
+        _unlearn_uniform(rd, cfg, model, manifest, seed)
     else:
-        _unlearn_grad_ascent(rd, cfg, h, model, ds, split, seed)
+        _unlearn_grad_ascent(rd, cfg, model, ds, split, seed)
 
 
 # --- eval
@@ -373,18 +363,6 @@ def _check_action(row, idx, horizon: int, source: str) -> dict:
     return row
 
 
-def _read_actions(path: Path, h: str, force: bool, idx, horizon: int) -> list[dict]:
-    with open(path) as fh:
-        lines = [(f"{path} line {n}", line) for n, line in enumerate(fh, 1) if line.strip()]
-    head = parse_json(lines[0][1], lines[0][0]) if lines else None
-    if not isinstance(head, dict) or "config_hash" not in head:
-        raise CliError(f"{path}: missing config hash header")
-    if head["config_hash"] != h and not force:
-        raise CliError(f"{path}: config hash mismatch (use --force to override)")
-    return [_check_action(parse_json(line, source), idx, horizon, source)
-            for source, line in lines[1:]]
-
-
 def _touch_all_rows(idx, steps: int) -> list[dict]:
     rows = []
     for t in range(1, steps + 1):
@@ -394,8 +372,8 @@ def _touch_all_rows(idx, steps: int) -> list[dict]:
     return rows
 
 
-def _method_accounting(rd: RunDir, cfg: dict, h: str, method: str, meta: dict,
-                       model: nn.Model, force: bool) -> tuple[list[dict], object, int]:
+def _method_accounting(rd: RunDir, cfg: dict, method: str, meta: dict,
+                       model: nn.Model) -> tuple[list[dict], object, int]:
     """(action rows, group index, horizon) driving AoI and C_t replay."""
     G = cfg["scale"]["groups_per_layer"]
     steps = meta["steps"]
@@ -409,7 +387,9 @@ def _method_accounting(rd: RunDir, cfg: dict, h: str, method: str, meta: dict,
                            f"are not layers of the model (0 to {model.num_layers - 1})")
         idx = partition_groups(model, selected, G)
         horizon = max(steps, 1)
-        return _read_actions(mdir / "actions.jsonl", h, force, idx, horizon), idx, horizon
+        rows = [_check_action(row, idx, horizon, source)
+                for source, row in rd.read_jsonl(mdir / "actions.jsonl")]
+        return rows, idx, horizon
     idx = baselines.full_group_index(model, G)
     if method == "uniform":
         # one burst at step 1, then the model sits untouched for the horizon
@@ -418,15 +398,15 @@ def _method_accounting(rd: RunDir, cfg: dict, h: str, method: str, meta: dict,
     return _touch_all_rows(idx, steps), idx, max(steps, 1)
 
 
-def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metrics.EvalReport]:
+def cmd_eval(run_dir: str, methods: list[str]) -> list[metrics.EvalReport]:
     for m in methods:
         if m not in METHODS:
             raise CliError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
     if "retrain" not in methods:
         raise CliError("eval needs the retrain gold standard for delta columns")
     rd = RunDir(run_dir)
-    cfg, h = rd.read_config()
-    req = read_request(rd, h, force)
+    cfg = rd.read_config()
+    req = read_request(rd)
     ds, _, split = rebuild_split(cfg, req)
     original, manifest = _load_global(rd)
     X_r, y_r = data.client_view(ds, split.remain)
@@ -436,13 +416,8 @@ def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metr
     reports = []
     for method in methods:
         meta = read_meta(rd, method)
-        if meta["config_hash"] != h and not force:
-            raise CliError(
-                f"{method}: unlearn artifacts carry a different config hash "
-                "(use --force to override)"
-            )
         model = nn.load_model(rd.unlearned_model_path(method), manifest)
-        rows, idx, horizon = _method_accounting(rd, cfg, h, method, meta, original, force)
+        rows, idx, horizon = _method_accounting(rd, cfg, method, meta, original)
         comm = metrics.comm_overhead(rows, idx, secs_per_step, horizon=horizon)
         report = metrics.EvalReport(
             method=method,
@@ -456,7 +431,7 @@ def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metr
             wall_secs=meta["steps"] * secs_per_step,
             seed=meta["seed"],
         )
-        metrics.write_metrics_json(report, rd.metrics_path(method), h)
+        rd.write_json(rd.metrics_path(method), asdict(report))
         reports.append(report)
 
     gold = next(r for r in reports if r.method == "retrain")
@@ -471,7 +446,7 @@ def cmd_eval(run_dir: str, methods: list[str], force: bool = False) -> list[metr
         ]
         for r in reports
     ]
-    write_csv(rd.comparison_path, COMPARISON_COLUMNS, rows_out, h)
+    write_csv(rd, rd.comparison_path, COMPARISON_COLUMNS, rows_out)
     return reports
 
 
@@ -520,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train the federated model")
     t.add_argument("--config", required=True, help="path to config JSON")
-    t.add_argument("--out", required=True, help="run directory to create")
+    t.add_argument("--out", required=True, help="run directory to create (new or empty)")
 
     u = sub.add_parser("unlearn", help="unlearn by one method")
     u.add_argument("--run", required=True, help="trained run directory")
@@ -533,8 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--run", required=True)
     e.add_argument("--methods", required=True,
                    help="comma-separated subset of scale,retrain,uniform,grad_ascent")
-    e.add_argument("--force", action="store_true",
-                   help="allow config-hash mismatches between artifacts")
 
     th = sub.add_parser("theory", help="run the claim oracles")
     th.add_argument("--samples", type=int, default=100_000)
@@ -557,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"unlearned model written: {args.method}")
             return 0
         if args.command == "eval":
-            reports = cmd_eval(args.run, [m for m in args.methods.split(",") if m], args.force)
+            reports = cmd_eval(args.run, [m for m in args.methods.split(",") if m])
             for r in reports:
                 print(f"{r.method}: ra={r.ra:.4f} fa={r.fa:.4f} fr={r.fr:.4f}")
             return 0

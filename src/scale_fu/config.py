@@ -19,15 +19,12 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
 
 from . import nn
 from .atomic import atomic_write, write_json
 from .federation import FedConfig, FederationError
 from .rl import PpoConfig
-
-ENV_SEED = "SCALE_SEED"
 
 # component seed tags (master XOR tag)
 TAG_DATA = 0x0101
@@ -183,12 +180,6 @@ def validate_config(user: dict) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("config root must be an object")
     merged = _merge(DEFAULT_CONFIG, user)
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            merged["seeds"]["master"] = int(env)
-        except ValueError as err:
-            raise ConfigError(f"{ENV_SEED} must be an integer") from err
     _validate_ranges(merged)
     return merged
 
@@ -264,10 +255,22 @@ def fed_config(cfg: dict) -> FedConfig:
 
 
 class RunDir:
-    """Path conventions for one experiment run."""
+    """Path conventions for one experiment run, and the owner of its config
+    hash stamp. Every stamped artifact is written and read back through the
+    methods here (and `write_csv`), and one stamped with another hash is
+    refused."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._hash: str | None = None
+
+    @property
+    def hash(self) -> str:
+        """The run's config hash: set by `write_config`, else read from
+        config.json on first use."""
+        if self._hash is None:
+            self.read_config()
+        return self._hash
 
     # training phase
     @property
@@ -319,34 +322,73 @@ class RunDir:
     def comparison_path(self) -> Path:
         return self.root / "comparison.csv"
 
-    def ensure(self) -> "RunDir":
+    def create(self) -> "RunDir":
+        """Make the run directory. One that exists and is not an empty
+        directory raises a ConfigError naming it and is left as it is: its
+        files belong to another run."""
+        if self.root.exists() and (not self.root.is_dir() or any(self.root.iterdir())):
+            raise ConfigError(f"{self.root}: already exists and is not an empty directory; "
+                              "train into a new or empty one")
         self.root.mkdir(parents=True, exist_ok=True)
         return self
 
-    def write_config(self, cfg: dict) -> str:
-        h = config_hash(cfg)
-        payload = {"config": cfg, "config_hash": h}
-        write_json(self.config_path, payload)
-        return h
+    def write_config(self, cfg: dict) -> None:
+        self._hash = config_hash(cfg)
+        self.write_json(self.config_path, {"config": cfg})
 
-    def read_config(self) -> tuple[dict, str]:
+    def read_config(self) -> dict:
         if not self.config_path.exists():
             raise ConfigError(f"no config.json under {self.root}")
         payload = read_json(self.config_path)
         if not isinstance(payload, dict) or "config" not in payload:
             raise ConfigError(f"{self.config_path}: no config object")
-        cfg = payload["config"]
-        h = config_hash(cfg)
-        if h != payload.get("config_hash"):
-            raise ConfigError("config.json hash mismatch; run directory corrupted")
-        return cfg, h
+        self._hash = config_hash(payload["config"])
+        self._check(payload, self.config_path)
+        return payload["config"]
+
+    def _check(self, payload, source, *keys) -> dict:
+        """`payload`, a JSON value read from `source`, checked to be an object
+        holding `keys` and stamped with this run's config hash; otherwise a
+        ConfigError names `source`."""
+        stamp = require_keys(payload, source, *keys, "config_hash")["config_hash"]
+        if stamp != self.hash:
+            raise ConfigError(f"{source}: config_hash {stamp!r} does not match the run's "
+                              f"config ({self.hash}); the file was edited or copied "
+                              "from another run")
+        return payload
+
+    def read_json(self, path: Path, *keys) -> dict:
+        """The stamped JSON object in the artifact at `path`, through `_check`."""
+        return self._check(read_json(path), path, *keys)
+
+    def write_json(self, path: Path, payload: dict, indent: int | None = 2) -> None:
+        """`payload` with this run's config hash, as `atomic.write_json`."""
+        write_json(path, {**payload, "config_hash": self.hash}, indent)
+
+    def write_jsonl(self, path: Path, rows) -> None:
+        """One JSON line per row, after a header line holding the config hash."""
+        with atomic_write(path) as fh:
+            fh.write(json.dumps({"config_hash": self.hash}, sort_keys=True) + "\n")
+            for row in rows:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+    def read_jsonl(self, path: Path) -> list[tuple[str, object]]:
+        """(source, value) of each line of a `write_jsonl` file after its
+        header, the source naming the file and line; the header goes through
+        `_check`."""
+        with open(path) as fh:
+            lines = [(f"{path} line {n}", line) for n, line in enumerate(fh, 1) if line.strip()]
+        source, text = lines[0] if lines else (f"{path} line 1", "null")
+        self._check(parse_json(text, source), source)
+        return [(source, parse_json(line, source)) for source, line in lines[1:]]
 
 
-def write_csv(path: Path, header: list[str], rows: list[list], config_hash: str) -> None:
-    """CSV with a `# config_hash=` comment line ahead of the header."""
+def write_csv(rd: RunDir, path: Path, header: list[str], rows: list[list]) -> None:
+    """A CSV artifact of run `rd`: a `# config_hash=` comment line ahead of
+    the header."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path, newline="") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
+        fh.write(f"# config_hash={rd.hash}\n")
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)

@@ -9,14 +9,12 @@ deterministically from the action log.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .aoi import AoiLedger, GroupIndex, global_aoi
-from .atomic import write_json
 
 CONFIDENCE_FLOOR = 1e-8
 
@@ -143,9 +141,3 @@ class EvalReport:
             raise MetricsError("accuracies must lie in [0, 1]")
         if self.comm_ct < 0:
             raise MetricsError("transmission count cannot be negative")
-
-
-def write_metrics_json(report: EvalReport, path: str | Path, config_hash: str) -> None:
-    payload = asdict(report)
-    payload["config_hash"] = config_hash
-    write_json(path, payload)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .atomic import atomic_write, write_json
+from .atomic import atomic_write
 
 DENSE = "dense"
 CONV2D = "conv2d"
@@ -470,7 +470,7 @@ def flat_params(model: Model) -> np.ndarray:
 # --- checkpoint format: flat little-endian float64 + JSON manifest ---------
 
 
-def model_manifest(model: Model, seed: int | None = None, **extra) -> dict:
+def model_manifest(model: Model, seed: int | None = None) -> dict:
     layers = []
     for spec in model.layers:
         layers.append(
@@ -485,15 +485,13 @@ def model_manifest(model: Model, seed: int | None = None, **extra) -> dict:
                 "activation": spec.activation,
             }
         )
-    man = {
+    return {
         "arch_id": model.arch_id,
         "input_shape": list(model.input_shape),
         "num_classes": model.num_classes,
         "seed": seed,
         "layers": layers,
     }
-    man.update(extra)
-    return man
 
 
 def write_blob(vectors, path: str | Path) -> None:
@@ -543,8 +541,3 @@ def load_model(path: str | Path, manifest: dict) -> Model:
         layers=specs,
         params=read_blob(path, [s.d for s in specs]),
     )
-
-
-def save_manifest(manifest: dict, path: str | Path) -> None:
-    write_json(path, manifest)
-

@@ -215,11 +215,6 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
-
-
 class Adam:
     """Standard Adam over one flat parameter vector, with the bias corrections
     folded into the step size and epsilon (Kingma and Ba, section 2):
@@ -405,7 +400,7 @@ def _decode_heads(policy: PolicyNet, state: np.ndarray, pick):
     mask is coerced to the oldest group of the chosen layer; the log-prob is
     that of the coerced action."""
     z_l, z_g, z_r, _ = policy.logits(state[None, :])
-    lsm_l, lsm_r = _log_softmax(z_l)[0], _log_softmax(z_r)[0]
+    lsm_l, lsm_r = nn.log_softmax(z_l)[0], nn.log_softmax(z_r)[0]
     rank, bits, level = pick(z_l[0], z_g[0], z_r[0], lsm_l, lsm_r)
     groups = np.flatnonzero(bits).tolist()
     if not groups:
@@ -484,8 +479,8 @@ def batch_log_probs(policy: PolicyNet, states: np.ndarray, arrays: tuple):
     z_l, z_g, z_r, cache = policy.logits(states)
     ranks, levels, bits, mask = arrays
     rows = np.arange(ranks.size)
-    lsm_l = _log_softmax(z_l)
-    lsm_r = _log_softmax(z_r)
+    lsm_l = nn.log_softmax(z_l)
+    lsm_r = nn.log_softmax(z_r)
     sp = _softplus(z_g)
     lp = lsm_l[rows, ranks] + lsm_r[rows, levels]
     # the mask term of each row, as in _mask_log_prob

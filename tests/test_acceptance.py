@@ -43,8 +43,8 @@ def build_run(base, seed, alpha=None, methods=METHODS):
 
 def forget_view(rd):
     """Rebuild the forget split exactly as eval does and return (X_f, y_f)."""
-    cfg, h = rd.read_config()
-    ds, _, split = cli.rebuild_split(cfg, cli.read_request(rd, h))
+    cfg = rd.read_config()
+    ds, _, split = cli.rebuild_split(cfg, cli.read_request(rd))
     return data.client_view(ds, split.forget)
 
 

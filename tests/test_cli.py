@@ -93,14 +93,6 @@ def test_typed_configs_own_their_blocks():
     assert DEFAULT_CONFIG["scale"]["ppo"] == dataclasses.asdict(PpoConfig())
 
 
-def test_env_seed_override(monkeypatch):
-    monkeypatch.setenv("SCALE_SEED", "7")
-    assert validate_config({})["seeds"]["master"] == 7
-    monkeypatch.setenv("SCALE_SEED", "many")
-    with pytest.raises(ConfigError, match="SCALE_SEED"):
-        validate_config({})
-
-
 def test_config_hash_tracks_content():
     a = config_hash(validate_config({}))
     b = config_hash(validate_config({"seeds": {"master": 43}}))
@@ -165,12 +157,12 @@ def test_train_artifacts_present(run_dir):
     h, header, rows = read_csv(run_dir.rounds_path)
     assert header == ["round", "participants", "loss", "acc"]
     assert len(rows) == 5
-    assert h == run_dir.read_config()[1]
+    assert h == run_dir.hash
 
 
 def test_partition_json_holds_the_rebuilt_partition(run_dir):
     # unlearn rebuilds the partition from the config; partition.json records it
-    cfg, h = run_dir.read_config()
+    cfg, h = run_dir.read_config(), run_dir.hash
     stored = read_json(run_dir.partition_path)
     assert stored["config_hash"] == h
     part = cli.build_partition(cfg, cli.build_dataset(cfg))
@@ -192,7 +184,7 @@ def test_unlearn_artifacts_present(run_dir):
         assert (sdir / name).exists(), name
     lines = (sdir / "actions.jsonl").read_text().splitlines()
     head = json.loads(lines[0])
-    assert head["config_hash"] == run_dir.read_config()[1]
+    assert head["config_hash"] == run_dir.hash
     for line in lines[1:]:
         row = json.loads(line)
         assert set(row) == {"step", "layer", "groups", "s"}
@@ -203,7 +195,7 @@ def test_unlearn_artifacts_present(run_dir):
 
 def test_sensitivity_csv(run_dir):
     h, header, rows = read_csv(run_dir.method_dir("scale") / "sensitivity.csv")
-    assert h == run_dir.read_config()[1]
+    assert h == run_dir.hash
     assert header == ["layer", "rho", "s_align", "s_impact", "s_combined", "selected"]
     n_layers = cli._load_global(run_dir)[0].num_layers
     assert [int(row[0]) for row in rows] == list(range(n_layers))
@@ -238,7 +230,7 @@ def test_retrain_on_empty_budget_uniform_is_identity(tmp_path):
 
 
 def test_metrics_json_schema_per_method(run_dir):
-    h = run_dir.read_config()[1]
+    h = run_dir.hash
     for m in ("scale", "retrain", "uniform", "grad_ascent"):
         payload = read_json(run_dir.metrics_path(m))
         assert set(payload) == {
@@ -256,7 +248,7 @@ def test_comparison_columns_and_retrain_deltas(run_dir):
     assert [r[0] for r in rows] == ["scale", "retrain", "uniform", "grad_ascent"]
     gold = next(r for r in rows if r[0] == "retrain")
     assert float(gold[2]) == 0.0 and float(gold[4]) == 0.0
-    assert h == run_dir.read_config()[1]
+    assert h == run_dir.hash
 
 
 def test_comparison_cross_checks_metrics(run_dir):
@@ -305,21 +297,26 @@ def test_conflicting_request_is_refused(run_dir):
     assert code == 2
 
 
-def test_cross_hash_eval_refused_unless_forced(run_dir):
-    meta_path = run_dir.method_dir("grad_ascent") / "unlearn_meta.json"
-    original = meta_path.read_text()
-    meta = json.loads(original)
+def test_cross_hash_eval_refused(run_dir, tmp_path, capsys):
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    meta_path = rd.method_dir("grad_ascent") / "unlearn_meta.json"
+    meta = json.loads(meta_path.read_text())
     meta["config_hash"] = "0" * 64
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    try:
-        assert cli.main(["eval", "--run", str(run_dir.root),
-                         "--methods", ALL_METHODS]) == 2
-        assert cli.main(["eval", "--run", str(run_dir.root),
-                         "--methods", ALL_METHODS, "--force"]) == 0
-    finally:
-        meta_path.write_text(original)
-        assert cli.main(["eval", "--run", str(run_dir.root),
-                         "--methods", ALL_METHODS]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(rd.root), "--methods", ALL_METHODS]) == 2
+    assert f"{meta_path}: config_hash" in capsys.readouterr().err
+
+
+def test_train_refuses_a_used_directory(run_dir, tmp_path, capsys):
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    before = {p: p.read_bytes() for p in rd.root.rglob("*") if p.is_file()}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SMALL, "federation": {**SMALL["federation"], "rounds": 6}}))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(rd.root)]) == 2
+    assert str(rd.root) in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in rd.root.rglob("*") if p.is_file()} == before
 
 
 def test_unlearn_before_train_fails_cleanly(tmp_path):
@@ -345,6 +342,15 @@ def drop_key(key):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
 
+def drop_layer_key(key):
+    """A cut that deletes one key of manifest.json's first layer entry."""
+    def cut(text):
+        manifest = json.loads(text)
+        del manifest["layers"][0][key]
+        return json.dumps(manifest)
+    return cut
+
+
 def set_key(key, value):
     """A cut that keeps the JSON object valid but gives one key a bad value."""
     return lambda text: json.dumps({**json.loads(text), key: value})
@@ -367,6 +373,8 @@ MISSING_KEY = [
     ("request.json", "eval", lambda text: "{}"),
     ("unlearn_scale/unlearn_meta.json", "eval", drop_key("steps")),
     ("history/meta.json", "unlearn", drop_key("sizes")),
+    ("manifest.json", "eval", drop_key("layers")),
+    ("manifest.json", "unlearn", drop_layer_key("kind")),
 ]
 # valid JSON holding a value the command cannot use under the named key
 BAD_VALUE = [
@@ -374,6 +382,10 @@ BAD_VALUE = [
     ("unlearn_retrain/unlearn_meta.json", "eval", "seed", "x"),
     ("request.json", "eval", "seed", 1.5),
     ("request.json", "eval", "string", "client:-1"),
+    ("history/meta.json", "unlearn", "config_hash", "0" * 64),
+    ("manifest.json", "eval", "config_hash", "0" * 64),
+    ("request.json", "eval", "config_hash", "0" * 64),
+    ("unlearn_scale/unlearn_meta.json", "eval", "config_hash", "0" * 64),
 ]
 
 
@@ -537,16 +549,18 @@ class Unprintable:
 
 
 @pytest.mark.parametrize("write", [
-    lambda path: write_csv(path, ["a"], [[1], [Unprintable()]], "h"),
-    lambda path: nn.write_blob([np.ones(3), None], path),
+    lambda rd, path: write_csv(rd, path, ["a"], [[1], [Unprintable()]]),
+    lambda rd, path: nn.write_blob([np.ones(3), None], path),
 ], ids=["write_csv", "write_blob"])
 def test_writer_failing_partway_keeps_old_file(tmp_path, write):
+    rd = RunDir(tmp_path)
+    rd.write_config(validate_config({}))
     path = tmp_path / "artifact"
     path.write_bytes(b"old bytes")
     with pytest.raises((RuntimeError, AttributeError)):
-        write(path)
+        write(rd, path)
     assert path.read_bytes() == b"old bytes"
-    assert os.listdir(tmp_path) == ["artifact"]
+    assert sorted(os.listdir(tmp_path)) == ["artifact", "config.json"]
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):

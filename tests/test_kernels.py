@@ -252,7 +252,7 @@ def ref_batch_log_probs(policy, states, arrays):
     z_l, z_g, z_r, cache = ref_logits(policy, states)
     ranks, levels, bits, mask = arrays
     rows = np.arange(ranks.size)
-    lsm_l, lsm_r = rl._log_softmax(z_l), rl._log_softmax(z_r)
+    lsm_l, lsm_r = nn.log_softmax(z_l), nn.log_softmax(z_r)
     sp = rl._softplus(z_g)
     lp = lsm_l[rows, ranks] + lsm_r[rows, levels]
     lp = lp - np.add.reduce(mask * (rl._softplus(-z_g) * bits + sp * (1 - bits)), axis=1)
@@ -1134,7 +1134,7 @@ def test_mask_log_prob_matches_batch_and_reference(scale):
         assert rl._mask_log_prob(z_g, bits) == ref
         lp, _, _ = rl.batch_log_probs(net, state[None, :], rl.action_arrays(net.idx, [action]))
         z_l, _, z_r, _ = net.logits(state[None, :])
-        rest = rl._log_softmax(z_l)[0, 0] + rl._log_softmax(z_r)[0, action.ratio_level - 1]
+        rest = nn.log_softmax(z_l)[0, 0] + nn.log_softmax(z_r)[0, action.ratio_level - 1]
         assert float(lp[0]) == pytest.approx(ref + rest, rel=STEP_RTOL, abs=STEP_RTOL)
 
 

@@ -1,6 +1,7 @@
 """Accuracy tie rules against hand counts, forgetting-rate arithmetic, and a
 hand-simulated communication/freshness trace."""
 
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ import pytest
 
 from scale_fu import metrics, nn, rl
 from scale_fu.aoi import GroupIndex, aoi_summary, partition_groups
-from scale_fu.config import read_json
+from scale_fu.config import RunDir, validate_config
 
 
 def bias_model(biases, in_dim=3):
@@ -158,12 +159,14 @@ def test_eval_report_validation_and_json_bytes(tmp_path):
         comm_ct=1234, mean_aoi_steps=1.5, mean_aoi_secs=0.375,
         wall_secs=8.0, seed=42,
     )
+    rd = RunDir(tmp_path)
+    rd.write_config(validate_config({}))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    metrics.write_metrics_json(rep, p1, "deadbeef")
-    metrics.write_metrics_json(rep, p2, "deadbeef")
+    rd.write_json(p1, dataclasses.asdict(rep))
+    rd.write_json(p2, dataclasses.asdict(rep))
     assert p1.read_bytes() == p2.read_bytes()
-    loaded = read_json(p1)
-    assert loaded["config_hash"] == "deadbeef"
+    loaded = rd.read_json(p1)
+    assert loaded["config_hash"] == rd.hash
     assert set(loaded) == {
         "method", "scenario", "ra", "fa", "fr", "comm_ct", "mean_aoi_steps",
         "mean_aoi_secs", "wall_secs", "seed", "config_hash",

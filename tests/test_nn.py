@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from scale_fu import nn
+from scale_fu.atomic import write_json
 from scale_fu.config import read_json
 
 
@@ -194,7 +195,7 @@ def test_checkpoint_roundtrip(tmp_path):
         path = tmp_path / f"{arch}.model"
         man_path = tmp_path / f"{arch}.json"
         nn.save_model(model, path)
-        nn.save_manifest(nn.model_manifest(model, seed=5), man_path)
+        write_json(man_path, nn.model_manifest(model, seed=5))
         back = nn.load_model(path, read_json(man_path))
         assert back.arch_id == model.arch_id
         assert back.layers == model.layers

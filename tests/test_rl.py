@@ -321,12 +321,12 @@ def action_log_prob(policy, state, action):
     """Log-probability of a fully specified action under the current policy,
     one head at a time: the oracle for the log-probs policy_sample returns."""
     z_l, z_g, z_r, _ = policy.logits(state[None, :])
-    lp = float(rl._log_softmax(z_l)[0, action.layer_rank])
+    lp = float(nn.log_softmax(z_l)[0, action.layer_rank])
     cols = policy.idx.cols(action.layer_rank)
     bits = np.zeros(cols.stop - cols.start)
     bits[list(action.groups)] = 1.0
     lp += rl._mask_log_prob(z_g[0, cols], bits)
-    lp += float(rl._log_softmax(z_r)[0, action.ratio_level - 1])
+    lp += float(nn.log_softmax(z_r)[0, action.ratio_level - 1])
     return lp
 
 
