@@ -123,26 +123,28 @@ def load_history(rd: RunDir, model: nn.Model) -> federation.FederationHistory:
     if not path.exists():
         raise CliError(f"no training history under {rd.history_dir}; run `scale train` first")
     meta = rd.read_json(path, "clients", "sizes", "last_round")
-    clients = [str(c) for c in meta["clients"]]
-    require_keys(meta["sizes"], f"{path} sizes", *clients)
-    require_keys(meta["last_round"], f"{path} last_round", *clients)
+    clients = meta["clients"]
+    if not isinstance(clients, list) or not all(is_index(c) for c in clients):
+        raise CliError(f"{path}: clients {clients!r} are not a list of client ids")
+    keys = [str(c) for c in clients]
+    sizes = require_keys(meta["sizes"], f"{path} sizes", *keys)
+    rounds = require_keys(meta["last_round"], f"{path} last_round", *keys)
+    if not all(is_index(sizes[k]) and sizes[k] > 0 for k in keys):
+        raise CliError(f"{path}: sizes {sizes!r} are not positive integers")
+    if not all(is_index(rounds[k]) for k in keys):
+        raise CliError(f"{path}: last_round {rounds!r} are not non-negative integers")
     history = federation.FederationHistory()
-    for c in meta["clients"]:
+    for c, k in zip(clients, keys):
         params = nn.read_blob(rd.history_model_path(c), model.layer_dims())
-        history.record(c, params, meta["sizes"][str(c)], meta["last_round"][str(c)])
+        history.record(c, params, sizes[k], rounds[k])
     return history
 
 
-def _load_global(rd: RunDir) -> tuple[nn.Model, dict]:
-    """The global model and manifest.json, checked to hold every key
-    `nn.load_model` reads."""
+def _load_global(rd: RunDir, cfg: dict, ds: data.Dataset) -> nn.Model:
+    """The global model, in the architecture that `cfg` builds for `ds`."""
     if not rd.global_model_path.exists():
         raise CliError(f"no global.model under {rd.root}; run `scale train` first")
-    path = rd.manifest_path
-    manifest = rd.read_json(path, "arch_id", "input_shape", "num_classes", "layers")
-    for n, entry in enumerate(manifest["layers"]):
-        require_keys(entry, f"{path} layers[{n}]", "kind", "activation")
-    return nn.load_model(rd.global_model_path, manifest), manifest
+    return nn.load_model(rd.global_model_path, build_model0(cfg, ds))
 
 
 # --- train
@@ -277,14 +279,14 @@ def _unlearn_retrain(rd, cfg, ds, part, split, seed: int) -> None:
     _write_meta(rd, "retrain", seed=seed, steps=fed_cfg.rounds)
 
 
-def _unlearn_uniform(rd, cfg, model, manifest: dict, seed: int) -> None:
+def _unlearn_uniform(rd, cfg, model, seed: int) -> None:
     scale_path = rd.unlearned_model_path("scale")
     if not scale_path.exists():
         raise CliError(
             "uniform matches the zeroed-parameter budget of the scale run; "
             "run `scale unlearn --method scale` first"
         )
-    scale_model = nn.load_model(scale_path, manifest)
+    scale_model = nn.load_model(scale_path, model)
     budget = baselines.newly_zeroed(model, scale_model)
     out = baselines.baseline_uniform(model, budget, cfg["scale"]["groups_per_layer"])
     rd.method_dir("uniform").mkdir(parents=True, exist_ok=True)
@@ -327,7 +329,7 @@ def cmd_unlearn(run_dir: str, method: str, request: str, seed: int | None = None
         raise CliError(f"--seed {seed} is not a non-negative integer")
     req = UnlearnRequest.parse(request, component_seed(seed, TAG_REQUEST))
     ds, part, split = rebuild_split(cfg, req)
-    model, manifest = _load_global(rd)
+    model = _load_global(rd, cfg, ds)
     _persist_request(rd, req, seed)
 
     if method == "scale":
@@ -335,7 +337,7 @@ def cmd_unlearn(run_dir: str, method: str, request: str, seed: int | None = None
     elif method == "retrain":
         _unlearn_retrain(rd, cfg, ds, part, split, seed)
     elif method == "uniform":
-        _unlearn_uniform(rd, cfg, model, manifest, seed)
+        _unlearn_uniform(rd, cfg, model, seed)
     else:
         _unlearn_grad_ascent(rd, cfg, model, ds, split, seed)
 
@@ -408,7 +410,7 @@ def cmd_eval(run_dir: str, methods: list[str]) -> list[metrics.EvalReport]:
     cfg = rd.read_config()
     req = read_request(rd)
     ds, _, split = rebuild_split(cfg, req)
-    original, manifest = _load_global(rd)
+    original = _load_global(rd, cfg, ds)
     X_r, y_r = data.client_view(ds, split.remain)
     X_f, y_f = data.client_view(ds, split.forget)
     secs_per_step = cfg["metrics"]["secs_per_step"]
@@ -416,7 +418,7 @@ def cmd_eval(run_dir: str, methods: list[str]) -> list[metrics.EvalReport]:
     reports = []
     for method in methods:
         meta = read_meta(rd, method)
-        model = nn.load_model(rd.unlearned_model_path(method), manifest)
+        model = nn.load_model(rd.unlearned_model_path(method), original)
         rows, idx, horizon = _method_accounting(rd, cfg, method, meta, original)
         comm = metrics.comm_overhead(rows, idx, secs_per_step, horizon=horizon)
         report = metrics.EvalReport(

@@ -8,7 +8,7 @@ loss and gradients are plain deterministic numpy with analytic backprop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -462,15 +462,14 @@ def sgd_step(model: Model, grads: list[np.ndarray], eta: float) -> Model:
 
 
 def flat_params(model: Model) -> np.ndarray:
-    if model.num_layers == 0:
-        return np.zeros(0, dtype=np.float64)
     return np.concatenate(model.params) if model.num_params else np.zeros(0)
 
 
-# --- checkpoint format: flat little-endian float64 + JSON manifest ---------
+# --- checkpoint format: flat little-endian float64 -------------------------
 
 
 def model_manifest(model: Model, seed: int | None = None) -> dict:
+    """A JSON record of `model`'s architecture; nothing reads it back."""
     layers = []
     for spec in model.layers:
         layers.append(
@@ -520,24 +519,6 @@ def save_model(model: Model, path: str | Path) -> None:
     write_blob(model.params, path)
 
 
-def load_model(path: str | Path, manifest: dict) -> Model:
-    """Rebuild a model from a flat binary file and its manifest dict."""
-    specs = tuple(
-        LayerSpec(
-            kind=entry["kind"],
-            in_dim=entry.get("in_dim", 0),
-            out_dim=entry.get("out_dim", 0),
-            in_channels=entry.get("in_channels", 0),
-            out_channels=entry.get("out_channels", 0),
-            kernel=entry.get("kernel", 0),
-            activation=entry["activation"],
-        )
-        for entry in manifest["layers"]
-    )
-    return Model(
-        arch_id=manifest["arch_id"],
-        input_shape=tuple(manifest["input_shape"]),
-        num_classes=int(manifest["num_classes"]),
-        layers=specs,
-        params=read_blob(path, [s.d for s in specs]),
-    )
+def load_model(path: str | Path, like: Model) -> Model:
+    """The model saved at `path` by `save_model`, with `like`'s architecture."""
+    return replace(like, params=read_blob(path, like.layer_dims()))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .atomic import write_json
 from .federation import FederationHistory
-from .sensitivity import ALIGNMENT_CEILING, alignment_score, analyze
+from .sensitivity import ALIGNMENT_CEILING, RHO_SQ_CLAMP, alignment_score, analyze
 
 STATUS_PASS = "PASS"
 STATUS_FAIL = "FAIL"
@@ -99,7 +99,7 @@ def check_alignment_bound(samples: int = 100_000, seed: int = 0) -> ClaimReport:
     rho = rng.uniform(-1.0, 1.0, size=samples)
     rho = np.clip(rho, -1.0 + 1e-12, 1.0 - 1e-12)
     rho_sq = rho * rho
-    s_a = -0.5 * np.log1p(-np.minimum(rho_sq, 1.0 - 1e-6))
+    s_a = -0.5 * np.log1p(-np.minimum(rho_sq, RHO_SQ_CLAMP))
     true_ok = s_a + 1e-15 >= rho_sq / 2.0
     printed = rho_sq / (2.0 * (1.0 - rho_sq))
     printed_ok = s_a + 1e-15 >= printed

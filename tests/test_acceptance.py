@@ -57,8 +57,8 @@ def family(tmp_path_factory):
         entry = {"rd": rd}
         for m in METHODS:
             entry[m] = read_json(rd.metrics_path(m))
-        manifest = read_json(rd.manifest_path)
-        original = nn.load_model(rd.global_model_path, manifest)
+        cfg = rd.read_config()
+        original = cli._load_global(rd, cfg, cli.build_dataset(cfg))
         X_f, y_f = forget_view(rd)
         entry["fa_orig"] = metrics.accuracy(original, X_f, y_f)
         runs[seed] = entry

@@ -17,6 +17,7 @@ from scale_fu.config import (
     ConfigError,
     DEFAULT_CONFIG,
     RunDir,
+    TAG_INIT,
     component_seed,
     config_hash,
     read_csv,
@@ -148,6 +149,12 @@ def run_dir(tmp_path_factory):
     return RunDir(out)
 
 
+def load_global(rd):
+    """The run's global model, loaded as unlearn and eval load it."""
+    cfg = rd.read_config()
+    return cli._load_global(rd, cfg, cli.build_dataset(cfg))
+
+
 def test_train_artifacts_present(run_dir):
     assert run_dir.global_model_path.exists()
     assert run_dir.manifest_path.exists()
@@ -167,6 +174,35 @@ def test_partition_json_holds_the_rebuilt_partition(run_dir):
     assert stored["config_hash"] == h
     part = cli.build_partition(cfg, cli.build_dataset(cfg))
     assert stored["indices"] == [ix.tolist() for ix in part.indices]
+
+
+def test_manifest_json_records_the_rebuilt_model(run_dir):
+    # unlearn and eval rebuild the architecture from the config; manifest.json records it
+    cfg = run_dir.read_config()
+    model0 = cli.build_model0(cfg, cli.build_dataset(cfg))
+    seed = component_seed(cfg["seeds"]["master"], TAG_INIT)
+    assert read_json(run_dir.manifest_path) == {
+        **nn.model_manifest(model0, seed=seed), "config_hash": run_dir.hash}
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda path: path.unlink(),
+    lambda path: path.write_text(path.read_text()[:-5]),
+], ids=["deleted", "garbled"])
+def test_unlearn_and_eval_never_read_manifest_json(run_dir, tmp_path, spoil):
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    spoil(rd.manifest_path)
+    methods = ALL_METHODS.split(",")
+    outputs = [rd.comparison_path] + [rd.metrics_path(m) for m in methods] + [
+        rd.unlearned_model_path(m) for m in methods]
+    for path in outputs:
+        path.unlink()
+    for m in methods:
+        assert cli.main(["unlearn", "--run", str(rd.root), "--method", m,
+                         "--request", "client:1"]) == 0, m
+    assert cli.main(["eval", "--run", str(rd.root), "--methods", ALL_METHODS]) == 0
+    for path in outputs:
+        assert path.read_bytes() == (run_dir.root / path.relative_to(rd.root)).read_bytes()
 
 
 def test_train_rerun_bit_identical(run_dir, tmp_path):
@@ -197,7 +233,7 @@ def test_sensitivity_csv(run_dir):
     h, header, rows = read_csv(run_dir.method_dir("scale") / "sensitivity.csv")
     assert h == run_dir.hash
     assert header == ["layer", "rho", "s_align", "s_impact", "s_combined", "selected"]
-    n_layers = cli._load_global(run_dir)[0].num_layers
+    n_layers = load_global(run_dir).num_layers
     assert [int(row[0]) for row in rows] == list(range(n_layers))
     assert {row[-1] for row in rows} <= {"0", "1"}
     selected = [int(row[0]) for row in rows if row[-1] == "1"]
@@ -205,10 +241,9 @@ def test_sensitivity_csv(run_dir):
 
 
 def test_uniform_budget_matches_scale(run_dir):
-    manifest = read_json(run_dir.manifest_path)
-    original = nn.load_model(run_dir.global_model_path, manifest)
-    scale_m = nn.load_model(run_dir.unlearned_model_path("scale"), manifest)
-    uniform_m = nn.load_model(run_dir.unlearned_model_path("uniform"), manifest)
+    original = load_global(run_dir)
+    scale_m = nn.load_model(run_dir.unlearned_model_path("scale"), original)
+    uniform_m = nn.load_model(run_dir.unlearned_model_path("uniform"), original)
     budget = baselines.newly_zeroed(original, scale_m)
     assert baselines.newly_zeroed(original, uniform_m) == budget
     meta = json.loads((run_dir.method_dir("uniform") / "unlearn_meta.json").read_text())
@@ -223,8 +258,7 @@ def test_retrain_on_empty_budget_uniform_is_identity(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     rd = RunDir(out)
-    manifest = read_json(rd.manifest_path)
-    original = nn.load_model(rd.global_model_path, manifest)
+    original = load_global(rd)
     zeroless = baselines.baseline_uniform(original, 0, 4)
     assert all(np.array_equal(p, q) for p, q in zip(original.params, zeroless.params))
 
@@ -264,8 +298,7 @@ def test_comparison_cross_checks_metrics(run_dir):
 
 def test_retrain_accounting_touches_everything(run_dir):
     payload = read_json(run_dir.metrics_path("retrain"))
-    manifest = read_json(run_dir.manifest_path)
-    original = nn.load_model(run_dir.global_model_path, manifest)
+    original = load_global(run_dir)
     assert payload["comm_ct"] == 5 * original.num_params
     assert payload["mean_aoi_steps"] == 0.0
     assert payload["wall_secs"] == 5 * 0.25
@@ -273,8 +306,7 @@ def test_retrain_accounting_touches_everything(run_dir):
 
 def test_uniform_accounting_one_burst(run_dir):
     payload = read_json(run_dir.metrics_path("uniform"))
-    manifest = read_json(run_dir.manifest_path)
-    original = nn.load_model(run_dir.global_model_path, manifest)
+    original = load_global(run_dir)
     assert payload["comm_ct"] == original.num_params
     # touched once at step 1, then ages 1..H-1 over the deploy horizon
     assert payload["mean_aoi_steps"] == pytest.approx((4 - 1) / 2)
@@ -342,15 +374,6 @@ def drop_key(key):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
 
-def drop_layer_key(key):
-    """A cut that deletes one key of manifest.json's first layer entry."""
-    def cut(text):
-        manifest = json.loads(text)
-        del manifest["layers"][0][key]
-        return json.dumps(manifest)
-    return cut
-
-
 def set_key(key, value):
     """A cut that keeps the JSON object valid but gives one key a bad value."""
     return lambda text: json.dumps({**json.loads(text), key: value})
@@ -361,7 +384,6 @@ def set_key(key, value):
 # and what is wrong
 CORRUPT_JSON = [
     ("config.json", "eval", lambda text: text[: len(text) // 2]),
-    ("manifest.json", "eval", lambda text: text[:-5]),
     ("request.json", "eval", lambda text: "{"),
     ("unlearn_scale/unlearn_meta.json", "eval", lambda text: text[:40]),
     ("unlearn_scale/actions.jsonl", "eval", lambda text: text[:60]),
@@ -373,8 +395,6 @@ MISSING_KEY = [
     ("request.json", "eval", lambda text: "{}"),
     ("unlearn_scale/unlearn_meta.json", "eval", drop_key("steps")),
     ("history/meta.json", "unlearn", drop_key("sizes")),
-    ("manifest.json", "eval", drop_key("layers")),
-    ("manifest.json", "unlearn", drop_layer_key("kind")),
 ]
 # valid JSON holding a value the command cannot use under the named key
 BAD_VALUE = [
@@ -383,7 +403,9 @@ BAD_VALUE = [
     ("request.json", "eval", "seed", 1.5),
     ("request.json", "eval", "string", "client:-1"),
     ("history/meta.json", "unlearn", "config_hash", "0" * 64),
-    ("manifest.json", "eval", "config_hash", "0" * 64),
+    ("history/meta.json", "unlearn", "clients", 5),
+    ("history/meta.json", "unlearn", "sizes", {str(c): -13 for c in range(4)}),
+    ("history/meta.json", "unlearn", "last_round", {str(c): "x" for c in range(4)}),
     ("request.json", "eval", "config_hash", "0" * 64),
     ("unlearn_scale/unlearn_meta.json", "eval", "config_hash", "0" * 64),
 ]
@@ -434,7 +456,7 @@ def test_bad_action_row_is_named(run_dir, tmp_path, capsys, key, value):
     lines = path.read_text().splitlines()
     if value == "unselected":
         selected = cli.read_meta(rd, "scale")["selected_layers"]
-        n_layers = cli._load_global(rd)[0].num_layers
+        n_layers = load_global(rd).num_layers
         value = next(l for l in range(n_layers) if l not in selected)
     row = json.loads(lines[1])
     row[key] = value
@@ -533,7 +555,7 @@ def test_mini_cnn_pipeline_evaluates_every_method(tmp_path):
         assert cli.main(["unlearn", "--run", str(out), "--method", m,
                          "--request", "client:1"]) == 0, m
     rd = RunDir(out)
-    model = nn.load_model(rd.global_model_path, read_json(rd.manifest_path))
+    model = load_global(rd)
     assert baselines.full_group_index(model, 4).layers == (0, 1, 3)
     assert cli.main(["eval", "--run", str(out), "--methods", ALL_METHODS]) == 0
     _, _, rows = read_csv(rd.comparison_path)

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from scale_fu import nn
-from scale_fu.atomic import write_json
-from scale_fu.config import read_json
 
 
 def hand_forward_mlp(model, X):
@@ -193,21 +191,22 @@ def test_checkpoint_roundtrip(tmp_path):
     for arch, dim in (("mlp", 16), ("mini_cnn", 25)):
         model = nn.make_model(arch, dim, 4, seed=5)
         path = tmp_path / f"{arch}.model"
-        man_path = tmp_path / f"{arch}.json"
         nn.save_model(model, path)
-        write_json(man_path, nn.model_manifest(model, seed=5))
-        back = nn.load_model(path, read_json(man_path))
+        # the architecture comes from `like`, every parameter from the file
+        like = nn.make_model(arch, dim, 4, seed=6)
+        back = nn.load_model(path, like)
         assert back.arch_id == model.arch_id
         assert back.layers == model.layers
         for p, q in zip(back.params, model.params):
             assert np.array_equal(p, q)
+        assert any(not np.array_equal(p, r) for p, r in zip(back.params, like.params))
     # a blob cut by a whole value or mid-value is rejected, naming the file
     path = tmp_path / "mlp.model"
     blob = path.read_bytes()
     for cut in (8, 3):
         path.write_bytes(blob[:-cut])
         with pytest.raises(nn.ShapeError, match=re.escape(str(path))):
-            nn.load_model(path, read_json(tmp_path / "mlp.json"))
+            nn.load_model(path, nn.make_model("mlp", 16, 4, seed=5))
 
 
 def test_mini_cnn_forward_shapes():
