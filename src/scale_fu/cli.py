@@ -3,10 +3,11 @@
 Four subcommands cover the pipeline: `train` fits a federated model and
 persists the run directory, `unlearn` produces an unlearned model per
 method, `eval` scores every method against the retrained gold standard,
-and `theory` runs the claim oracles. `train` needs a new or empty run
-directory. Every artifact carries the run's config hash, written and checked
-by `config.RunDir`, so a file edited or copied from another run fails
-loudly, naming the file.
+and `theory` runs the claim oracles. A command only reads its run
+directory, checks what it read and writes what a `pipeline` stage computed
+from it. `train` needs a new or empty run directory. Every artifact carries
+the run's config hash, written and checked by `config.RunDir`, so a file
+edited or copied from another run fails loudly, naming the file.
 """
 
 from __future__ import annotations
@@ -15,26 +16,23 @@ import argparse
 import ctypes
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
-from . import baselines, data, federation, metrics, nn, rl, sensitivity, theory
-from .aoi import AoiError, partition_groups
+from . import baselines, data, federation, metrics, nn, pipeline, rl, sensitivity, theory
+from .aoi import AoiError, GroupIndex
 from .config import (
     ConfigError,
     RunDir,
-    TAG_DATA,
     TAG_INIT,
-    TAG_PARTITION,
-    TAG_PPO,
     TAG_REQUEST,
     component_seed,
-    fed_config,
     load_config,
-    ppo_config,
     require_keys,
     write_csv,
 )
 from .data import RequestError, UnlearnRequest, is_index
+# `scale_fu.cli.build_dataset` and `build_partition` stay importable for
+# perfbench/setup_probe.py, which times the set-up every command pays
+from .pipeline import build_dataset, build_partition  # noqa: F401
 
 METHODS = ("scale", "retrain", "uniform", "grad_ascent")
 
@@ -45,45 +43,7 @@ class CliError(ValueError):
     pass
 
 
-# --- deterministic pipeline pieces, shared across subcommands
-
-
-def build_dataset(cfg: dict) -> data.Dataset:
-    blk = cfg["dataset"]
-    if blk["source"] == "synthetic":
-        seed = component_seed(cfg["seeds"]["master"], TAG_DATA)
-        return data.gen_synthetic(
-            blk["classes"], blk["dim"], blk["per_class"], blk["spread"], seed
-        )
-    return data.load_idx(blk["images_path"], blk["labels_path"])
-
-
-def build_partition(cfg: dict, ds: data.Dataset) -> data.ClientPartition:
-    seed = component_seed(cfg["seeds"]["master"], TAG_PARTITION)
-    return data.dirichlet_partition(
-        ds, cfg["federation"]["n_clients"], cfg["federation"]["dirichlet_alpha"], seed
-    )
-
-
-def build_model0(cfg: dict, ds: data.Dataset) -> nn.Model:
-    seed = component_seed(cfg["seeds"]["master"], TAG_INIT)
-    return nn.make_model(
-        cfg["model"]["arch"],
-        int(ds.inputs.shape[1]),
-        ds.num_classes,
-        seed,
-        hidden=tuple(cfg["model"]["hidden"]),
-    )
-
-
-def rebuild_split(
-    cfg: dict, req: UnlearnRequest
-) -> tuple[data.Dataset, data.ClientPartition, data.ForgetSplit]:
-    """The dataset, client partition and forget split of `req` under `cfg`,
-    rebuilt from their seeds."""
-    ds = build_dataset(cfg)
-    part = build_partition(cfg, ds)
-    return ds, part, data.build_split(ds, part, req)
+# --- run-directory reads
 
 
 def read_request(rd: RunDir) -> UnlearnRequest:
@@ -144,51 +104,37 @@ def _load_global(rd: RunDir, cfg: dict, ds: data.Dataset) -> nn.Model:
     """The global model, in the architecture that `cfg` builds for `ds`."""
     if not rd.global_model_path.exists():
         raise CliError(f"no global.model under {rd.root}; run `scale train` first")
-    return nn.load_model(rd.global_model_path, build_model0(cfg, ds))
+    return nn.load_model(rd.global_model_path, pipeline.build_model0(cfg, ds))
 
 
 # --- train
 
 
-def write_rounds_csv(rd: RunDir, path: Path, rounds: list[federation.RoundLog]) -> None:
+def _rounds_table(rounds: list[federation.RoundLog]) -> tuple[list[str], list[list]]:
     """One row per FedAvg round: participants, mean loss and accuracy."""
-    write_csv(
-        rd,
-        path,
-        ["round", "participants", "loss", "acc"],
-        [
-            [r.round, " ".join(str(p) for p in r.participants), repr(r.loss), repr(r.accuracy)]
-            for r in rounds
-        ],
-    )
+    return ["round", "participants", "loss", "acc"], [
+        [r.round, " ".join(str(p) for p in r.participants), repr(r.loss), repr(r.accuracy)]
+        for r in rounds
+    ]
 
 
 def cmd_train(config_path: str, out_dir: str) -> RunDir:
     cfg = load_config(config_path)
     rd = RunDir(out_dir).create()
     rd.write_config(cfg)
-
-    ds = build_dataset(cfg)
-    part = build_partition(cfg, ds)
-    model0 = build_model0(cfg, ds)
-    fed_cfg = fed_config(cfg)
-    model, history, rounds = federation.run_rounds(fed_cfg, part, ds, model0)
+    part, model, history, rounds = pipeline.train(cfg)
 
     nn.save_model(model, rd.global_model_path)
     seed = component_seed(cfg["seeds"]["master"], TAG_INIT)
     rd.write_json(rd.manifest_path, nn.model_manifest(model, seed=seed))
     save_history(rd, history)
-    write_rounds_csv(rd, rd.rounds_path, rounds)
+    write_csv(rd, rd.rounds_path, *_rounds_table(rounds))
     rd.write_json(rd.partition_path, {"indices": [idx.tolist() for idx in part.indices]},
                   indent=None)
     return rd
 
 
 # --- unlearn
-
-
-def _write_meta(rd: RunDir, method: str, **fields) -> None:
-    rd.write_json(rd.method_dir(method) / "unlearn_meta.json", {"method": method, **fields})
 
 
 def read_meta(rd: RunDir, method: str) -> dict:
@@ -204,118 +150,24 @@ def read_meta(rd: RunDir, method: str) -> dict:
     return meta
 
 
-def _persist_request(rd: RunDir, req: UnlearnRequest, seed: int) -> None:
-    payload = {"string": req.describe(), "seed": seed}
-    if rd.request_path.exists():
-        prior = rd.read_json(rd.request_path, *payload)
-        if any(prior[key] != value for key, value in payload.items()):
-            raise CliError(
-                "request.json already pins a different request for this run; "
-                "methods under one run directory must share the request"
-            )
-        return
-    rd.write_json(rd.request_path, payload)
-
-
-def _unlearn_scale(rd, cfg, model, req: UnlearnRequest, seed: int) -> None:
-    history = load_history(rd, model)
-    sc = cfg["scale"]
-    report = sensitivity.analyze(
-        history,
-        model.params,
-        req.clients[0],
-        lam=sc["lam"],
-        m_sel=sc["m_sel"],
-        scheme=sc["dist_scheme"],
-    )
-    idx = partition_groups(model, report.selected, sc["groups_per_layer"])
-    cfg_ppo = ppo_config(cfg)
-    result = rl.train_unlearner(model, report, idx, cfg_ppo, component_seed(seed, TAG_PPO))
-    deployed = rl.deploy(result.policy, model, report, idx, cfg_ppo, sc["deploy_steps"])
-
-    mdir = rd.method_dir("scale")
-    mdir.mkdir(parents=True, exist_ok=True)
-    chosen = set(report.selected)
-    write_csv(
-        rd,
-        mdir / "sensitivity.csv",
-        ["layer", "rho", "s_align", "s_impact", "s_combined", "selected"],
-        [[l, repr(float(report.rho[l])), repr(float(report.s_align[l])),
-          repr(float(report.s_impact[l])), repr(float(report.s_combined[l])),
-          int(l in chosen)]
-         for l in range(report.n_layers)],
-    )
-    write_csv(
-        rd,
-        mdir / "ppo_rewards.csv",
-        ["episode", "total_reward", "r_f_sum", "r_c_sum"],
-        [[e.episode, repr(e.total_reward), repr(e.r_f_sum), repr(e.r_c_sum)]
-         for e in result.episodes],
-    )
-    write_csv(
-        rd,
-        mdir / "aoi_timeseries.csv",
-        ["step", "sum_aoi", "mean_aoi", "max_aoi"],
-        [[step, repr(s), repr(m), repr(x)] for step, s, m, x in deployed.aoi_rows],
-    )
-    rd.write_jsonl(mdir / "actions.jsonl", deployed.action_rows)
-    nn.save_model(deployed.model, rd.unlearned_model_path("scale"))
-    _write_meta(
-        rd, "scale",
-        seed=seed,
-        steps=deployed.steps,
-        selected_layers=[int(l) for l in report.selected],
-    )
-
-
-def _unlearn_retrain(rd, cfg, ds, part, split, seed: int) -> None:
-    model0 = build_model0(cfg, ds)
-    fed_cfg = fed_config(cfg)
-    model, rounds = federation.retrain_baseline(fed_cfg, part, ds, split, model0)
-    mdir = rd.method_dir("retrain")
-    mdir.mkdir(parents=True, exist_ok=True)
-    write_rounds_csv(rd, mdir / "rounds.csv", rounds)
-    nn.save_model(model, rd.unlearned_model_path("retrain"))
-    _write_meta(rd, "retrain", seed=seed, steps=fed_cfg.rounds)
-
-
-def _unlearn_uniform(rd, cfg, model, seed: int) -> None:
-    scale_path = rd.unlearned_model_path("scale")
-    if not scale_path.exists():
-        raise CliError(
-            "uniform matches the zeroed-parameter budget of the scale run; "
-            "run `scale unlearn --method scale` first"
-        )
-    scale_model = nn.load_model(scale_path, model)
-    budget = baselines.newly_zeroed(model, scale_model)
-    out = baselines.baseline_uniform(model, budget, cfg["scale"]["groups_per_layer"])
-    rd.method_dir("uniform").mkdir(parents=True, exist_ok=True)
-    nn.save_model(out, rd.unlearned_model_path("uniform"))
-    _write_meta(rd, "uniform", seed=seed, steps=1, budget=budget)
-
-
-def _unlearn_grad_ascent(rd, cfg, model, ds, split, seed: int) -> None:
-    X_u, y_u = data.client_view(ds, split.forget)
-    bl = cfg["baselines"]
-    result = baselines.baseline_grad_ascent(model, X_u, y_u, bl["grad_steps"], bl["grad_eta"])
-    mdir = rd.method_dir("grad_ascent")
-    mdir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        rd,
-        mdir / "ascent_log.csv",
-        ["step", "loss", "norm", "projected"],
-        [[s.step, repr(s.loss), repr(s.norm), int(s.projected)] for s in result.steps],
-    )
-    nn.save_model(result.model, rd.unlearned_model_path("grad_ascent"))
-    _write_meta(
-        rd, "grad_ascent",
-        seed=seed,
-        steps=len(result.steps),
-        halted=result.halted,
-        halt_reason=result.halt_reason,
-    )
-    if result.halted:
-        print(f"grad_ascent halted early: {result.halt_reason}", file=sys.stderr)
+def _scale_tables(res: pipeline.ScaleResult) -> dict[str, tuple[list[str], list[list]]]:
+    """A scale run's CSV tables, (header, rows) by file name."""
+    report, chosen = res.report, set(res.report.selected)
+    return {
+        "sensitivity.csv": (
+            ["layer", "rho", "s_align", "s_impact", "s_combined", "selected"],
+            [[l, repr(float(report.rho[l])), repr(float(report.s_align[l])),
+              repr(float(report.s_impact[l])), repr(float(report.s_combined[l])),
+              int(l in chosen)]
+             for l in range(report.n_layers)]),
+        "ppo_rewards.csv": (
+            ["episode", "total_reward", "r_f_sum", "r_c_sum"],
+            [[e.episode, repr(e.total_reward), repr(e.r_f_sum), repr(e.r_c_sum)]
+             for e in res.trained.episodes]),
+        "aoi_timeseries.csv": (
+            ["step", "sum_aoi", "mean_aoi", "max_aoi"],
+            [[step, repr(s), repr(m), repr(x)] for step, s, m, x in res.deployed.aoi_rows]),
+    }
 
 
 def cmd_unlearn(run_dir: str, method: str, request: str, seed: int | None = None) -> None:
@@ -328,18 +180,55 @@ def cmd_unlearn(run_dir: str, method: str, request: str, seed: int | None = None
     if not is_index(seed):
         raise CliError(f"--seed {seed} is not a non-negative integer")
     req = UnlearnRequest.parse(request, component_seed(seed, TAG_REQUEST))
-    ds, part, split = rebuild_split(cfg, req)
+    ds, part, split = pipeline.rebuild_split(cfg, req)
     model = _load_global(rd, cfg, ds)
-    _persist_request(rd, req, seed)
+    pin = {"string": req.describe(), "seed": seed}
+    if rd.request_path.exists():
+        prior = rd.read_json(rd.request_path, *pin)
+        if any(prior[key] != value for key, value in pin.items()):
+            raise CliError(
+                "request.json already pins a different request for this run; "
+                "methods under one run directory must share the request"
+            )
 
     if method == "scale":
-        _unlearn_scale(rd, cfg, model, req, seed)
+        res = pipeline.unlearn_scale(cfg, model, load_history(rd, model), req, seed)
+        out, tables = res.deployed.model, _scale_tables(res)
+        meta = {"steps": res.deployed.steps,
+                "selected_layers": [int(l) for l in res.report.selected]}
     elif method == "retrain":
-        _unlearn_retrain(rd, cfg, ds, part, split, seed)
+        out, rounds = pipeline.unlearn_retrain(cfg, ds, part, split)
+        tables, meta = {"rounds.csv": _rounds_table(rounds)}, {"steps": len(rounds)}
     elif method == "uniform":
-        _unlearn_uniform(rd, cfg, model, seed)
+        scale_path = rd.unlearned_model_path("scale")
+        if not scale_path.exists():
+            raise CliError(
+                "uniform matches the zeroed-parameter budget of the scale run; "
+                "run `scale unlearn --method scale` first"
+            )
+        out, budget = pipeline.unlearn_uniform(cfg, model, nn.load_model(scale_path, model))
+        tables, meta = {}, {"steps": 1, "budget": budget}
     else:
-        _unlearn_grad_ascent(rd, cfg, model, ds, split, seed)
+        res = pipeline.unlearn_grad_ascent(cfg, model, ds, split)
+        out = res.model
+        tables = {"ascent_log.csv": (
+            ["step", "loss", "norm", "projected"],
+            [[s.step, repr(s.loss), repr(s.norm), int(s.projected)] for s in res.steps])}
+        meta = {"steps": len(res.steps), "halted": res.halted, "halt_reason": res.halt_reason}
+
+    # the pin is written only once the method has computed, before its artifacts
+    if not rd.request_path.exists():
+        rd.write_json(rd.request_path, pin)
+    mdir = rd.method_dir(method)
+    mdir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(rd, mdir / name, header, rows)
+    if method == "scale":
+        rd.write_jsonl(mdir / "actions.jsonl", res.deployed.action_rows)
+    nn.save_model(out, rd.unlearned_model_path(method))
+    rd.write_json(mdir / "unlearn_meta.json", {"method": method, "seed": seed, **meta})
+    if method == "grad_ascent" and res.halted:
+        print(f"grad_ascent halted early: {res.halt_reason}", file=sys.stderr)
 
 
 # --- eval
@@ -365,77 +254,48 @@ def _check_action(row, idx, horizon: int, source: str) -> dict:
     return row
 
 
-def _touch_all_rows(idx, steps: int) -> list[dict]:
-    rows = []
-    for t in range(1, steps + 1):
-        for layer, ranges in zip(idx.layers, idx.ranges):
-            rows.append({"step": t, "layer": int(layer),
-                         "groups": list(range(len(ranges))), "s": 1.0})
-    return rows
-
-
-def _method_accounting(rd: RunDir, cfg: dict, method: str, meta: dict,
-                       model: nn.Model) -> tuple[list[dict], object, int]:
-    """(action rows, group index, horizon) driving AoI and C_t replay."""
-    G = cfg["scale"]["groups_per_layer"]
-    steps = meta["steps"]
-    if method == "scale":
-        mdir = rd.method_dir("scale")
-        selected = meta["selected_layers"]
-        if not isinstance(selected, list) or not selected or not all(
-            is_index(l) and l < model.num_layers for l in selected
-        ):
-            raise CliError(f"{mdir / 'unlearn_meta.json'}: selected_layers {selected!r} "
-                           f"are not layers of the model (0 to {model.num_layers - 1})")
-        idx = partition_groups(model, selected, G)
-        horizon = max(steps, 1)
-        rows = [_check_action(row, idx, horizon, source)
-                for source, row in rd.read_jsonl(mdir / "actions.jsonl")]
-        return rows, idx, horizon
-    idx = baselines.full_group_index(model, G)
-    if method == "uniform":
-        # one burst at step 1, then the model sits untouched for the horizon
-        return _touch_all_rows(idx, 1), idx, max(cfg["scale"]["deploy_steps"], 1)
-    # retrain and grad_ascent refresh every parameter each step
-    return _touch_all_rows(idx, steps), idx, max(steps, 1)
+def _read_actions(rd: RunDir, cfg: dict, meta: dict,
+                  model: nn.Model) -> tuple[list[dict], GroupIndex]:
+    """scale's deployed action rows, each checked against the parameter
+    groups of the layers its unlearn_meta.json selected, and those groups."""
+    mdir = rd.method_dir("scale")
+    selected = meta["selected_layers"]
+    if not isinstance(selected, list) or not selected or not all(
+        is_index(l) and l < model.num_layers for l in selected
+    ):
+        raise CliError(f"{mdir / 'unlearn_meta.json'}: selected_layers {selected!r} "
+                       f"are not layers of the model (0 to {model.num_layers - 1})")
+    idx = pipeline.scale_groups(cfg, model, selected)
+    horizon = max(meta["steps"], 1)
+    return [_check_action(row, idx, horizon, source)
+            for source, row in rd.read_jsonl(mdir / "actions.jsonl")], idx
 
 
 def cmd_eval(run_dir: str, methods: list[str]) -> list[metrics.EvalReport]:
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise CliError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+        if m in methods[:i]:
+            raise CliError(f"method {m!r} is given twice; name each method once")
     if "retrain" not in methods:
         raise CliError("eval needs the retrain gold standard for delta columns")
     rd = RunDir(run_dir)
     cfg = rd.read_config()
     req = read_request(rd)
-    ds, _, split = rebuild_split(cfg, req)
+    ds, _, split = pipeline.rebuild_split(cfg, req)
     original = _load_global(rd, cfg, ds)
-    X_r, y_r = data.client_view(ds, split.remain)
-    X_f, y_f = data.client_view(ds, split.forget)
-    secs_per_step = cfg["metrics"]["secs_per_step"]
 
-    reports = []
+    runs, scale_actions = {}, None
     for method in methods:
         meta = read_meta(rd, method)
         model = nn.load_model(rd.unlearned_model_path(method), original)
-        rows, idx, horizon = _method_accounting(rd, cfg, method, meta, original)
-        comm = metrics.comm_overhead(rows, idx, secs_per_step, horizon=horizon)
-        report = metrics.EvalReport(
-            method=method,
-            scenario=req.describe(),
-            ra=metrics.accuracy(model, X_r, y_r),
-            fa=metrics.accuracy(model, X_f, y_f),
-            fr=metrics.forgetting_rate(original, model, X_f, y_f),
-            comm_ct=comm["comm_ct"],
-            mean_aoi_steps=comm["mean_aoi_steps"],
-            mean_aoi_secs=comm["mean_aoi_secs"],
-            wall_secs=meta["steps"] * secs_per_step,
-            seed=meta["seed"],
-        )
-        rd.write_json(rd.metrics_path(method), asdict(report))
-        reports.append(report)
+        runs[method] = (model, meta["steps"], meta["seed"])
+        if method == "scale":
+            scale_actions = _read_actions(rd, cfg, meta, original)
+    reports = pipeline.evaluate(cfg, req, ds, split, original, runs, scale_actions)
 
+    for report in reports:
+        rd.write_json(rd.metrics_path(report.method), asdict(report))
     gold = next(r for r in reports if r.method == "retrain")
     rows_out = [
         [

@@ -393,14 +393,3 @@ def write_csv(rd: RunDir, path: Path, header: list[str], rows: list[list]) -> No
         w.writerow(header)
         w.writerows(rows)
 
-
-def read_csv(path: Path) -> tuple[str, list[str], list[list[str]]]:
-    """(config hash, header, rows) of a hash-stamped CSV."""
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# config_hash="):
-            raise ConfigError(f"{path}: missing config hash stamp")
-        h = first.split("=", 1)[1]
-        r = csv.reader(fh)
-        header = next(r)
-        return h, header, [row for row in r]

@@ -15,7 +15,7 @@ import functools
 import numpy as np
 import pytest
 
-from scale_fu import aoi, cli, data, federation, nn, rl
+from scale_fu import aoi, cli, data, federation, nn, pipeline, rl
 from scale_fu.config import fed_config, ppo_config, validate_config
 from scale_fu.sensitivity import SensitivityReport
 
@@ -246,7 +246,7 @@ def test_bench_mini_cnn_forward(benchmark):
 def test_bench_mini_cnn_local_update(benchmark):
     # client 5 of cnn-fed's partition (75 samples, near the median client):
     # two local epochs of minibatches of 32, 32 and 11
-    ds = cli.build_dataset(CNN_CFG)
-    X, y = data.client_view(ds, cli.build_partition(CNN_CFG, ds).indices[5])
+    ds = pipeline.build_dataset(CNN_CFG)
+    X, y = data.client_view(ds, pipeline.build_partition(CNN_CFG, ds).indices[5])
     fed = fed_config(CNN_CFG)
     benchmark(federation.local_update, cnn_model(), X, y, 2, fed.eta, fed.batch_size, seed=0)

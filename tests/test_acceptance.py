@@ -14,8 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from scale_fu import aoi, cli, data, federation, metrics, nn, rl, sensitivity, theory
-from scale_fu.config import RunDir, read_csv, read_json
+from artifacts import read_csv
+from scale_fu import aoi, cli, data, federation, metrics, nn, pipeline, rl, sensitivity, theory
+from scale_fu.config import RunDir, read_json
 
 R1_SEEDS = (41, 42, 43, 44, 45)
 METHODS = ("scale", "retrain", "uniform", "grad_ascent")
@@ -44,7 +45,7 @@ def build_run(base, seed, alpha=None, methods=METHODS):
 def forget_view(rd):
     """Rebuild the forget split exactly as eval does and return (X_f, y_f)."""
     cfg = rd.read_config()
-    ds, _, split = cli.rebuild_split(cfg, cli.read_request(rd))
+    ds, _, split = pipeline.rebuild_split(cfg, cli.read_request(rd))
     return data.client_view(ds, split.forget)
 
 
@@ -58,7 +59,8 @@ def family(tmp_path_factory):
         for m in METHODS:
             entry[m] = read_json(rd.metrics_path(m))
         cfg = rd.read_config()
-        original = cli._load_global(rd, cfg, cli.build_dataset(cfg))
+        like = pipeline.build_model0(cfg, pipeline.build_dataset(cfg))
+        original = nn.load_model(rd.global_model_path, like)
         X_f, y_f = forget_view(rd)
         entry["fa_orig"] = metrics.accuracy(original, X_f, y_f)
         runs[seed] = entry

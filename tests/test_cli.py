@@ -12,15 +12,16 @@ import sys
 import numpy as np
 import pytest
 
-from scale_fu import baselines, cli, nn, theory
+from artifacts import read_csv
+from scale_fu import baselines, cli, nn, pipeline, theory
 from scale_fu.config import (
     ConfigError,
     DEFAULT_CONFIG,
     RunDir,
     TAG_INIT,
+    TAG_REQUEST,
     component_seed,
     config_hash,
-    read_csv,
     read_json,
     validate_config,
     write_csv,
@@ -150,9 +151,10 @@ def run_dir(tmp_path_factory):
 
 
 def load_global(rd):
-    """The run's global model, loaded as unlearn and eval load it."""
+    """The run's global model, in the architecture its config builds."""
     cfg = rd.read_config()
-    return cli._load_global(rd, cfg, cli.build_dataset(cfg))
+    like = pipeline.build_model0(cfg, pipeline.build_dataset(cfg))
+    return nn.load_model(rd.global_model_path, like)
 
 
 def test_train_artifacts_present(run_dir):
@@ -172,14 +174,14 @@ def test_partition_json_holds_the_rebuilt_partition(run_dir):
     cfg, h = run_dir.read_config(), run_dir.hash
     stored = read_json(run_dir.partition_path)
     assert stored["config_hash"] == h
-    part = cli.build_partition(cfg, cli.build_dataset(cfg))
+    part = pipeline.build_partition(cfg, pipeline.build_dataset(cfg))
     assert stored["indices"] == [ix.tolist() for ix in part.indices]
 
 
 def test_manifest_json_records_the_rebuilt_model(run_dir):
     # unlearn and eval rebuild the architecture from the config; manifest.json records it
     cfg = run_dir.read_config()
-    model0 = cli.build_model0(cfg, cli.build_dataset(cfg))
+    model0 = pipeline.build_model0(cfg, pipeline.build_dataset(cfg))
     seed = component_seed(cfg["seeds"]["master"], TAG_INIT)
     assert read_json(run_dir.manifest_path) == {
         **nn.model_manifest(model0, seed=seed), "config_hash": run_dir.hash}
@@ -296,6 +298,45 @@ def test_comparison_cross_checks_metrics(run_dir):
         assert float(row[7]) == payload["comm_ct"]
 
 
+def test_stages_in_memory_match_the_cli_artifacts(run_dir, tmp_path):
+    # the CLI only serialises: each stage, run with no run directory, gives
+    # what the CLI wrote for the same config and request
+    cfg = run_dir.read_config()
+    seed = cfg["seeds"]["master"]
+    req = UnlearnRequest.parse("client:1", component_seed(seed, TAG_REQUEST))
+    _, original, history, _ = pipeline.train(cfg)
+    ds, part, split = pipeline.rebuild_split(cfg, req)
+    scale = pipeline.unlearn_scale(cfg, original, history, req, seed)
+    retrain, retrain_rounds = pipeline.unlearn_retrain(cfg, ds, part, split)
+    uniform, _ = pipeline.unlearn_uniform(cfg, original, scale.deployed.model)
+    ascent = pipeline.unlearn_grad_ascent(cfg, original, ds, split)
+    runs = {
+        "scale": (scale.deployed.model, scale.deployed.steps, seed),
+        "retrain": (retrain, len(retrain_rounds), seed),
+        "uniform": (uniform, 1, seed),
+        "grad_ascent": (ascent.model, len(ascent.steps), seed),
+    }
+
+    blob = tmp_path / "blob"
+    saved = {run_dir.global_model_path: original}
+    saved.update({run_dir.unlearned_model_path(m): model for m, (model, _, _) in runs.items()})
+    for path, model in saved.items():
+        nn.write_blob(model.params, blob)
+        assert blob.read_bytes() == path.read_bytes(), path.name
+
+    lines = (run_dir.method_dir("scale") / "actions.jsonl").read_text().splitlines()
+    assert scale.deployed.action_rows == [json.loads(line) for line in lines[1:]]
+
+    groups = pipeline.scale_groups(cfg, original, scale.report.selected)
+    reports = pipeline.evaluate(cfg, req, ds, split, original, runs,
+                                (scale.deployed.action_rows, groups))
+    assert [r.method for r in reports] == list(runs)
+    for report in reports:
+        stored = read_json(run_dir.metrics_path(report.method))
+        del stored["config_hash"]
+        assert dataclasses.asdict(report) == stored, report.method
+
+
 def test_retrain_accounting_touches_everything(run_dir):
     payload = read_json(run_dir.metrics_path("retrain"))
     original = load_global(run_dir)
@@ -317,6 +358,15 @@ def test_eval_requires_retrain(run_dir):
     assert cli.main(["eval", "--run", str(run_dir.root), "--methods", "scale"]) == 2
 
 
+def test_eval_refuses_a_repeated_method(run_dir, tmp_path, capsys):
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    before = rd.comparison_path.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(rd.root), "--methods", "retrain,scale,retrain"]) == 2
+    assert "'retrain'" in capsys.readouterr().err
+    assert rd.comparison_path.read_bytes() == before
+
+
 def test_eval_rerun_is_stable(run_dir):
     before = run_dir.metrics_path("scale").read_bytes()
     assert cli.main(["eval", "--run", str(run_dir.root), "--methods", ALL_METHODS]) == 0
@@ -327,6 +377,21 @@ def test_conflicting_request_is_refused(run_dir):
     code = cli.main(["unlearn", "--run", str(run_dir.root), "--method", "retrain",
                      "--request", "client:2"])
     assert code == 2
+
+
+def test_failed_unlearn_pins_no_request(run_dir, tmp_path):
+    # uniform fails before it computes, so it must leave the run free for
+    # another request
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    rd.request_path.unlink()
+    for m in ALL_METHODS.split(","):
+        shutil.rmtree(rd.method_dir(m))
+    assert cli.main(["unlearn", "--run", str(rd.root), "--method", "uniform",
+                     "--request", "client:1"]) == 2
+    assert not rd.request_path.exists()
+    assert cli.main(["unlearn", "--run", str(rd.root), "--method", "scale",
+                     "--request", "client:2"]) == 0
+    assert read_json(rd.request_path)["string"] == "client:2"
 
 
 def test_cross_hash_eval_refused(run_dir, tmp_path, capsys):

@@ -42,7 +42,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scale_fu import aoi, baselines, cli, federation, nn, rl
+from scale_fu import aoi, baselines, federation, nn, pipeline, rl
 from scale_fu.aoi import AoiError, GroupIndex, partition_groups
 from scale_fu.config import fed_config, validate_config
 from scale_fu.sensitivity import SensitivityReport
@@ -1014,9 +1014,9 @@ def test_run_rounds_bits_match_reference(monkeypatch):
     cfg = validate_config({"model": {"arch": "mini_cnn"},
                            "dataset": {"dim": 64, "per_class": 150},
                            "federation": {"rounds": 3}})
-    ds = cli.build_dataset(cfg)
-    args = (fed_config(cfg), cli.build_partition(cfg, ds), ds,
-            cli.build_model0(cfg, ds))
+    ds = pipeline.build_dataset(cfg)
+    args = (fed_config(cfg), pipeline.build_partition(cfg, ds), ds,
+            pipeline.build_model0(cfg, ds))
     model, history, logs = federation.run_rounds(*args)
     patch_reference_step(monkeypatch)
     ref_model, ref_history, ref_logs = federation.run_rounds(*args)

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+SETUP_PROBE = LAYERS.with_name("setup_probe.py")
 
 
 def traced_targets():
@@ -73,3 +74,15 @@ def test_hook_arguments_match_traced_signatures():
                 f"the parameters are {params}")
             checked += 1
     assert checked
+
+
+def test_setup_probe_names_resolve_on_cli():
+    # the set-up probe calls builders that `cli` imports from `pipeline`;
+    # tier-1 never runs the probe, so a missing import would show only as a
+    # failed benchmark set-up
+    tree = ast.parse(SETUP_PROBE.read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "cli"}
+    assert names
+    missing = sorted(name for name in names if not resolves("cli", name))
+    assert not missing, f"perfbench/setup_probe.py reads names cli lacks: {missing}"
