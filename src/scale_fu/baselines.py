@@ -18,13 +18,10 @@ class BaselineError(ValueError):
 
 
 def newly_zeroed(before: nn.Model, after: nn.Model) -> int:
-    """Coordinates nonzero in `before` and zero in `after`, summed over layers."""
+    """Coordinates nonzero in `before` and zero in `after`."""
     if before.layer_dims() != after.layer_dims():
         raise BaselineError("models are shape-incongruent")
-    total = 0
-    for p, q in zip(before.params, after.params):
-        total += int(np.count_nonzero((p != 0.0) & (q == 0.0)))
-    return total
+    return int(np.count_nonzero((before.flat != 0.0) & (after.flat == 0.0)))
 
 
 def full_group_index(model: nn.Model, groups_per_layer: int) -> GroupIndex:
@@ -115,22 +112,20 @@ def baseline_grad_ascent(
     if steps < 0 or eta_u <= 0:
         raise BaselineError("steps must be >= 0 and eta_u > 0")
     current = model.copy()
-    norm_cap = 2.0 * float(np.linalg.norm(nn.flat_params(model)))
+    norm_cap = 2.0 * float(np.linalg.norm(model.flat))
     batch = nn.Batch(X_u, y_u)
     log: list[AscentStep] = []
     for t in range(1, steps + 1):
         try:
-            loss, grads = nn.loss_and_grads(current, batch)
+            loss, grad = nn.loss_and_grads(current, batch)
         except nn.NumericError as err:
             return AscentResult(current, log, halted=True,
                                 halt_reason=f"step {t}: {err}")
-        nn.sgd_step_inplace(current, [-g for g in grads], eta_u)   # ascend
-        norm = float(np.linalg.norm(nn.flat_params(current)))
+        nn.sgd_step_inplace(current, -grad, eta_u)   # ascend
+        norm = float(np.linalg.norm(current.flat))
         projected = norm > norm_cap > 0.0
         if projected:
-            scale = norm_cap / norm
-            for l in range(current.num_layers):
-                current.params[l] *= scale
+            current.flat *= norm_cap / norm
             norm = norm_cap
         log.append(AscentStep(t, float(loss), norm, projected))
     return AscentResult(current, log)

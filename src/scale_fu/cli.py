@@ -46,10 +46,10 @@ class CliError(ValueError):
 # --- run-directory reads
 
 
-def read_request(rd: RunDir) -> UnlearnRequest:
-    """The request that request.json pins, with the sampling seed of its
-    unlearn run. A file that holds a bad seed or request string raises a
-    CliError naming it."""
+def read_request(rd: RunDir) -> tuple[UnlearnRequest, int]:
+    """The request that request.json pins, sampled under the seed of its
+    unlearn run, and that seed. A file that holds a bad seed or request
+    string raises a CliError naming it."""
     path = rd.request_path
     if not path.exists():
         raise CliError("no request.json; run `scale unlearn` first")
@@ -58,18 +58,18 @@ def read_request(rd: RunDir) -> UnlearnRequest:
         raise CliError(f"{path}: seed {payload['seed']!r} is not a non-negative integer")
     try:
         return UnlearnRequest.parse(payload["string"],
-                                    component_seed(payload["seed"], TAG_REQUEST))
+                                    component_seed(payload["seed"], TAG_REQUEST)), payload["seed"]
     except RequestError as err:
         raise CliError(f"{path}: {err}") from err
 
 
-# --- history persistence (latest upload per client, flat layer blobs)
+# --- history persistence (latest upload per client, one flat blob each)
 
 
 def save_history(rd: RunDir, history: federation.FederationHistory) -> None:
     rd.history_dir.mkdir(parents=True, exist_ok=True)
     for c in history.clients():
-        nn.write_blob(history.models[c], rd.history_model_path(c))
+        nn.write_blob(history.uploads[c], rd.history_model_path(c))
     meta = {
         "clients": history.clients(),
         "sizes": {str(c): history.sizes[c] for c in history.clients()},
@@ -93,10 +93,10 @@ def load_history(rd: RunDir, model: nn.Model) -> federation.FederationHistory:
         raise CliError(f"{path}: sizes {sizes!r} are not positive integers")
     if not all(is_index(rounds[k]) for k in keys):
         raise CliError(f"{path}: last_round {rounds!r} are not non-negative integers")
-    history = federation.FederationHistory()
+    history = federation.FederationHistory(model.layer_dims())
     for c, k in zip(clients, keys):
-        params = nn.read_blob(rd.history_model_path(c), model.layer_dims())
-        history.record(c, params, sizes[k], rounds[k])
+        upload = nn.read_blob(rd.history_model_path(c), model.num_params)
+        history.record(c, upload, sizes[k], rounds[k])
     return history
 
 
@@ -281,13 +281,16 @@ def cmd_eval(run_dir: str, methods: list[str]) -> list[metrics.EvalReport]:
         raise CliError("eval needs the retrain gold standard for delta columns")
     rd = RunDir(run_dir)
     cfg = rd.read_config()
-    req = read_request(rd)
+    req, seed = read_request(rd)
     ds, _, split = pipeline.rebuild_split(cfg, req)
     original = _load_global(rd, cfg, ds)
 
     runs, scale_actions = {}, None
     for method in methods:
         meta = read_meta(rd, method)
+        if meta["seed"] != seed:
+            raise CliError(f"{rd.method_dir(method) / 'unlearn_meta.json'}: seed "
+                           f"{meta['seed']} is not the seed {seed} that request.json pins")
         model = nn.load_model(rd.unlearned_model_path(method), original)
         runs[method] = (model, meta["steps"], meta["seed"])
         if method == "scale":

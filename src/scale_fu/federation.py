@@ -3,7 +3,7 @@
 Clients run E local epochs of minibatch SGD from the current global model;
 the server aggregates size-weighted in ascending client-id order so runs are
 bit-identical for a fixed seed. The history keeps each participant's latest
-upload for the sensitivity analysis.
+upload, one flat parameter vector, for the sensitivity analysis.
 """
 
 from __future__ import annotations
@@ -57,14 +57,26 @@ class RoundLog:
 
 @dataclass
 class FederationHistory:
-    """Latest upload per participant: flat layer vectors, sizes, last round."""
+    """Latest upload per participant, with its sample count and last round.
 
-    models: dict[int, list[np.ndarray]] = field(default_factory=dict)
+    An upload is one flat float64 vector laid out like `nn.Model.flat` by the
+    layer lengths `dims`; `uploads` holds it and `models` its per-layer views,
+    which the sensitivity analysis reads."""
+
+    dims: list[int]
+    uploads: dict[int, np.ndarray] = field(default_factory=dict)
+    models: dict[int, tuple[np.ndarray, ...]] = field(default_factory=dict)
     sizes: dict[int, int] = field(default_factory=dict)
     last_round: dict[int, int] = field(default_factory=dict)
 
-    def record(self, client: int, params: list[np.ndarray], size: int, rnd: int) -> None:
-        self.models[client] = [p.copy() for p in params]
+    def record(self, client: int, flat: np.ndarray, size: int, rnd: int) -> None:
+        """Keep a copy of `flat` as `client`'s upload."""
+        flat = np.array(flat, dtype=np.float64)
+        if flat.shape != (sum(self.dims),):
+            raise FederationError(f"client {client}: upload of shape {flat.shape} "
+                                  f"for {sum(self.dims)} parameters")
+        self.uploads[client] = flat
+        self.models[client] = tuple(nn.views(flat, [(d,) for d in self.dims]))
         self.sizes[client] = int(size)
         self.last_round[client] = int(rnd)
 
@@ -100,8 +112,8 @@ def local_update(
         order = rng.permutation(m)
         for start in range(0, m, batch_size):
             sel = order[start : start + batch_size]
-            _, grads = nn.loss_and_grads(current, nn.Batch(X[sel], y[sel]))
-            nn.sgd_step_inplace(current, grads, eta)
+            _, grad = nn.loss_and_grads(current, nn.Batch(X[sel], y[sel]))
+            nn.sgd_step_inplace(current, grad, eta)
     return current
 
 
@@ -118,12 +130,10 @@ def aggregate(models: list[nn.Model], sizes: list[int]) -> nn.Model:
         if m.layer_dims() != base.layer_dims():
             raise FederationError("shape-incongruent models")
     total = float(sum(sizes))
-    new_params = [np.zeros_like(p) for p in base.params]
+    new = np.zeros_like(base.flat)
     for m, s in zip(models, sizes):
-        w = s / total
-        for l, p in enumerate(m.params):
-            new_params[l] += w * p
-    return replace(base, params=new_params)
+        new += (s / total) * m.flat
+    return replace(base, flat=new)
 
 
 def evaluate(model: nn.Model, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -162,7 +172,7 @@ def run_rounds(
         raise FederationError("eligible client has no samples")
     k = min(cfg.clients_per_round, len(pool))
     select_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
-    history = FederationHistory()
+    history = FederationHistory(model0.layer_dims())
     global_model = model0.copy()
     logs: list[RoundLog] = []
     for rnd in range(1, cfg.rounds + 1):
@@ -179,7 +189,7 @@ def run_rounds(
                 cfg.batch_size,
                 seed=_local_seed(cfg.seed, rnd, n),
             )
-            history.record(n, local.params, indices[n].size, rnd)
+            history.record(n, local.flat, indices[n].size, rnd)
             updated.append(local)
             weights.append(indices[n].size)
         global_model = aggregate(updated, weights)

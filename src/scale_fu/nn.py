@@ -1,14 +1,15 @@
-"""Layered neural net over flat float64 parameter vectors.
+"""Layered neural net over one flat float64 parameter vector.
 
-Every layer owns one flat vector holding its weights and bias; the model is
-just the ordered list of those vectors plus the layer specs. Forward,
-loss and gradients are plain deterministic numpy with analytic backprop.
+A model is its layer specs plus one flat vector holding every layer's weights
+and bias in layer order; each layer reads and writes its parameters through a
+view of that vector. Forward, loss and gradients are plain deterministic numpy
+with analytic backprop, and the gradient is one vector laid out the same way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,30 +99,46 @@ class Batch:
         return self.inputs.shape[0]
 
 
+def views(buf: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive blocks of the flat `buf`, one per shape, in order."""
+    out, start = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        out.append(buf[start : start + n].reshape(shape))
+        start += n
+    return out
+
+
 @dataclass
 class Model:
-    """Ordered layer specs plus one flat float64 vector per layer."""
+    """Ordered layer specs plus one flat float64 vector `flat` holding every
+    layer's parameters in layer order. `params` is the tuple of per-layer
+    views of `flat`; both are bound once, so writes go through the views (or
+    in place on `flat`) and show in both."""
 
     arch_id: str
     input_shape: tuple[int, ...]
     num_classes: int
     layers: tuple[LayerSpec, ...]
-    params: list[np.ndarray]
+    flat: np.ndarray
+    params: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.input_shape = tuple(int(v) for v in self.input_shape)
         self.layers = tuple(self.layers)
-        if len(self.params) != len(self.layers):
-            raise ShapeError(
-                f"{len(self.params)} parameter vectors for {len(self.layers)} layers"
-            )
-        for i, (spec, vec) in enumerate(zip(self.layers, self.params)):
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (spec.d,):
-                raise ShapeError(
-                    f"layer {i}: expected flat vector of length {spec.d}, got {vec.shape}"
-                )
-            self.params[i] = vec
+        flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+        if flat.shape != (self.num_params,):
+            raise ShapeError(f"expected one flat vector of {self.num_params} "
+                             f"parameters, got {flat.shape}")
+        self.flat = flat
+        self.params = self.layer_views(flat)
+
+    def __setattr__(self, name: str, value) -> None:
+        # an in-place update such as `model.flat -= g` rebinds the same array
+        if name in ("flat", "params") and "params" in self.__dict__ \
+                and value is not self.__dict__[name]:
+            raise AttributeError(f"Model.{name} is bound once; write through its views")
+        super().__setattr__(name, value)
 
     @property
     def input_dim(self) -> int:
@@ -138,21 +155,13 @@ class Model:
     def layer_dims(self) -> list[int]:
         return [spec.d for spec in self.layers]
 
-    def copy(self) -> "Model":
-        return Model(
-            arch_id=self.arch_id,
-            input_shape=self.input_shape,
-            num_classes=self.num_classes,
-            layers=self.layers,
-            params=[p.copy() for p in self.params],
-        )
+    def layer_views(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-layer views of `vec`, a vector laid out like `flat`."""
+        return tuple(views(vec, [(spec.d,) for spec in self.layers]))
 
-    def with_layer(self, layer: int, vec: np.ndarray) -> "Model":
-        """A new model whose `layer` vector is `vec`, sharing every other
-        layer's vector with this one."""
-        params = list(self.params)
-        params[layer] = vec
-        return Model(self.arch_id, self.input_shape, self.num_classes, self.layers, params)
+    def copy(self) -> "Model":
+        return Model(self.arch_id, self.input_shape, self.num_classes, self.layers,
+                     self.flat.copy())
 
 
 def make_model(
@@ -208,22 +217,21 @@ def make_model(
         input_shape=input_shape,
         num_classes=num_classes,
         layers=layers,
-        params=init_params(layers, seed),
+        flat=init_params(layers, seed),
     )
 
 
-def init_params(layers: tuple[LayerSpec, ...], seed: int) -> list[np.ndarray]:
-    """Uniform [-a, a] init per layer with a = sqrt(6 / (fan_in + fan_out))."""
+def init_params(layers: tuple[LayerSpec, ...], seed: int) -> np.ndarray:
+    """The flat parameter vector, uniform [-a, a] per layer with
+    a = sqrt(6 / (fan_in + fan_out)), drawn in layer order."""
     rng = np.random.default_rng(seed)
-    out = []
-    for spec in layers:
-        if spec.d == 0:
-            out.append(np.zeros(0, dtype=np.float64))
-            continue
-        fan_in, fan_out = spec.fans
-        a = math.sqrt(6.0 / (fan_in + fan_out))
-        out.append(rng.uniform(-a, a, size=spec.d))
-    return out
+    flat = np.zeros(sum(spec.d for spec in layers))
+    for spec, vec in zip(layers, views(flat, [(spec.d,) for spec in layers])):
+        if spec.d:
+            fan_in, fan_out = spec.fans
+            a = math.sqrt(6.0 / (fan_in + fan_out))
+            vec[:] = rng.uniform(-a, a, size=spec.d)
+    return flat
 
 
 def _check_finite(arr: np.ndarray, layer: int, what: str) -> None:
@@ -237,10 +245,13 @@ def _dense_forward(a: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _dense_backward(
-    a: np.ndarray, W: np.ndarray, dz: np.ndarray, input_grad: bool = True
+    a: np.ndarray, W: np.ndarray, dz: np.ndarray, input_grad: bool = True, out=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    # Gradients w.r.t. W, b and, unless input_grad is False, the input a.
-    return dz.T @ a, np.add.reduce(dz, axis=0), (dz @ W if input_grad else None)
+    # Gradients w.r.t. W, b and, unless input_grad is False, the input a;
+    # dW and db are written into `out`, a (dW, db) pair of arrays, if given.
+    dW, db = (None, None) if out is None else out
+    return (np.matmul(dz.T, a, out=dW), np.add.reduce(dz, axis=0, out=db),
+            dz @ W if input_grad else None)
 
 
 # Samples per patch matrix. A whole 600-sample batch in one patch matrix
@@ -399,8 +410,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-def loss_and_grads(model: Model, batch: Batch) -> tuple[float, list[np.ndarray]]:
-    """Mean cross-entropy loss and its gradient as flat per-layer vectors."""
+def loss_and_grads(model: Model, batch: Batch) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy loss and its gradient, one vector laid out like
+    `model.flat`."""
     if len(batch) == 0:
         raise ShapeError("empty batch")
     if batch.labels.min() < 0 or batch.labels.max() >= model.num_classes:
@@ -414,10 +426,14 @@ def loss_and_grads(model: Model, batch: Batch) -> tuple[float, list[np.ndarray]]
     dlogits[rows, batch.labels] -= 1.0
     dlogits /= B
 
-    grads: list[np.ndarray | None] = [None] * model.num_layers
+    # every coordinate is written: each dense or conv layer fills its dW and
+    # db views of its slice g, and a flatten layer has none
+    grad = np.empty(model.flat.size)
+    end = grad.size
     da = dlogits
     for i in range(model.num_layers - 1, -1, -1):
         spec = model.layers[i]
+        g, end = grad[end - spec.d : end], end - spec.d
         a_prev, z, P = caches[i]
         if spec.activation == ACT_RELU:
             dz = da * (z > 0.0).astype(np.float64)
@@ -426,43 +442,34 @@ def loss_and_grads(model: Model, batch: Batch) -> tuple[float, list[np.ndarray]]
         # layer 0's input is the data: nothing consumes its gradient
         if spec.kind == DENSE:
             W, _ = _split_dense(spec, model.params[i])
-            dW, db, da = _dense_backward(a_prev, W, dz, input_grad=i > 0)
-            grads[i] = np.concatenate([dW.ravel(), db])
+            _, _, da = _dense_backward(a_prev, W, dz, input_grad=i > 0,
+                                       out=_split_dense(spec, g))
         elif spec.kind == CONV2D:
             W, _ = _split_conv(spec, model.params[i])
-            dW, db, da = _conv_backward(a_prev, W, dz, P, input_grad=i > 0)
-            grads[i] = np.concatenate([dW.ravel(), db])
+            gW, gb = _split_conv(spec, g)
+            gW[...], gb[...], da = _conv_backward(a_prev, W, dz, P, input_grad=i > 0)
         else:  # flatten: reshape gradient back to the cached input shape
-            grads[i] = np.zeros(0, dtype=np.float64)
             da = dz.reshape(a_prev.shape)
             continue  # its gradient is empty
-        _check_finite(grads[i], i, "gradient")
-    return loss, grads  # type: ignore[return-value]
+        _check_finite(g, i, "gradient")
+    return loss, grad
 
 
-def sgd_step_inplace(model: Model, grads: list[np.ndarray], eta: float) -> None:
-    """One descent step, p -= eta * g, written into `model`'s own vectors:
-    the one SGD update rule."""
+def sgd_step_inplace(model: Model, grad: np.ndarray, eta: float) -> None:
+    """One descent step, p -= eta * g, written into `model.flat`: the one SGD
+    update rule."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if len(grads) != model.num_layers:
-        raise ShapeError("gradient list length mismatch")
-    for i, (p, g) in enumerate(zip(model.params, grads)):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.shape:
-            raise ShapeError(f"layer {i}: gradient shape {g.shape} vs params {p.shape}")
-        p -= eta * g
+    if grad.shape != model.flat.shape:
+        raise ShapeError(f"gradient shape {grad.shape} vs params {model.flat.shape}")
+    model.flat -= eta * grad
 
 
-def sgd_step(model: Model, grads: list[np.ndarray], eta: float) -> Model:
+def sgd_step(model: Model, grad: np.ndarray, eta: float) -> Model:
     """One descent step; returns a new model, the input is untouched."""
     out = model.copy()
-    sgd_step_inplace(out, grads, eta)
+    sgd_step_inplace(out, grad, eta)
     return out
-
-
-def flat_params(model: Model) -> np.ndarray:
-    return np.concatenate(model.params) if model.num_params else np.zeros(0)
 
 
 # --- checkpoint format: flat little-endian float64 -------------------------
@@ -493,32 +500,27 @@ def model_manifest(model: Model, seed: int | None = None) -> dict:
     }
 
 
-def write_blob(vectors, path: str | Path) -> None:
-    """Write flat vectors, in order, as one run of little-endian float64: the
-    one on-disk format of model and history files."""
+def write_blob(vec: np.ndarray, path: str | Path) -> None:
+    """Write one flat vector as little-endian float64: the one on-disk format
+    of model and history files."""
     with atomic_write(path, "wb") as fh:
-        for v in vectors:
-            fh.write(v.astype("<f8").tobytes())
+        fh.write(vec.astype("<f8").tobytes())
 
 
-def read_blob(path: str | Path, dims) -> list[np.ndarray]:
-    """Read a `write_blob` file back as float64 vectors of lengths `dims`. A
+def read_blob(path: str | Path, n: int) -> np.ndarray:
+    """Read a `write_blob` file back as a float64 vector of length `n`. A
     file of any other byte length raises ShapeError naming the file."""
     raw = Path(path).read_bytes()
-    total = sum(dims)
-    if len(raw) != 8 * total:
-        raise ShapeError(
-            f"{path}: {len(raw)} bytes where {total} float64 values need {8 * total}"
-        )
-    flat = np.frombuffer(raw, dtype="<f8")
-    return [v.astype(np.float64) for v in np.split(flat, np.cumsum(dims)[:-1])]
+    if len(raw) != 8 * n:
+        raise ShapeError(f"{path}: {len(raw)} bytes where {n} float64 values need {8 * n}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    """Concatenated little-endian float64 layer vectors, in layer order."""
-    write_blob(model.params, path)
+    """`model.flat` as little-endian float64: the layer vectors in layer order."""
+    write_blob(model.flat, path)
 
 
 def load_model(path: str | Path, like: Model) -> Model:
     """The model saved at `path` by `save_model`, with `like`'s architecture."""
-    return replace(like, params=read_blob(path, like.layer_dims()))
+    return replace(like, flat=read_blob(path, like.num_params))

@@ -126,8 +126,7 @@ def zero_budget(s: float, nnz: int) -> int:
 def sparsify(model: nn.Model, idx: GroupIndex, layer: int, groups, s: float) -> nn.Model:
     """Zero the floor(s * nnz) smallest-magnitude nonzero coordinates of each
     selected group (ties to the lowest index; a group given twice is an
-    error). Returns a new model that copies the changed layer and shares every
-    other layer's vector; the input is never mutated."""
+    error). Returns a new model; the input is never mutated."""
     if not 0 < s <= 1:
         raise RlError("sparsity ratio must be in (0, 1]")
     groups = tuple(groups)
@@ -139,7 +138,7 @@ def sparsify(model: nn.Model, idx: GroupIndex, layer: int, groups, s: float) -> 
             raise RlError(f"group {j} out of range for layer {layer}")
     if len(set(groups)) != len(groups):
         raise RlError("duplicate group to sparsify")
-    out = model.with_layer(layer, model.params[layer].copy())
+    out = model.copy()
     first = idx.offsets[idx.rank_of(layer)]
     for _, span, size, pos in idx.layer_runs[layer]:
         lo, hi = pos.start - first, pos.stop - first
@@ -264,16 +263,6 @@ def clip_grad_norm(grad: np.ndarray, max_norm: float) -> float:
 # --- policy / value networks ------------------------------------------------
 
 
-def _views(buf: np.ndarray, shapes: dict) -> dict:
-    """Named views of consecutive blocks of `buf`, in the order of `shapes`."""
-    out, start = {}, 0
-    for k, shape in shapes.items():
-        n = math.prod(shape)
-        out[k] = buf[start : start + n].reshape(shape)
-        start += n
-    return out
-
-
 class _TrunkNet:
     """Two tanh hidden layers and one stacked linear head block (zero-init).
 
@@ -300,8 +289,8 @@ class _TrunkNet:
         size = sum(math.prod(shape) for shape in shapes.values())
         self.flat = np.zeros(size)
         self.grad = np.zeros(size)
-        self.params = _views(self.flat, shapes)
-        self.grads = _views(self.grad, shapes)
+        self.params = dict(zip(shapes, nn.views(self.flat, shapes.values())))
+        self.grads = dict(zip(shapes, nn.views(self.grad, shapes.values())))
         self.params["W1"][:] = xavier(hidden, in_dim)
         self.params["W2"][:] = xavier(hidden, hidden)
         self.in_dim = in_dim

@@ -158,9 +158,9 @@ def build_influence_instance(
         [rng.normal(size=decomp.dim) for _ in range(decomp.n_layers)]
         for _ in range(decomp.n_clients)
     ]
-    history = FederationHistory()
+    history = FederationHistory([decomp.dim] * decomp.n_layers)
     for c in range(decomp.n_clients):
-        history.record(c, uploads[c], decomp.sizes[c], rnd=1)
+        history.record(c, np.concatenate(uploads[c]), decomp.sizes[c], rnd=1)
     others = [c for c in range(decomp.n_clients) if c != target]
     w = np.array([decomp.sizes[c] for c in others], dtype=np.float64)
     w /= w.sum()

@@ -2,7 +2,7 @@
 (among them one env step, one policy sample, one PPO update and its
 minibatch's forward, backward and optimizer parts), of the
 dense and conv2d layer kernels on cnn-fed's mini_cnn shapes, and of one
-cnn-fed client's FedAvg local update.
+ref-mlp and one cnn-fed client's FedAvg local update.
 
     PYTHONPATH=src python -m pytest tests/bench_kernels.py -m bench
 
@@ -231,8 +231,11 @@ def test_bench_dense_forward(benchmark, batch_size):
 
 
 def test_bench_dense_backward(benchmark):
+    # as loss_and_grads calls it: dW and db written into the gradient's views
     W, _, a, dz, _ = cnn_layers(TRAIN_B)[2]
-    benchmark(nn._dense_backward, a, W, dz)
+    spec = cnn_model().layers[-1]
+    out = nn._split_dense(spec, np.empty(spec.d))
+    benchmark(nn._dense_backward, a, W, dz, out=out)
 
 
 def test_bench_mini_cnn_loss_and_grads(benchmark):
@@ -241,6 +244,16 @@ def test_bench_mini_cnn_loss_and_grads(benchmark):
 
 def test_bench_mini_cnn_forward(benchmark):
     benchmark(nn.forward, cnn_model(), cnn_batch(EVAL_B))
+
+
+def test_bench_mlp_local_update(benchmark):
+    # client 3 of ref-mlp's partition (51 samples, near the median client):
+    # two local epochs of minibatches of 32 and 19
+    ds = pipeline.build_dataset(CFG)
+    X, y = data.client_view(ds, pipeline.build_partition(CFG, ds).indices[3])
+    fed = fed_config(CFG)
+    benchmark(federation.local_update, pipeline.build_model0(CFG, ds), X, y, 2, fed.eta,
+              fed.batch_size, seed=0)
 
 
 def test_bench_mini_cnn_local_update(benchmark):

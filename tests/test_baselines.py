@@ -54,7 +54,7 @@ def test_uniform_budget_spent_exactly_and_spread():
 
 def test_uniform_prunes_smallest_magnitudes_first():
     spec = nn.LayerSpec(nn.DENSE, in_dim=3, out_dim=1, activation=nn.ACT_NONE)
-    model = nn.Model("vec", (3,), 2, (spec,), [np.array([0.5, -0.1, 0.3, -0.2])])
+    model = nn.Model("vec", (3,), 2, (spec,), np.array([0.5, -0.1, 0.3, -0.2]))
     out = baselines.baseline_uniform(model, 2, groups_per_layer=1)
     assert out.params[0].tolist() == [0.5, 0.0, 0.3, 0.0]
 
@@ -69,8 +69,8 @@ def test_uniform_validates_budget():
 
 def test_newly_zeroed_counts_transitions_only():
     spec = nn.LayerSpec(nn.DENSE, in_dim=3, out_dim=1, activation=nn.ACT_NONE)
-    before = nn.Model("vec", (3,), 2, (spec,), [np.array([1.0, 0.0, 2.0, 3.0])])
-    after = nn.Model("vec", (3,), 2, (spec,), [np.array([0.0, 0.0, 2.0, 5.0])])
+    before = nn.Model("vec", (3,), 2, (spec,), np.array([1.0, 0.0, 2.0, 3.0]))
+    after = nn.Model("vec", (3,), 2, (spec,), np.array([0.0, 0.0, 2.0, 5.0]))
     # only index 0 went nonzero -> zero; index 1 was already zero
     assert baselines.newly_zeroed(before, after) == 1
 
@@ -103,7 +103,7 @@ def test_grad_ascent_raises_forget_loss():
 
 def test_grad_ascent_projection_trace():
     model, ds = ascent_fixture()
-    cap = 2.0 * float(np.linalg.norm(nn.flat_params(model)))
+    cap = 2.0 * float(np.linalg.norm(model.flat))
     res = baselines.baseline_grad_ascent(model, ds.inputs, ds.labels, 8, 5.0)
     assert any(s.projected for s in res.steps)
     for s in res.steps:

@@ -321,7 +321,7 @@ def test_stages_in_memory_match_the_cli_artifacts(run_dir, tmp_path):
     saved = {run_dir.global_model_path: original}
     saved.update({run_dir.unlearned_model_path(m): model for m, (model, _, _) in runs.items()})
     for path, model in saved.items():
-        nn.write_blob(model.params, blob)
+        nn.write_blob(model.flat, blob)
         assert blob.read_bytes() == path.read_bytes(), path.name
 
     lines = (run_dir.method_dir("scale") / "actions.jsonl").read_text().splitlines()
@@ -365,6 +365,20 @@ def test_eval_refuses_a_repeated_method(run_dir, tmp_path, capsys):
     assert cli.main(["eval", "--run", str(rd.root), "--methods", "retrain,scale,retrain"]) == 2
     assert "'retrain'" in capsys.readouterr().err
     assert rd.comparison_path.read_bytes() == before
+
+
+def test_eval_refuses_a_method_unlearned_under_another_seed(run_dir, tmp_path, capsys):
+    # a valid seed with the hash stamp intact, but not the one request.json pins
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    pinned = read_json(rd.request_path)["seed"]
+    path = rd.method_dir("retrain") / "unlearn_meta.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "seed": pinned + 1}))
+    before = rd.metrics_path("retrain").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(rd.root), "--methods", ALL_METHODS]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"seed {pinned + 1} " in err and f"seed {pinned} " in err
+    assert rd.metrics_path("retrain").read_bytes() == before
 
 
 def test_eval_rerun_is_stable(run_dir):
@@ -637,7 +651,7 @@ class Unprintable:
 
 @pytest.mark.parametrize("write", [
     lambda rd, path: write_csv(rd, path, ["a"], [[1], [Unprintable()]]),
-    lambda rd, path: nn.write_blob([np.ones(3), None], path),
+    lambda rd, path: nn.write_blob(None, path),
 ], ids=["write_csv", "write_blob"])
 def test_writer_failing_partway_keeps_old_file(tmp_path, write):
     rd = RunDir(tmp_path)
@@ -653,7 +667,7 @@ def test_writer_failing_partway_keeps_old_file(tmp_path, write):
 def test_atomic_write_replaces_whole_file(tmp_path):
     path = tmp_path / "artifact"
     path.write_bytes(b"old bytes, longer than the new ones")
-    nn.write_blob([np.arange(2.0), np.array([-0.0])], path)
+    nn.write_blob(np.array([0.0, 1.0, -0.0]), path)
     assert path.read_bytes() == np.array([0.0, 1.0, -0.0], dtype="<f8").tobytes()
     assert os.listdir(tmp_path) == ["artifact"]
 

@@ -39,12 +39,12 @@ def test_synthetic_low_spread_linearly_separable():
         input_shape=(16,),
         num_classes=4,
         layers=(spec,),
-        params=nn.init_params((spec,), seed=0),
+        flat=nn.init_params((spec,), seed=0),
     )
     batch = nn.Batch(ds.inputs, ds.labels)
     for _ in range(300):
-        _, grads = nn.loss_and_grads(model, batch)
-        model = nn.sgd_step(model, grads, 0.5)
+        _, grad = nn.loss_and_grads(model, batch)
+        model = nn.sgd_step(model, grad, 0.5)
     acc = float((nn.forward(model, batch).argmax(axis=1) == ds.labels).mean())
     assert acc == 1.0
 

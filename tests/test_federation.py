@@ -1,5 +1,7 @@
 """FedAvg loop tests: aggregation algebra, descent, determinism, retrain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,7 @@ def test_aggregate_weighted_mean_and_bounds():
     base = nn.make_model("mlp", 4, 2, seed=0, hidden=(5, 4))
     models = []
     for _ in range(3):
-        m = base.copy()
-        m.params = [p + rng.normal(size=p.shape) for p in m.params]
-        models.append(m)
+        models.append(dataclasses.replace(base, flat=base.flat + rng.normal(size=base.num_params)))
     sizes = [1, 2, 7]
     out = federation.aggregate(models, sizes)
     total = sum(sizes)
@@ -44,9 +44,7 @@ def test_aggregate_permutation_invariant_to_float_tolerance():
     base = nn.make_model("mlp", 4, 2, seed=0, hidden=(5, 4))
     models, sizes = [], []
     for i in range(5):
-        m = base.copy()
-        m.params = [p + rng.normal(size=p.shape) for p in m.params]
-        models.append(m)
+        models.append(dataclasses.replace(base, flat=base.flat + rng.normal(size=base.num_params)))
         sizes.append(i + 1)
     a = federation.aggregate(models, sizes)
     perm = [3, 0, 4, 1, 2]

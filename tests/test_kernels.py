@@ -15,9 +15,13 @@ Compared for exact equality, never a tolerance:
   reference swapped in
 - the FedAvg local step (one-copy patch blocks, the stacked input-gradient
   matmul, the float ReLU mask, SGD in place) against the k²-slice patch
-  blocks, the per-offset input-gradient loop, the bool-mask ReLU and a new
-  model per SGD step: `forward`, `loss_and_grads`, `local_update` and a
-  3-round `run_rounds`, values and signs alike
+  blocks, the per-offset input-gradient loop, the bool-mask ReLU, per-layer
+  gradients concatenated at the end and a new model per SGD step:
+  `forward`, `loss_and_grads`, `local_update` and a 3-round `run_rounds`,
+  values and signs alike
+- `federation.aggregate`, `baselines.newly_zeroed` and
+  `baselines.baseline_grad_ascent`, which act on the model's flat vector,
+  against their per-layer loops
 
 Compared within a fixed float64 tolerance, since the summation order changed:
 - the patch-matrix GEMM `_conv_forward` / `_conv_backward` against the einsum
@@ -754,11 +758,11 @@ def check_loss_and_grads_against_reference_conv(monkeypatch, B, data_seed, model
     rng = np.random.default_rng(data_seed)
     model = nn.make_model("mini_cnn", 36, 4, seed=model_seed)
     batch = nn.Batch(rng.standard_normal((B, 36)), rng.integers(0, 4, B))
-    loss, grads = nn.loss_and_grads(model, batch)
+    loss, grad = nn.loss_and_grads(model, batch)
     patch_reference_conv(monkeypatch)
-    ref_loss, ref_grads = nn.loss_and_grads(model, batch)
+    ref_loss, ref_grad = nn.loss_and_grads(model, batch)
     assert loss == pytest.approx(ref_loss, rel=CONV_RTOL)
-    for got, ref in zip(grads, ref_grads):
+    for got, ref in zip(model.layer_views(grad), model.layer_views(ref_grad)):
         assert_conv_close(got, ref)
 
 
@@ -780,9 +784,8 @@ rng = np.random.default_rng(0)
 model = nn.make_model("mini_cnn", 64, 4, seed=0)
 for B in (32, 57, 129, 600):
     batch = nn.Batch(rng.standard_normal((B, 64)), rng.integers(0, 4, B))
-    _, grads = nn.loss_and_grads(model, batch)
-    parts = [nn.forward(model, batch)] + grads
-    print(B, hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest())
+    _, grad = nn.loss_and_grads(model, batch)
+    print(B, hashlib.sha256(nn.forward(model, batch).tobytes() + grad.tobytes()).hexdigest())
 """
 
 
@@ -907,7 +910,8 @@ def ref_forward_caches(model, X):
 
 
 def ref_loss_and_grads(model, batch):
-    # a bool ReLU mask, `.mean()`, the flatten's empty gradient checked
+    # a bool ReLU mask, `.mean()`, the flatten's empty gradient checked, and
+    # one gradient vector per layer, concatenated at the end
     logits, caches = ref_forward_caches(model, batch.inputs)
     B = len(batch)
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -934,7 +938,7 @@ def ref_loss_and_grads(model, batch):
             grads[i] = np.zeros(0, dtype=np.float64)
             da = dz.reshape(a_prev.shape)
         ref_check_finite(grads[i], i, "gradient")
-    return loss, grads
+    return loss, np.concatenate(grads)
 
 
 def ref_forward(model, batch):
@@ -949,9 +953,8 @@ def ref_local_update(model, X, y, epochs, eta, batch_size, seed):
         order = rng.permutation(X.shape[0])
         for start in range(0, X.shape[0], batch_size):
             sel = order[start : start + batch_size]
-            _, grads = nn.loss_and_grads(current, nn.Batch(X[sel], y[sel]))
-            current = dataclasses.replace(
-                current, params=[p - eta * g for p, g in zip(current.params, grads)])
+            _, grad = nn.loss_and_grads(current, nn.Batch(X[sel], y[sel]))
+            current = dataclasses.replace(current, flat=current.flat - eta * grad)
     return current
 
 
@@ -994,20 +997,18 @@ def test_local_step_bits_match_reference(monkeypatch, arch, dim):
         batch = nn.Batch(X[:B], y[:B])
         got.append((nn.forward(model, batch), *nn.loss_and_grads(model, batch),
                     federation.local_update(model, X[:B], y[:B], 2, 0.05, 32, seed=B)))
-    before = [p.copy() for p in model.params]
+    before = model.flat.copy()
     patch_reference_step(monkeypatch)
-    for B, (logits, loss, grads, local) in zip(STEP_BATCHES, got):
+    for B, (logits, loss, grad, local) in zip(STEP_BATCHES, got):
         batch = nn.Batch(X[:B], y[:B])
         assert same_bytes(logits, nn.forward(model, batch)), B
-        ref_loss, ref_grads = nn.loss_and_grads(model, batch)
+        ref_loss, ref_grad = nn.loss_and_grads(model, batch)
         assert same_bytes(loss, ref_loss), B
-        for g, r in zip(grads, ref_grads, strict=True):
-            assert same_bytes(g, r), B
+        assert same_bytes(grad, ref_grad), B
         ref_local = federation.local_update(model, X[:B], y[:B], 2, 0.05, 32, seed=B)
-        for p, q in zip(local.params, ref_local.params, strict=True):
-            assert same_bytes(p, q), B
+        assert same_bytes(local.flat, ref_local.flat), B
     # local_update steps its own copy
-    assert all(same_bytes(p, q) for p, q in zip(model.params, before))
+    assert same_bytes(model.flat, before)
 
 
 def test_run_rounds_bits_match_reference(monkeypatch):
@@ -1021,12 +1022,11 @@ def test_run_rounds_bits_match_reference(monkeypatch):
     patch_reference_step(monkeypatch)
     ref_model, ref_history, ref_logs = federation.run_rounds(*args)
     assert len(logs) == 3 and repr(logs) == repr(ref_logs)
-    assert all(same_bytes(p, q) for p, q in zip(model.params, ref_model.params, strict=True))
+    assert same_bytes(model.flat, ref_model.flat)
     assert history.clients() == ref_history.clients() and history.sizes == ref_history.sizes
     assert history.last_round == ref_history.last_round
     for c in history.clients():
-        for p, q in zip(history.models[c], ref_history.models[c], strict=True):
-            assert same_bytes(p, q)
+        assert same_bytes(history.uploads[c], ref_history.uploads[c])
 
 
 @pytest.mark.parametrize("arch,dim", STEP_MODELS[::2])
@@ -1051,6 +1051,90 @@ def test_non_finite_step_raises_reference_message(monkeypatch, arch, dim, where)
                 call(model, nn.Batch(X, y))
             messages.append(str(err.value))
     assert messages[:2] == messages[2:]
+
+
+# --- whole-model operations on the flat vector -------------------------------------
+
+
+def ref_aggregate(models, sizes):
+    # one weighted sum per layer vector
+    total = float(sum(sizes))
+    new_params = [np.zeros_like(p) for p in models[0].params]
+    for m, s in zip(models, sizes):
+        w = s / total
+        for l, p in enumerate(m.params):
+            new_params[l] += w * p
+    return dataclasses.replace(models[0], flat=np.concatenate(new_params))
+
+
+def ref_newly_zeroed(before, after):
+    # one count per layer vector
+    total = 0
+    for p, q in zip(before.params, after.params):
+        total += int(np.count_nonzero((p != 0.0) & (q == 0.0)))
+    return total
+
+
+def ref_grad_ascent(model, X_u, y_u, steps, eta_u):
+    # per-layer gradients, ascent steps and projection; norms of the
+    # concatenated layer vectors
+    current = model.copy()
+    norm_cap = 2.0 * float(np.linalg.norm(np.concatenate(model.params)))
+    batch = nn.Batch(X_u, y_u)
+    log = []
+    for t in range(1, steps + 1):
+        loss, grad = ref_loss_and_grads(current, batch)
+        for p, g in zip(current.params, current.layer_views(grad)):
+            p -= eta_u * -g
+        norm = float(np.linalg.norm(np.concatenate(current.params)))
+        projected = norm > norm_cap > 0.0
+        if projected:
+            scale = norm_cap / norm
+            for p in current.params:
+                p *= scale
+            norm = norm_cap
+        log.append(baselines.AscentStep(t, float(loss), norm, projected))
+    return baselines.AscentResult(current, log)
+
+
+def flat_op_models(arch, dim):
+    """Five models of one architecture: two drawn from TIED_VALUES' finite
+    part (zeros of both signs, equal magnitudes of opposite sign), three from
+    a normal draw with a third of the coordinates set to 0.0 or -0.0."""
+    base = step_model(arch, dim)
+    rng = np.random.default_rng(dim)
+    models = [tie(base, seed) for seed in (1, 2)]
+    for _ in range(3):
+        flat = rng.standard_normal(base.num_params)
+        cut = rng.random(base.num_params) < 1 / 3
+        flat[cut] = rng.choice([0.0, -0.0], size=int(cut.sum()))
+        models.append(dataclasses.replace(base, flat=flat))
+    return models
+
+
+@pytest.mark.parametrize("arch,dim", STEP_MODELS[::2])
+def test_aggregate_and_newly_zeroed_bits_match_per_layer_loops(arch, dim):
+    models = flat_op_models(arch, dim)
+    for sizes in ([1] * 5, [3, 1, 4, 1, 5], [600, 7, 33, 1, 2]):
+        for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]):
+            picked, weights = [models[i] for i in order], [sizes[i] for i in order]
+            assert same_bytes(federation.aggregate(picked, weights).flat,
+                              ref_aggregate(picked, weights).flat)
+    for a in models:
+        for b in models:
+            assert baselines.newly_zeroed(a, b) == ref_newly_zeroed(a, b)
+
+
+@pytest.mark.parametrize("arch,dim,eta", [("mini_cnn", 64, 5.0), ("mlp", 32, 5.0)])
+def test_grad_ascent_bits_match_per_layer_loops(arch, dim, eta):
+    # a forget set over one conv block, so backward rebuilds the patch matrix
+    model = step_model(arch, dim)
+    X, y = step_data(dim, nn.CONV_BLOCK + 8, seed=dim)
+    res = baselines.baseline_grad_ascent(model, X, y, 6, eta)
+    ref = ref_grad_ascent(model, X, y, 6, eta)
+    assert any(s.projected for s in res.steps) and not res.halted
+    assert repr(res.steps) == repr(ref.steps)
+    assert same_bytes(res.model.flat, ref.model.flat)
 
 
 # --- policy step ----------------------------------------------------------------

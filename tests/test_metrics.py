@@ -19,7 +19,7 @@ def bias_model(biases, in_dim=3):
     spec = nn.LayerSpec(nn.DENSE, in_dim=in_dim, out_dim=b.size, activation=nn.ACT_NONE)
     params = np.zeros(spec.d)
     params[in_dim * b.size :] = b
-    return nn.Model("bias", (in_dim,), b.size, (spec,), [params])
+    return nn.Model("bias", (in_dim,), b.size, (spec,), params)
 
 
 def test_accuracy_hand_count():

@@ -1,13 +1,14 @@
 """Core net tests: independent forward oracle, finite-difference gradients,
-closed-form loss values, checkpoint round-trips."""
+closed-form loss values, checkpoint round-trips, the flat parameter layout."""
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
-from scale_fu import nn
+from scale_fu import federation, nn
 
 
 def hand_forward_mlp(model, X):
@@ -25,29 +26,23 @@ def hand_forward_mlp(model, X):
 
 
 def fd_grads(model, batch, eps=1e-4):
-    """Central finite differences over every coordinate of every layer."""
-    grads = []
-    for l in range(model.num_layers):
-        vec = model.params[l]
-        g = np.zeros_like(vec)
-        for i in range(vec.size):
-            for sign in (+1, -1):
-                pert = vec.copy()
-                pert[i] += sign * eps
-                loss, _ = nn.loss_and_grads(model.with_layer(l, pert), batch)
-                g[i] += sign * loss
-            g[i] /= 2 * eps
-        grads.append(g)
-    return grads
+    """Central finite differences over every coordinate, laid out like
+    `model.flat`; each loss is taken on a perturbed copy of the model."""
+    g = np.zeros_like(model.flat)
+    pert = model.copy()
+    for i in range(g.size):
+        for sign in (+1, -1):
+            pert.flat[i] = model.flat[i] + sign * eps
+            loss, _ = nn.loss_and_grads(pert, batch)
+            g[i] += sign * loss
+        pert.flat[i] = model.flat[i]
+        g[i] /= 2 * eps
+    return g
 
 
 def rel_err(a, b):
     """Max relative error with unit floor, so tiny-gradient noise cannot blow up."""
-    return max(
-        float(np.max(np.abs(ga - gb) / np.maximum(1.0, np.abs(gb))))
-        for ga, gb in zip(a, b)
-        if ga.size
-    )
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
 
 
 def small_batch(rng, dim, classes, n=6):
@@ -106,8 +101,7 @@ def test_duplicated_batch_same_loss_and_grads():
     l1, g1 = nn.loss_and_grads(model, batch)
     l2, g2 = nn.loss_and_grads(model, doubled)
     assert abs(l1 - l2) < 1e-12
-    for a, b in zip(g1, g2):
-        assert np.allclose(a, b, atol=1e-12)
+    assert np.allclose(g1, g2, atol=1e-12)
 
 
 def test_sgd_two_steps_sequential_semantics():
@@ -123,33 +117,18 @@ def test_sgd_two_steps_sequential_semantics():
     m2 = nn.sgd_step(m1, g2, eta)
 
     # independent trace: same arithmetic done directly on copies
-    want = [p - eta * a - eta * b for p, a, b in zip(model.params, g1, g2)]
-    for got, w in zip(m2.params, want):
-        assert np.allclose(got, w, atol=1e-15)
+    assert np.allclose(m2.flat, model.flat - eta * g1 - eta * g2, atol=1e-15)
 
-    summed = nn.sgd_step(model, [a + b for a, b in zip(g1, g1)], eta)
-    assert any(not np.allclose(a, b) for a, b in zip(summed.params, m2.params))
+    summed = nn.sgd_step(model, g1 + g1, eta)
+    assert not np.allclose(summed.flat, m2.flat)
 
 
 def test_sgd_step_is_pure():
     model = nn.make_model("mlp", 4, 2, seed=0, hidden=(5, 4))
-    before = [p.copy() for p in model.params]
+    before = model.flat.copy()
     _, g = nn.loss_and_grads(model, small_batch(np.random.default_rng(0), 4, 2))
     nn.sgd_step(model, g, 0.1)
-    for p, q in zip(model.params, before):
-        assert np.array_equal(p, q)
-
-
-def test_with_layer_shares_every_other_layer():
-    model = nn.make_model("mlp", 4, 2, seed=0, hidden=(5, 4))
-    vec = np.arange(model.layers[1].d, dtype=np.float64)
-    out = model.with_layer(1, vec)
-    assert out is not model and out.params is not model.params
-    assert out.params[1] is vec and model.params[1] is not vec
-    assert all(out.params[l] is model.params[l] for l in (0, 2))
-    assert (out.arch_id, out.layers) == (model.arch_id, model.layers)
-    with pytest.raises(nn.ShapeError):
-        model.with_layer(1, np.zeros(3))
+    assert np.array_equal(model.flat, before)
 
 
 def test_shape_errors():
@@ -214,3 +193,50 @@ def test_mini_cnn_forward_shapes():
     batch = small_batch(np.random.default_rng(1), 36, 5, n=3)
     logits = nn.forward(model, batch)
     assert logits.shape == (3, 5)
+
+
+def assert_views_of_flat(model):
+    """Every layer vector is the view of `model.flat` at its offset (numpy
+    puts an empty slice, the flatten layer's, at the start of its base)."""
+    flat = model.flat
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous
+    offset = 0
+    for p, d in zip(model.params, model.layer_dims(), strict=True):
+        assert p.base is flat and p.shape == (d,)
+        assert p.ctypes.data == flat.ctypes.data + 8 * (offset if d else 0)
+        offset += d
+    assert offset == flat.size
+
+
+@pytest.mark.parametrize("arch,dim", [("mlp", 16), ("mini_cnn", 25)])
+def test_params_are_views_of_one_flat_vector(tmp_path, arch, dim):
+    model = nn.make_model(arch, dim, 4, seed=5)
+    assert (0 in model.layer_dims()) == (arch == "mini_cnn")   # the flatten layer
+    path = tmp_path / "m.model"
+    nn.save_model(model, path)
+    assert path.read_bytes() == model.flat.astype("<f8").tobytes()
+    copy = model.copy()
+    built = [model, copy, nn.load_model(path, model),
+             federation.aggregate([model, copy], [1, 3]),
+             dataclasses.replace(model, flat=np.arange(model.num_params, dtype=np.float64))]
+    for m in built:
+        assert_views_of_flat(m)
+    # a copy shares no memory with its source
+    assert not np.shares_memory(copy.flat, model.flat)
+    # a write through a view shows in flat, and only in this model
+    last = model.num_params - model.layer_dims()[-1]
+    model.params[-1][0] = 7.5
+    assert model.flat[last] == 7.5 and copy.flat[last] != 7.5
+    model.flat[0] = -1.5
+    assert model.params[0][0] == -1.5
+    # the views and flat are bound once; an in-place update keeps them
+    model.flat *= 2.0
+    assert_views_of_flat(model)
+    with pytest.raises(TypeError):
+        model.params[0] = np.zeros(model.layer_dims()[0])
+    with pytest.raises(AttributeError):
+        model.params = copy.params
+    with pytest.raises(AttributeError):
+        model.flat = copy.flat
+    with pytest.raises(nn.ShapeError):
+        dataclasses.replace(model, flat=np.zeros(model.num_params + 1))

@@ -22,7 +22,7 @@ def dense_model(dims, seed=0):
         input_shape=(dims[0],),
         num_classes=dims[-1],
         layers=specs,
-        params=nn.init_params(specs, seed=seed),
+        flat=nn.init_params(specs, seed=seed),
     )
 
 
@@ -32,7 +32,7 @@ def vec_model(values):
     d = values.size
     spec = nn.LayerSpec(nn.DENSE, in_dim=d - 1, out_dim=1, activation=nn.ACT_NONE)
     assert spec.d == d
-    return nn.Model("vec", (d - 1,), 2, (spec,), [values.copy()])
+    return nn.Model("vec", (d - 1,), 2, (spec,), values.copy())
 
 
 def flat_report(scores, m_sel=None):
@@ -539,6 +539,7 @@ def test_train_unlearner_deterministic():
 
 def test_deploy_greedy_and_deterministic():
     model, report, idx, cfg = bandit_setup()
+    before = model.flat.copy()
     cfg = rl.PpoConfig(episodes=0, t_collect=8, ratio_levels=2, hidden=8,
                        sparsity_cap=0.95)
     policy = rl.PolicyNet(idx, cfg.ratio_levels, seed=2, hidden=cfg.hidden)
@@ -552,10 +553,7 @@ def test_deploy_greedy_and_deterministic():
     assert r1.action_rows[0]["layer"] == idx.layers[0]
     assert r1.action_rows[0]["groups"] == [0]
     # the deployed copy differs from or equals the input, but input is intact
-    assert all(np.array_equal(p, q) for p, q in
-               zip(model.params, nn.Model(model.arch_id, model.input_shape,
-                                          model.num_classes, model.layers,
-                                          model.params).params))
+    assert np.array_equal(model.flat, before)
 
 
 def test_deploy_validates_steps():

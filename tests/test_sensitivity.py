@@ -120,9 +120,9 @@ def test_default_m_sel():
 
 
 def make_history(vectors, sizes):
-    h = FederationHistory()
+    h = FederationHistory([v.size for v in next(iter(vectors.values()))])
     for c, params in vectors.items():
-        h.record(c, params, sizes[c], rnd=1)
+        h.record(c, np.concatenate(params), sizes[c], rnd=1)
     return h
 
 
