@@ -215,11 +215,6 @@ def state_vector(model: nn.Model, ledger: AoiLedger, idx: GroupIndex) -> np.ndar
     return out.ravel()
 
 
-def global_aoi(ledger: AoiLedger) -> float:
-    """Mean age over tracked groups."""
-    return float(ledger.ages().mean())
-
-
 def aoi_summary(ledger: AoiLedger) -> tuple[float, float, float]:
     ages = ledger.ages()
     total = np.add.reduce(ages)        # ages.mean() is this sum over the count

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .aoi import GroupIndex, balanced_ranges
+from .aoi import partition_groups
 from .rl import zero_smallest
 
 
@@ -22,17 +22,6 @@ def newly_zeroed(before: nn.Model, after: nn.Model) -> int:
     if before.layer_dims() != after.layer_dims():
         raise BaselineError("models are shape-incongruent")
     return int(np.count_nonzero((before.flat != 0.0) & (after.flat == 0.0)))
-
-
-def full_group_index(model: nn.Model, groups_per_layer: int) -> GroupIndex:
-    """Every real (d > 0) layer, split into balanced contiguous groups."""
-    layers = [l for l, d in enumerate(model.layer_dims()) if d > 0]
-    if not layers:
-        raise BaselineError("model has no parameters to prune")
-    return GroupIndex(
-        layers=tuple(layers),
-        ranges=tuple(balanced_ranges(model.layer_dims()[l], groups_per_layer) for l in layers),
-    )
 
 
 def _equal_split_with_spill(budget: int, capacities: list[int]) -> list[int]:
@@ -67,7 +56,7 @@ def baseline_uniform(model: nn.Model, total_budget: int, groups_per_layer: int) 
         raise BaselineError("budget exceeds the parameter count")
     if total_budget == 0:
         return model.copy()
-    idx = full_group_index(model, groups_per_layer)
+    idx = partition_groups(model, range(model.num_layers), groups_per_layer)
     out = model.copy()
     # one (n_groups, size) view per run of equal-size groups, canonical order
     rows = [out.params[layer][span].reshape(-1, size) for layer, span, size, _ in idx.runs]

@@ -166,7 +166,7 @@ def _scale_tables(res: pipeline.ScaleResult) -> dict[str, tuple[list[str], list[
              for e in res.trained.episodes]),
         "aoi_timeseries.csv": (
             ["step", "sum_aoi", "mean_aoi", "max_aoi"],
-            [[step, repr(s), repr(m), repr(x)] for step, s, m, x in res.deployed.aoi_rows]),
+            [[step, repr(s), repr(m), repr(x)] for step, s, m, x in res.aoi_rows]),
     }
 
 
@@ -194,7 +194,7 @@ def cmd_unlearn(run_dir: str, method: str, request: str, seed: int | None = None
     if method == "scale":
         res = pipeline.unlearn_scale(cfg, model, load_history(rd, model), req, seed)
         out, tables = res.deployed.model, _scale_tables(res)
-        meta = {"steps": res.deployed.steps,
+        meta = {"steps": len(res.deployed.action_rows),
                 "selected_layers": [int(l) for l in res.report.selected]}
     elif method == "retrain":
         out, rounds = pipeline.unlearn_retrain(cfg, ds, part, split)
@@ -234,30 +234,33 @@ def cmd_unlearn(run_dir: str, method: str, request: str, seed: int | None = None
 # --- eval
 
 
-def _check_action(row, idx, horizon: int, source: str) -> dict:
-    """`row`, an action read from `source`, checked to name a step in 1 to
-    `horizon`, a layer of `idx` and group ids of that layer; otherwise a
-    CliError names `source`."""
+def _check_action(row, idx, t: int, steps: int, source: str) -> dict:
+    """`row`, the action read from `source`, checked to be one that
+    `rl.deploy` writes there: step `t` of `steps`, a layer of `idx` and at
+    least one group id of that layer, none repeated; otherwise a CliError
+    names `source`."""
     require_keys(row, source, "step", "layer", "groups")
     step, layer, groups = row["step"], row["layer"], row["groups"]
-    if not is_index(step) or step < 1:
-        raise CliError(f"{source}: step {step!r} is not a positive integer")
-    if step > horizon:
-        raise CliError(f"{source}: step {step} is past unlearn_meta.json's "
-                       f"{horizon} steps")
+    if is_index(step) and step > steps:
+        raise CliError(f"{source}: step {step} is past unlearn_meta.json's {steps} steps")
+    if not is_index(step) or step != t:
+        raise CliError(f"{source}: step {step!r} where step {t} is due; the log holds "
+                       "steps 1, 2, ... one row each")
     if not is_index(layer) or layer not in idx.layers:
         raise CliError(f"{source}: layer {layer!r} is not a selected layer {list(idx.layers)}")
     n = idx.n_groups(layer)
-    if not isinstance(groups, list) or not all(is_index(j) and j < n for j in groups):
-        raise CliError(f"{source}: groups {groups!r} are not group ids of layer {layer} "
-                       f"(0 to {n - 1})")
+    if not isinstance(groups, list) or not groups \
+            or not all(is_index(j) and j < n for j in groups) or len(set(groups)) < len(groups):
+        raise CliError(f"{source}: groups {groups!r} are not distinct group ids of layer "
+                       f"{layer} (0 to {n - 1}), at least one")
     return row
 
 
 def _read_actions(rd: RunDir, cfg: dict, meta: dict,
                   model: nn.Model) -> tuple[list[dict], GroupIndex]:
-    """scale's deployed action rows, each checked against the parameter
-    groups of the layers its unlearn_meta.json selected, and those groups."""
+    """scale's deployed action rows, checked to be the log that `rl.deploy`
+    writes, one row for each of unlearn_meta.json's steps, over the
+    parameter groups of the layers it selected, and those groups."""
     mdir = rd.method_dir("scale")
     selected = meta["selected_layers"]
     if not isinstance(selected, list) or not selected or not all(
@@ -266,9 +269,15 @@ def _read_actions(rd: RunDir, cfg: dict, meta: dict,
         raise CliError(f"{mdir / 'unlearn_meta.json'}: selected_layers {selected!r} "
                        f"are not layers of the model (0 to {model.num_layers - 1})")
     idx = pipeline.scale_groups(cfg, model, selected)
-    horizon = max(meta["steps"], 1)
-    return [_check_action(row, idx, horizon, source)
-            for source, row in rd.read_jsonl(mdir / "actions.jsonl")], idx
+    path, steps = mdir / "actions.jsonl", meta["steps"]
+    rows = rd.read_jsonl(path)
+    actions = [_check_action(row, idx, t, steps, source)
+               for t, (source, row) in enumerate(rows, 1)]
+    if len(actions) != steps:
+        last = rows[-1][0] if rows else f"{path} line 1"
+        raise CliError(f"{last}: the log ends at step {len(actions)}, short of "
+                       f"unlearn_meta.json's {steps} steps")
+    return actions, idx
 
 
 def cmd_eval(run_dir: str, methods: list[str]) -> list[metrics.EvalReport]:

@@ -60,12 +60,10 @@ class FederationHistory:
     """Latest upload per participant, with its sample count and last round.
 
     An upload is one flat float64 vector laid out like `nn.Model.flat` by the
-    layer lengths `dims`; `uploads` holds it and `models` its per-layer views,
-    which the sensitivity analysis reads."""
+    layer lengths `dims`."""
 
     dims: list[int]
     uploads: dict[int, np.ndarray] = field(default_factory=dict)
-    models: dict[int, tuple[np.ndarray, ...]] = field(default_factory=dict)
     sizes: dict[int, int] = field(default_factory=dict)
     last_round: dict[int, int] = field(default_factory=dict)
 
@@ -76,15 +74,11 @@ class FederationHistory:
             raise FederationError(f"client {client}: upload of shape {flat.shape} "
                                   f"for {sum(self.dims)} parameters")
         self.uploads[client] = flat
-        self.models[client] = tuple(nn.views(flat, [(d,) for d in self.dims]))
         self.sizes[client] = int(size)
         self.last_round[client] = int(rnd)
 
     def clients(self) -> list[int]:
-        return sorted(self.models)
-
-    def layer_vector(self, client: int, l: int) -> np.ndarray:
-        return self.models[client][l]
+        return sorted(self.uploads)
 
 
 def _local_seed(base_seed: int, rnd: int, client: int) -> int:

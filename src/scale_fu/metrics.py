@@ -3,8 +3,8 @@
 Remaining/forgetting accuracy are exact argmax counts (ties resolve to the
 lowest class index). The forgetting rate compares true-label confidence
 before and after unlearning. Communication overhead is the transmitted
-scalar count and the mean global age over the action trajectory, replayed
-deterministically from the action log.
+scalar count and the mean global age over the action trajectory. Every AoI
+figure of a run is replayed from its action log by `replay_aoi`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .aoi import AoiLedger, GroupIndex, global_aoi
+from .aoi import AoiLedger, GroupIndex, aoi_summary
 
 CONFIDENCE_FLOOR = 1e-8
 
@@ -73,9 +73,11 @@ def transmitted_count(action_rows: list[dict], idx: GroupIndex) -> int:
     return total
 
 
-def replay_global_aoi(action_rows: list[dict], idx: GroupIndex, horizon: int | None = None) -> list[float]:
-    """Global AoI after each replayed step (advance, then touch that step's
-    groups), reproducing the deployment trajectory from its action log."""
+def replay_aoi(action_rows: list[dict], idx: GroupIndex,
+               horizon: int | None = None) -> list[tuple[int, float, float, float]]:
+    """(step, sum, mean, max) of the group ages after each replayed step
+    (advance, then touch that step's groups): the `aoi_summary` trajectory of
+    the deployment that wrote the action log."""
     by_step: dict[int, list[tuple[int, int]]] = {}
     for row in action_rows:
         by_step.setdefault(int(row["step"]), []).extend(
@@ -86,13 +88,13 @@ def replay_global_aoi(action_rows: list[dict], idx: GroupIndex, horizon: int | N
     if by_step and horizon < max(by_step):
         raise MetricsError("horizon shorter than the action log")
     ledger = AoiLedger(idx)
-    series = []
+    rows = []
     for t in range(1, horizon + 1):
         ledger.advance()
         if t in by_step:
             ledger.touch(by_step[t])
-        series.append(global_aoi(ledger))
-    return series
+        rows.append((t, *aoi_summary(ledger)))
+    return rows
 
 
 def comm_overhead(
@@ -104,19 +106,18 @@ def comm_overhead(
     """C_t and the mean global AoI (in steps and in seconds) of a trajectory.
 
     C_t counts transmitted scalars. The freshness term is the mean of the
-    global AoI over the replayed trajectory, scaled by secs_per_step. C_t is
-    additive over trajectory segments; the freshness term composes as a
-    step-weighted mean."""
+    replayed mean-age column, scaled by secs_per_step. C_t is additive over
+    trajectory segments; the freshness term composes as a step-weighted
+    mean."""
     if secs_per_step < 0:
         raise MetricsError("secs_per_step must be non-negative")
     c_t = transmitted_count(action_rows, idx)
-    series = replay_global_aoi(action_rows, idx, horizon)
-    mean_steps = float(np.mean(series)) if series else 0.0
+    means = [mean for _, _, mean, _ in replay_aoi(action_rows, idx, horizon)]
+    mean_steps = float(np.mean(means)) if means else 0.0
     return {
         "comm_ct": c_t,
         "mean_aoi_steps": mean_steps,
         "mean_aoi_secs": mean_steps * secs_per_step,
-        "aoi_series": series,
     }
 
 

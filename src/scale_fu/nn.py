@@ -109,6 +109,15 @@ def views(buf: np.ndarray, shapes) -> list[np.ndarray]:
     return out
 
 
+class LayerViews(tuple):
+    """Per-layer views whose item assignment accepts only the view already
+    held: `params[l] *= s` scales layer l in place, `params[l] = x` raises."""
+
+    def __setitem__(self, l, value) -> None:
+        if value is not self[l]:
+            raise TypeError("Model.params holds bound views; write through them")
+
+
 @dataclass
 class Model:
     """Ordered layer specs plus one flat float64 vector `flat` holding every
@@ -121,7 +130,7 @@ class Model:
     num_classes: int
     layers: tuple[LayerSpec, ...]
     flat: np.ndarray
-    params: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    params: LayerViews = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.input_shape = tuple(int(v) for v in self.input_shape)
@@ -155,9 +164,9 @@ class Model:
     def layer_dims(self) -> list[int]:
         return [spec.d for spec in self.layers]
 
-    def layer_views(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+    def layer_views(self, vec: np.ndarray) -> LayerViews:
         """Per-layer views of `vec`, a vector laid out like `flat`."""
-        return tuple(views(vec, [(spec.d,) for spec in self.layers]))
+        return LayerViews(views(vec, [(spec.d,) for spec in self.layers]))
 
     def copy(self) -> "Model":
         return Model(self.arch_id, self.input_shape, self.num_classes, self.layers,

@@ -72,11 +72,13 @@ def train(cfg: dict) -> tuple[data.ClientPartition, nn.Model, federation.Federat
 
 @dataclass
 class ScaleResult:
-    """The scale stage's layer scores, its trained agent and the deployment."""
+    """The scale stage's layer scores, its trained agent, the deployment and
+    the (step, sum, mean, max) AoI rows replayed from its action log."""
 
     report: sensitivity.SensitivityReport
     trained: rl.TrainResult
     deployed: rl.DeployResult
+    aoi_rows: list[tuple[int, float, float, float]]
 
 
 def unlearn_scale(cfg: dict, model: nn.Model, history: federation.FederationHistory,
@@ -96,7 +98,7 @@ def unlearn_scale(cfg: dict, model: nn.Model, history: federation.FederationHist
     cfg_ppo = ppo_config(cfg)
     trained = rl.train_unlearner(model, report, idx, cfg_ppo, component_seed(seed, TAG_PPO))
     deployed = rl.deploy(trained.policy, model, report, idx, cfg_ppo, sc["deploy_steps"])
-    return ScaleResult(report, trained, deployed)
+    return ScaleResult(report, trained, deployed, metrics.replay_aoi(deployed.action_rows, idx))
 
 
 def unlearn_retrain(cfg: dict, ds: data.Dataset, part: data.ClientPartition,
@@ -131,7 +133,7 @@ def _accounting(cfg: dict, method: str, steps: int, original: nn.Model, scale_ac
     if method == "scale":
         rows, idx = scale_actions
         return rows, idx, max(steps, 1)
-    idx = baselines.full_group_index(original, cfg["scale"]["groups_per_layer"])
+    idx = scale_groups(cfg, original, range(original.num_layers))
     if method == "uniform":
         # one burst at step 1, then the model sits untouched for the horizon
         return _touch_all(idx, 1), idx, max(cfg["scale"]["deploy_steps"], 1)

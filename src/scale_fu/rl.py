@@ -16,8 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import nn
-from .aoi import (AoiLedger, GroupIndex, aoi_summary, normalized_ages, state_vector,
-                  write_group_stats)
+from .aoi import AoiLedger, GroupIndex, normalized_ages, state_vector, write_group_stats
 from .sensitivity import SensitivityReport
 
 
@@ -776,11 +775,10 @@ def train_unlearner(
 
 @dataclass
 class DeployResult:
+    """The deployed model and its action log, one row per step."""
+
     model: nn.Model
     action_rows: list[dict]
-    aoi_rows: list[tuple]
-    rewards: list[float]
-    steps: int
 
 
 def deploy(
@@ -792,32 +790,21 @@ def deploy(
     steps: int,
 ) -> DeployResult:
     """Greedy (mode) rollout on a fresh copy; stops early if the env is done.
-    Each step logs its action and the ledger's `aoi_summary` after it."""
+    Each step logs its action."""
     if steps < 1:
         raise RlError("deploy needs at least one step")
     env = UnlearnEnv(model, report, idx, cfg)
     state = env.reset()
-    rewards: list[float] = []
     action_rows: list[dict] = []
-    aoi_rows: list[tuple] = []
     for _ in range(steps):
         if env.done:
             break
         action, lp = policy_mode(policy, state)
-        tr = env.step(action, log_prob=lp)
-        rewards.append(tr.reward)
+        state = env.step(action, log_prob=lp).next_state
         action_rows.append({
             "step": env.steps,
             "layer": int(idx.layers[action.layer_rank]),
             "groups": [int(j) for j in action.groups],
             "s": action.s,
         })
-        aoi_rows.append((env.steps, *aoi_summary(env.ledger)))
-        state = tr.next_state
-    return DeployResult(
-        model=env.model,
-        action_rows=action_rows,
-        aoi_rows=aoi_rows,
-        rewards=rewards,
-        steps=env.steps,
-    )
+    return DeployResult(model=env.model, action_rows=action_rows)

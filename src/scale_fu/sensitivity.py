@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nn
 from .federation import FederationHistory
 
 RHO_SQ_CLAMP = 1.0 - 1e-6
@@ -54,17 +55,18 @@ def alignment_score(rho: float) -> float:
     return -0.5 * math.log1p(-rho_sq)
 
 
-def loo_aggregate(history: FederationHistory, l: int, n: int) -> np.ndarray:
-    """Size-weighted mean of layer l over recorded clients excluding n."""
+def loo_aggregate(history: FederationHistory, n: int) -> np.ndarray:
+    """Size-weighted mean of the recorded uploads excluding client n's, one
+    flat vector laid out like the uploads."""
     others = [c for c in history.clients() if c != n]
     if not others:
         raise SensitivityError(
             f"cannot build leave-one-out aggregate: client {n} is the only one recorded"
         )
     total = float(sum(history.sizes[c] for c in others))
-    out = np.zeros_like(history.layer_vector(others[0], l))
+    out = np.zeros(sum(history.dims))
     for c in others:
-        out += (history.sizes[c] / total) * history.layer_vector(c, l)
+        out += (history.sizes[c] / total) * history.uploads[c]
     return out
 
 
@@ -152,9 +154,9 @@ def analyze(
     Layers with fewer than two parameters (virtual layers) score zero on
     every component and can only be selected once real layers run out.
     """
-    if n not in history.models:
+    if n not in history.uploads:
         raise SensitivityError(f"client {n} has no recorded upload")
-    dims = [v.size for v in history.models[n]]
+    dims = list(history.dims)
     if [p.size for p in global_params] != dims:
         raise SensitivityError("global model shape-incongruent with history")
     L = len(dims)
@@ -166,13 +168,14 @@ def analyze(
     s_align = np.zeros(L)
     s_impact = np.zeros(L)
     s_comb = np.zeros(L)
+    shapes = [(d,) for d in dims]
+    upload, loo = (nn.views(v, shapes) for v in (history.uploads[n], loo_aggregate(history, n)))
     for l in range(L):
         if dims[l] < 2:
             continue
-        r = pearson(history.layer_vector(n, l), global_params[l])
-        loo = loo_aggregate(history, l, n)
+        r = pearson(upload[l], global_params[l])
         p = to_distribution(global_params[l], scheme)
-        q = to_distribution(loo, scheme)
+        q = to_distribution(loo[l], scheme)
         rho[l] = r
         s_align[l] = alignment_score(r)
         s_impact[l] = kl(p, q)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from artifacts import read_csv
-from scale_fu import baselines, cli, nn, pipeline, theory
+from scale_fu import aoi, baselines, cli, nn, pipeline, theory
 from scale_fu.config import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -311,7 +311,7 @@ def test_stages_in_memory_match_the_cli_artifacts(run_dir, tmp_path):
     uniform, _ = pipeline.unlearn_uniform(cfg, original, scale.deployed.model)
     ascent = pipeline.unlearn_grad_ascent(cfg, original, ds, split)
     runs = {
-        "scale": (scale.deployed.model, scale.deployed.steps, seed),
+        "scale": (scale.deployed.model, len(scale.deployed.action_rows), seed),
         "retrain": (retrain, len(retrain_rounds), seed),
         "uniform": (uniform, 1, seed),
         "grad_ascent": (ascent.model, len(ascent.steps), seed),
@@ -326,6 +326,9 @@ def test_stages_in_memory_match_the_cli_artifacts(run_dir, tmp_path):
 
     lines = (run_dir.method_dir("scale") / "actions.jsonl").read_text().splitlines()
     assert scale.deployed.action_rows == [json.loads(line) for line in lines[1:]]
+    _, _, aoi_rows = read_csv(run_dir.method_dir("scale") / "aoi_timeseries.csv")
+    assert aoi_rows == [[str(step), repr(s), repr(m), repr(x)]
+                        for step, s, m, x in scale.aoi_rows]
 
     groups = pipeline.scale_groups(cfg, original, scale.report.selected)
     reports = pipeline.evaluate(cfg, req, ds, split, original, runs,
@@ -335,6 +338,16 @@ def test_stages_in_memory_match_the_cli_artifacts(run_dir, tmp_path):
         stored = read_json(run_dir.metrics_path(report.method))
         del stored["config_hash"]
         assert dataclasses.asdict(report) == stored, report.method
+
+
+def test_scale_mean_aoi_is_the_mean_of_its_timeseries(run_dir):
+    # eval's mean_aoi and aoi_timeseries.csv are one replay of actions.jsonl
+    _, header, rows = read_csv(run_dir.method_dir("scale") / "aoi_timeseries.csv")
+    col = header.index("mean_aoi")
+    payload = read_json(run_dir.metrics_path("scale"))
+    assert payload["mean_aoi_steps"] == float(np.mean([float(row[col]) for row in rows]))
+    steps = cli.read_meta(run_dir, "scale")["steps"]
+    assert [int(row[0]) for row in rows] == list(range(1, steps + 1))
 
 
 def test_retrain_accounting_touches_everything(run_dir):
@@ -524,11 +537,13 @@ def test_selected_layer_outside_model_is_named(run_dir, tmp_path, capsys):
     assert str(path) in err and "selected_layers" in err
 
 
-# a field of the first action row and a value eval cannot replay
-BAD_ACTION = [("layer", "unselected"), ("groups", [99]), ("step", 0)]
+# a field of the first action row and a value that deploy never writes, by id
+BAD_ACTION = {"layer": ("layer", "unselected"), "groups": ("groups", [99]),
+              "step": ("step", 0), "no-groups": ("groups", []),
+              "repeated-group": ("groups", [0, 0]), "step-out-of-order": ("step", 2)}
 
 
-@pytest.mark.parametrize("key,value", BAD_ACTION, ids=[k for k, _ in BAD_ACTION])
+@pytest.mark.parametrize("key,value", BAD_ACTION.values(), ids=BAD_ACTION)
 def test_bad_action_row_is_named(run_dir, tmp_path, capsys, key, value):
     rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
     path = rd.method_dir("scale") / "actions.jsonl"
@@ -559,6 +574,38 @@ def test_action_past_the_horizon_is_named(run_dir, tmp_path, capsys):
     assert cli.main(["eval", "--run", str(rd.root), "--methods", ALL_METHODS]) == 2
     err = capsys.readouterr().err
     assert f"{path} line 2" in err and "unlearn_meta.json" in err
+
+
+def drop_step_2(rows, meta):
+    del rows[1]
+    return 3                  # step 3 stands where step 2 is due
+
+
+def one_step_more(rows, meta):
+    meta["steps"] += 1
+    return len(rows) + 1      # the log ends a step short
+
+
+# an edit of scale's action rows and unlearn_meta.json that deploy could not
+# have written, and the actions.jsonl line that the error names
+BAD_LOG = {"missing-step": drop_step_2, "meta-steps-one-more": one_step_more}
+
+
+@pytest.mark.parametrize("edit", BAD_LOG.values(), ids=BAD_LOG)
+def test_action_log_deploy_could_not_write_is_named(run_dir, tmp_path, capsys, edit):
+    rd = RunDir(shutil.copytree(run_dir.root, tmp_path / "run"))
+    path = rd.method_dir("scale") / "actions.jsonl"
+    meta_path = rd.method_dir("scale") / "unlearn_meta.json"
+    head, *lines = path.read_text().splitlines()
+    rows, meta = [json.loads(line) for line in lines], json.loads(meta_path.read_text())
+    assert len(rows) == meta["steps"] >= 3
+    line = edit(rows, meta)
+    path.write_text("\n".join([head, *map(json.dumps, rows)]) + "\n")
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(rd.root), "--methods", ALL_METHODS]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} line {line}:" in err and "step" in err
 
 
 def test_config_without_config_object_is_refused(run_dir, tmp_path):
@@ -635,7 +682,7 @@ def test_mini_cnn_pipeline_evaluates_every_method(tmp_path):
                          "--request", "client:1"]) == 0, m
     rd = RunDir(out)
     model = load_global(rd)
-    assert baselines.full_group_index(model, 4).layers == (0, 1, 3)
+    assert aoi.partition_groups(model, range(model.num_layers), 4).layers == (0, 1, 3)
     assert cli.main(["eval", "--run", str(out), "--methods", ALL_METHODS]) == 0
     _, _, rows = read_csv(rd.comparison_path)
     assert [r[0] for r in rows] == ALL_METHODS.split(",")

@@ -19,9 +19,9 @@ Compared for exact equality, never a tolerance:
   gradients concatenated at the end and a new model per SGD step:
   `forward`, `loss_and_grads`, `local_update` and a 3-round `run_rounds`,
   values and signs alike
-- `federation.aggregate`, `baselines.newly_zeroed` and
-  `baselines.baseline_grad_ascent`, which act on the model's flat vector,
-  against their per-layer loops
+- `federation.aggregate`, `baselines.newly_zeroed`,
+  `baselines.baseline_grad_ascent` and `sensitivity.loo_aggregate`, which act
+  on the model's flat vector, against their per-layer loops
 
 Compared within a fixed float64 tolerance, since the summation order changed:
 - the patch-matrix GEMM `_conv_forward` / `_conv_backward` against the einsum
@@ -46,7 +46,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scale_fu import aoi, baselines, federation, nn, pipeline, rl
+from scale_fu import aoi, baselines, federation, metrics, nn, pipeline, rl, sensitivity
 from scale_fu.aoi import AoiError, GroupIndex, partition_groups
 from scale_fu.config import fed_config, validate_config
 from scale_fu.sensitivity import SensitivityReport
@@ -103,7 +103,7 @@ def ref_baseline_uniform(model, total_budget, groups_per_layer):
     `rl.zero_smallest`."""
     if total_budget == 0:
         return model.copy()
-    idx = baselines.full_group_index(model, groups_per_layer)
+    idx = partition_groups(model, range(model.num_layers), groups_per_layer)
     out = model.copy()
     layer_caps = [
         int(np.count_nonzero(out.params[l] != 0.0)) for l in idx.layers
@@ -582,8 +582,8 @@ def run_env_against_reference(model, idx, cfg, seed, episodes=6):
 
 def deploy_against_reference(model, report, idx, cfg, rng):
     """`rl.deploy` with random actions in place of the greedy policy; RefEnv
-    replaying them must log the same AoI and action rows and end with the
-    same model bits."""
+    replaying them must log the same action rows and end with the same model
+    bits, and its live AoI rows must equal the replay of deploy's log."""
     actions = []
 
     def random_mode(policy, state):
@@ -596,8 +596,9 @@ def deploy_against_reference(model, report, idx, cfg, rng):
     ref = RefEnv(model, report, idx, cfg)
     for action in actions:
         ref.step(action)
-    assert ref.done and deployed.steps == ref.steps == len(actions)
-    assert deployed.aoi_rows == ref.aoi_rows and deployed.action_rows == ref.action_rows
+    assert ref.done and len(deployed.action_rows) == ref.steps == len(actions)
+    assert metrics.replay_aoi(deployed.action_rows, idx) == ref.aoi_rows
+    assert deployed.action_rows == ref.action_rows
     assert_same_bits(deployed.model, ref.model)
 
 
@@ -1067,6 +1068,18 @@ def ref_aggregate(models, sizes):
     return dataclasses.replace(models[0], flat=np.concatenate(new_params))
 
 
+def ref_loo_aggregate(history, l, n):
+    """`sensitivity.loo_aggregate` as it was: layer l only, summed over each
+    upload's per-layer view."""
+    others = [c for c in history.clients() if c != n]
+    total = float(sum(history.sizes[c] for c in others))
+    layer = {c: nn.views(history.uploads[c], [(d,) for d in history.dims])[l] for c in others}
+    out = np.zeros_like(layer[others[0]])
+    for c in others:
+        out += (history.sizes[c] / total) * layer[c]
+    return out
+
+
 def ref_newly_zeroed(before, after):
     # one count per layer vector
     total = 0
@@ -1123,6 +1136,21 @@ def test_aggregate_and_newly_zeroed_bits_match_per_layer_loops(arch, dim):
     for a in models:
         for b in models:
             assert baselines.newly_zeroed(a, b) == ref_newly_zeroed(a, b)
+
+
+# the model and dataset blocks of the benchmark's ref-mlp and cnn-fed workloads
+HISTORY_OVERLAYS = {"ref-mlp": {},
+                    "cnn-fed": {"model": {"arch": "mini_cnn"},
+                                "dataset": {"dim": 64, "per_class": 150}}}
+
+
+@pytest.mark.parametrize("overlay", HISTORY_OVERLAYS.values(), ids=HISTORY_OVERLAYS)
+def test_loo_aggregate_bits_match_per_layer_reference(overlay):
+    _, model, history, _ = pipeline.train(validate_config({**overlay, "seeds": {"master": 42}}))
+    for n in history.clients():
+        flat = model.layer_views(sensitivity.loo_aggregate(history, n))
+        for l in range(model.num_layers):
+            assert same_bytes(flat[l], ref_loo_aggregate(history, l, n)), (n, l)
 
 
 @pytest.mark.parametrize("arch,dim,eta", [("mini_cnn", 64, 5.0), ("mlp", 32, 5.0)])

@@ -91,11 +91,20 @@ def trace_rows():
     ]
 
 
+def means(aoi_rows):
+    return [mean for _, _, mean, _ in aoi_rows]
+
+
 def test_comm_overhead_hand_trace():
     """Five-step trace simulated by hand: C_t = 19, mean global AoI = 1.4."""
     out = metrics.comm_overhead(trace_rows(), trace_index(), secs_per_step=0.5, horizon=5)
     assert out["comm_ct"] == 10 + 2 + 5 + 2
-    assert out["aoi_series"] == [0.5, 1.0, 2.0, 1.25, 2.25]
+    # ages of groups (0,0), (0,1), (1,0), (1,1) after each step:
+    # [0,0,1,1] [1,1,0,2] [2,2,1,3] [3,0,2,0] [4,1,3,1]
+    rows = metrics.replay_aoi(trace_rows(), trace_index(), horizon=5)
+    assert means(rows) == [0.5, 1.0, 2.0, 1.25, 2.25]
+    assert rows == [(1, 2.0, 0.5, 1.0), (2, 4.0, 1.0, 2.0), (3, 8.0, 2.0, 3.0),
+                    (4, 5.0, 1.25, 3.0), (5, 9.0, 2.25, 4.0)]
     assert out["mean_aoi_steps"] == pytest.approx(1.4)
     assert out["mean_aoi_secs"] == pytest.approx(0.7)
 
@@ -103,7 +112,7 @@ def test_comm_overhead_hand_trace():
 def test_comm_overhead_empty_log_ages_grow_linearly():
     out = metrics.comm_overhead([], trace_index(), secs_per_step=1.0, horizon=4)
     assert out["comm_ct"] == 0
-    assert out["aoi_series"] == [1.0, 2.0, 3.0, 4.0]
+    assert means(metrics.replay_aoi([], trace_index(), horizon=4)) == [1.0, 2.0, 3.0, 4.0]
     assert out["mean_aoi_secs"] == pytest.approx(2.5)
 
 
@@ -121,7 +130,7 @@ def test_comm_ct_additive_and_aoi_composes_as_weighted_mean():
     c_full = metrics.transmitted_count(rows, idx)
     assert c_full == metrics.transmitted_count(seg1, idx) + metrics.transmitted_count(seg2, idx)
     # freshness is a per-step mean: segment means recombine by step weights
-    full = metrics.replay_global_aoi(rows, idx, horizon=5)
+    full = means(metrics.replay_aoi(rows, idx, horizon=5))
     assert np.mean(full) == pytest.approx(
         (np.mean(full[:2]) * 2 + np.mean(full[2:]) * 3) / 5
     )
@@ -137,20 +146,20 @@ def test_replay_matches_live_environment_trajectory():
     rng = np.random.default_rng(3)
     policy = rl.PolicyNet(idx, 4, seed=0, hidden=8)
     state = env.reset()
-    action_rows, live_means = [], []
+    action_rows, live = [], []
     while not env.done:
         act, lp = rl.policy_sample(policy, state, rng)
         state = env.step(act, log_prob=lp).next_state
         action_rows.append({"step": env.steps, "layer": idx.layers[act.layer_rank],
                             "groups": list(act.groups), "s": act.s})
-        live_means.append(aoi_summary(env.ledger)[1])
-    series = metrics.replay_global_aoi(action_rows, idx, horizon=env.steps)
-    assert series == pytest.approx(live_means)
+        live.append((env.steps, *aoi_summary(env.ledger)))
+    assert metrics.replay_aoi(action_rows, idx, horizon=env.steps) == live
+    assert metrics.replay_aoi(action_rows, idx) == live
 
 
 def test_replay_rejects_short_horizon():
     with pytest.raises(metrics.MetricsError):
-        metrics.replay_global_aoi(trace_rows(), trace_index(), horizon=2)
+        metrics.replay_aoi(trace_rows(), trace_index(), horizon=2)
 
 
 def test_eval_report_validation_and_json_bytes(tmp_path):

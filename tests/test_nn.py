@@ -240,3 +240,18 @@ def test_params_are_views_of_one_flat_vector(tmp_path, arch, dim):
         model.flat = copy.flat
     with pytest.raises(nn.ShapeError):
         dataclasses.replace(model, flat=np.zeros(model.num_params + 1))
+
+
+def test_in_place_layer_update_through_params():
+    # `params[l] *= s` scales layer l in place and completes; assigning a new
+    # array to `params[l]` raises before anything changes
+    model = nn.make_model("mlp", 16, 4, seed=0)
+    before = model.flat.copy()
+    d0 = model.layer_dims()[0]
+    model.params[0] *= 2.0
+    want = np.concatenate([2.0 * before[:d0], before[d0:]])
+    assert model.flat.tobytes() == want.tobytes()
+    assert_views_of_flat(model)
+    with pytest.raises(TypeError):
+        model.params[0] = np.zeros(d0)
+    assert model.flat.tobytes() == want.tobytes()

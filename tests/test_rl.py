@@ -547,8 +547,9 @@ def test_deploy_greedy_and_deterministic():
     r2 = rl.deploy(policy, model, report, idx, cfg, steps=5)
     assert r1.action_rows == r2.action_rows
     assert all(np.array_equal(a, b) for a, b in zip(r1.model.params, r2.model.params))
-    assert r1.steps <= 5
-    assert len(r1.aoi_rows) == r1.steps == len(r1.rewards)
+    # one row per step, steps 1, 2, ... in order
+    assert 1 <= len(r1.action_rows) <= 5
+    assert [row["step"] for row in r1.action_rows] == list(range(1, len(r1.action_rows) + 1))
     # greedy at zero-init: always layer rank 0, group 0, lowest level
     assert r1.action_rows[0]["layer"] == idx.layers[0]
     assert r1.action_rows[0]["groups"] == [0]

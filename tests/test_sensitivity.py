@@ -131,7 +131,7 @@ def test_loo_aggregate_weighted_mean():
         {0: [np.array([1.0, 1.0])], 1: [np.array([2.0, 4.0])], 2: [np.array([5.0, 0.0])]},
         {0: 10, 1: 30, 2: 10},
     )
-    out = sen.loo_aggregate(h, 0, 0)
+    out = sen.loo_aggregate(h, 0)
     want = (30 * np.array([2.0, 4.0]) + 10 * np.array([5.0, 0.0])) / 40
     assert np.allclose(out, want, atol=1e-15)
 
@@ -139,7 +139,7 @@ def test_loo_aggregate_weighted_mean():
 def test_loo_aggregate_single_client_errors():
     h = make_history({3: [np.array([1.0, 2.0])]}, {3: 5})
     with pytest.raises(sen.SensitivityError, match="only one"):
-        sen.loo_aggregate(h, 0, 3)
+        sen.loo_aggregate(h, 3)
 
 
 def test_analyze_scaled_layer_dominates_impact():

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from scale_fu import theory
+from scale_fu import nn, theory
 from scale_fu.sensitivity import alignment_score
 
 
@@ -89,15 +89,16 @@ def test_influence_instance_shapes_and_noise_bound():
         decomp, np.array([0.9, 0.1, 0.1, 0.1]), seed=7
     )
     assert target == 0
-    assert sorted(hist.models) == [0, 1, 2, 3]
+    assert hist.clients() == [0, 1, 2, 3]
+    layers = {c: nn.views(hist.uploads[c], [(d,) for d in hist.dims]) for c in hist.clients()}
     assert len(global_params) == 4
     # reconstruct the noiseless mix and check the residual stays bounded
     others = [1, 2, 3]
     w = np.array([decomp.sizes[c] for c in others], dtype=np.float64)
     w /= w.sum()
     for l, pi in enumerate([0.9, 0.1, 0.1, 0.1]):
-        rest = sum(wc * hist.models[c][l] for wc, c in zip(w, others))
-        resid = global_params[l] - pi * hist.models[0][l] - (1 - pi) * rest
+        rest = sum(wc * layers[c][l] for wc, c in zip(w, others))
+        resid = global_params[l] - pi * layers[0][l] - (1 - pi) * rest
         assert np.linalg.norm(resid) <= 0.05 + 1e-12
 
 

@@ -3,10 +3,11 @@ counting hooks read the arguments they name.
 
 `perfbench/layers.py` names its targets as strings (`scale_fu.<module>`,
 then a function or `Class.method`); a rename under `src/` would otherwise
-surface only when the benchmark runs. A hook reads an argument with
-`_arg(args, kwargs, pos, "key")`: if `key` is not the parameter at `pos`, the
-hook counts the wrong value, or fails, only in traced runs. The file is read,
-never changed.
+surface only when the benchmark runs. The same holds for the `scale_fu`
+names that `tests/bench_kernels.py` reads, since tier-1 deselects it. A hook
+reads an argument with `_arg(args, kwargs, pos, "key")`: if `key` is not the
+parameter at `pos`, the hook counts the wrong value, or fails, only in traced
+runs. The files are read, never changed.
 """
 
 import ast
@@ -19,6 +20,7 @@ from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 SETUP_PROBE = LAYERS.with_name("setup_probe.py")
+BENCH_KERNELS = Path(__file__).resolve().parent / "bench_kernels.py"
 
 
 def traced_targets():
@@ -86,3 +88,32 @@ def test_setup_probe_names_resolve_on_cli():
     assert names
     missing = sorted(name for name in names if not resolves("cli", name))
     assert not missing, f"perfbench/setup_probe.py reads names cli lacks: {missing}"
+
+
+def bench_kernel_reads() -> set[tuple[str, str]]:
+    """(module, name) of each `from scale_fu... import name` in
+    tests/bench_kernels.py and of each `<module>.<name>` read on a module it
+    imports with `from scale_fu import <module>`."""
+    tree = ast.parse(BENCH_KERNELS.read_text())
+    reads, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scale_fu":
+            for alias in node.names:
+                reads.add((node.module, alias.name))
+                if node.module == "scale_fu":
+                    modules[alias.asname or alias.name] = f"scale_fu.{alias.name}"
+    reads |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules}
+    return reads
+
+
+def test_bench_kernel_names_resolve():
+    # tier-1 deselects the `bench` marker, so a name the microbenchmarks read
+    # and src/ dropped would otherwise fail only under `-m bench`
+    reads = bench_kernel_reads()
+    assert ("scale_fu.rl", "UnlearnEnv") in reads
+    missing = sorted(f"{module}.{name}" for module, name in reads
+                     if not hasattr(importlib.import_module(module), name)
+                     and importlib.util.find_spec(f"{module}.{name}") is None)
+    assert not missing, f"tests/bench_kernels.py reads names scale_fu lacks: {missing}"
