@@ -169,8 +169,14 @@ class Model:
         return LayerViews(views(vec, [(spec.d,) for spec in self.layers]))
 
     def copy(self) -> "Model":
-        return Model(self.arch_id, self.input_shape, self.num_classes, self.layers,
-                     self.flat.copy())
+        """The same specs over a copy of `flat`. The source passed
+        `__post_init__`'s checks, so the copy skips them and cuts the new
+        vector where the source's views are cut."""
+        out = object.__new__(type(self))
+        flat = self.flat.copy()
+        out.__dict__.update(self.__dict__, flat=flat,
+                            params=LayerViews(views(flat, [p.shape for p in self.params])))
+        return out
 
 
 def make_model(

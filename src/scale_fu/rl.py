@@ -5,6 +5,13 @@ independent Bernoulli mask over that layer's groups, and a categorical
 sparsity level in {1/K, ..., 1}. Policy and value nets are small tanh MLPs
 trained with clipped-surrogate PPO, GAE, an entropy bonus, gradient-norm
 clipping, and hand-rolled Adam. Everything is float64 numpy, seeded.
+
+Collect runs only the policy: the critic changes only inside `ppo_update`,
+so that is where it values the buffer, in one forward with the bits of one
+forward per step. With one sensitive layer the layer head has one choice:
+its log-softmax is exactly 0, its entropy -0.0 and its gradient +0.0, so
+the sampler, the greedy decoder and the update skip it and give the bits
+of the full computation.
 """
 
 from __future__ import annotations
@@ -84,13 +91,15 @@ class Action:
 
 @dataclass
 class Transition:
+    """One env step. The critic's value of `state` is not kept: `ppo_update`
+    computes it for the whole buffer (`ValueNet.row_values`)."""
+
     state: np.ndarray
     action: Action
     reward: float
     next_state: np.ndarray
     done: bool
     log_prob: float
-    value: float
     r_forget: float = 0.0
     r_fresh: float = 0.0
 
@@ -271,7 +280,8 @@ class _TrunkNet:
     output, in the order given. Parameters live in one flat float64 buffer
     `flat` with named views `params`, laid out W_heads, b_heads, W2, b2, W1,
     b1. `backward` writes the gradient into the flat buffer `grad` through
-    `grads`, views of the same shapes."""
+    `grads`, views of the same shapes. Every 2-d product is `np.dot`, which
+    takes the same BLAS call as `@` on these shapes with less dispatch."""
 
     def __init__(self, in_dim: int, hidden: int, head_dims: dict, seed: int):
         rng = np.random.default_rng(seed)
@@ -296,17 +306,17 @@ class _TrunkNet:
 
     def trunk(self, X: np.ndarray):
         p = self.params
-        h1 = X @ p["W1"].T
+        h1 = np.dot(X, p["W1"].T)
         h1 += p["b1"]
         np.tanh(h1, out=h1)
-        h2 = h1 @ p["W2"].T
+        h2 = np.dot(h1, p["W2"].T)
         h2 += p["b2"]
         np.tanh(h2, out=h2)
         return h1, h2
 
     def heads(self, h2: np.ndarray) -> np.ndarray:
         """Every head's output, (batch, total head dim); `head_cols` splits it."""
-        z = h2 @ self.params["W_heads"].T
+        z = np.dot(h2, self.params["W_heads"].T)
         z += self.params["b_heads"]
         return z
 
@@ -314,15 +324,15 @@ class _TrunkNet:
         """Fill and return the flat gradient `self.grad` (overwritten by the
         next call) from `dZ`, the gradient of the stacked head output."""
         grads = self.grads
-        np.matmul(dZ.T, h2, out=grads["W_heads"])
+        np.dot(dZ.T, h2, out=grads["W_heads"])
         np.add.reduce(dZ, axis=0, out=grads["b_heads"])
-        dp2 = dZ @ self.params["W_heads"]
+        dp2 = np.dot(dZ, self.params["W_heads"])
         dp2 *= 1.0 - h2 * h2
-        np.matmul(dp2.T, h1, out=grads["W2"])
+        np.dot(dp2.T, h1, out=grads["W2"])
         np.add.reduce(dp2, axis=0, out=grads["b2"])
-        dh1 = dp2 @ self.params["W2"]
+        dh1 = np.dot(dp2, self.params["W2"])
         dp1 = dh1 * (1.0 - h1 * h1)
-        np.matmul(dp1.T, X, out=grads["W1"])
+        np.dot(dp1.T, X, out=grads["W1"])
         np.add.reduce(dp1, axis=0, out=grads["b1"])
         return self.grad
 
@@ -360,6 +370,20 @@ class ValueNet(_TrunkNet):
         h1, h2 = self.trunk(state[None, :])
         return float(self.heads(h2)[0, 0])
 
+    def row_values(self, X: np.ndarray) -> np.ndarray:
+        """`value` of each row of X, bit for bit: `np.matmul` over the
+        (n, 1, S) stack runs the one-row kernels row by row, where one
+        (n, S) GEMM rounds differently."""
+        p = self.params
+        h = X[:, None, :]
+        for W, b in ((p["W1"], p["b1"]), (p["W2"], p["b2"])):
+            h = np.matmul(h, W.T)
+            h += b
+            np.tanh(h, out=h)
+        z = np.matmul(h, p["W_heads"].T)
+        z += p["b_heads"]
+        return z[:, 0, 0]
+
     def values(self, X: np.ndarray):
         h1, h2 = self.trunk(X)
         return self.heads(h2)[:, 0], (X, h1, h2)
@@ -382,14 +406,20 @@ def _mask_log_prob(z_g: np.ndarray, bits: np.ndarray) -> float:
     return -float(np.add.reduce(_softplus(z_g * (1.0 - 2.0 * bits))))
 
 
-def _decode_heads(policy: PolicyNet, state: np.ndarray, pick):
-    """Run the heads on one state and let `pick(z_l, z_g, z_r, lsm_l, lsm_r)`
-    choose (rank, bits, level) from the logit and log-softmax rows. An empty
-    mask is coerced to the oldest group of the chosen layer; the log-prob is
-    that of the coerced action."""
+def _head_rows(policy: PolicyNet, state: np.ndarray):
+    """One forward of one state: its layer, group and ratio logit rows and
+    its layer and ratio log-softmax rows. With one layer the layer's is
+    exactly 0, so it is not computed and comes back as None."""
     z_l, z_g, z_r, _ = policy.logits(state[None, :])
-    lsm_l, lsm_r = nn.log_softmax(z_l)[0], nn.log_softmax(z_r)[0]
-    rank, bits, level = pick(z_l[0], z_g[0], z_r[0], lsm_l, lsm_r)
+    lsm_l = nn.log_softmax(z_l)[0] if policy.idx.n_layers > 1 else None
+    return z_l[0], z_g[0], z_r[0], lsm_l, nn.log_softmax(z_r)[0]
+
+
+def _action(policy: PolicyNet, state: np.ndarray, rank: int, bits: np.ndarray, level: int,
+            z_g: np.ndarray, lsm_l, lsm_r: np.ndarray):
+    """The action (rank, bits, level) from the `_head_rows` of `state`, and
+    its log-prob. An empty mask is coerced to the oldest group of the chosen
+    layer; the log-prob is that of the coerced action."""
     groups = np.flatnonzero(bits).tolist()
     if not groups:
         groups = [_oldest_group(policy.idx, state, rank)]
@@ -400,7 +430,8 @@ def _decode_heads(policy: PolicyNet, state: np.ndarray, pick):
         ratio_level=level,
         s=level / policy.ratio_levels,
     )
-    lp = float(lsm_l[rank]) + _mask_log_prob(z_g[0, policy.idx.cols(rank)], bits)
+    lp = 0.0 if lsm_l is None else float(lsm_l[rank])
+    lp += _mask_log_prob(z_g[policy.idx.cols(rank)], bits)
     lp += float(lsm_r[level - 1])
     return action, lp
 
@@ -421,33 +452,34 @@ def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
 
 
 def policy_sample(policy: PolicyNet, state: np.ndarray, rng: np.random.Generator):
-    """Sample layer, then mask bits, then level from `rng`."""
-
-    def pick(z_l, z_g, z_r, lsm_l, lsm_r):
+    """Sample layer, then mask bits, then level from `rng`. With one layer
+    the layer is certain, but the one uniform `_draw` takes is still drawn,
+    so the stream stays the same."""
+    _, z_g, _, lsm_l, lsm_r = _head_rows(policy, state)
+    if lsm_l is None:
+        rng.random()
+        rank = 0
+    else:
         rank = _draw(rng, np.exp(lsm_l))
-        z = z_g[policy.idx.cols(rank)]
-        probs = np.exp(z - _softplus(z))         # sigmoid(z)
-        bits = (rng.random(probs.size) < probs).astype(np.float64)
-        level = _draw(rng, np.exp(lsm_r)) + 1
-        return rank, bits, level
-
-    return _decode_heads(policy, state, pick)
+    z = z_g[policy.idx.cols(rank)]
+    probs = np.exp(z - _softplus(z))         # sigmoid(z)
+    bits = (rng.random(probs.size) < probs).astype(np.float64)
+    level = _draw(rng, np.exp(lsm_r)) + 1
+    return _action(policy, state, rank, bits, level, z_g, lsm_l, lsm_r)
 
 
 def policy_mode(policy: PolicyNet, state: np.ndarray):
     """Greedy action: argmax heads, group bit set when p > 0.5."""
-
-    def pick(z_l, z_g, z_r, lsm_l, lsm_r):
-        rank = int(np.argmax(z_l))
-        bits = (z_g[policy.idx.cols(rank)] > 0.0).astype(np.float64)
-        return rank, bits, int(np.argmax(z_r)) + 1
-
-    return _decode_heads(policy, state, pick)
+    z_l, z_g, z_r, lsm_l, lsm_r = _head_rows(policy, state)
+    rank = 0 if lsm_l is None else int(np.argmax(z_l))
+    bits = (z_g[policy.idx.cols(rank)] > 0.0).astype(np.float64)
+    return _action(policy, state, rank, bits, int(np.argmax(z_r)) + 1, z_g, lsm_l, lsm_r)
 
 
 def action_arrays(idx: GroupIndex, actions: list[Action]):
-    """Stored actions as (ranks, levels, bits, mask) arrays, one row each;
-    bits and mask have one column per group of `idx`, in canonical order."""
+    """Stored actions as (ranks, levels, bits, mask, signs) arrays, one row
+    each; bits, mask and signs = 1 - 2 * bits (the mask term's sign) have one
+    column per group of `idx`, in canonical order."""
     n = len(actions)
     ranks = np.array([a.layer_rank for a in actions], dtype=np.int64)
     levels = np.array([a.ratio_level - 1 for a in actions], dtype=np.int64)
@@ -458,27 +490,33 @@ def action_arrays(idx: GroupIndex, actions: list[Action]):
         mask[i, cols] = 1.0
         for j in a.groups:
             bits[i, cols.start + j] = 1.0
-    return ranks, levels, bits, mask
+    return ranks, levels, bits, mask, 1.0 - 2.0 * bits
 
 
 def batch_log_probs(policy: PolicyNet, states: np.ndarray, arrays: tuple):
     """Vectorized log-probs and entropies for a batch of stored actions,
-    given as the `action_arrays` of those actions."""
+    given as the `action_arrays` of those actions. With one layer, whose
+    log-softmax is exactly 0 and entropy -0.0, the layer head's terms are
+    skipped and `aux` holds None for lsm_l, p_l and ent_l."""
     z_l, z_g, z_r, cache = policy.logits(states)
-    ranks, levels, bits, mask = arrays
+    ranks, levels, bits, mask, signs = arrays
     rows = np.arange(ranks.size)
-    lsm_l = nn.log_softmax(z_l)
     lsm_r = nn.log_softmax(z_r)
-    sp = _softplus(z_g)
-    lp = lsm_l[rows, ranks] + lsm_r[rows, levels]
-    # the mask term of each row, as in _mask_log_prob
-    lp = lp - np.add.reduce(mask * _softplus(z_g * (1.0 - 2.0 * bits)), axis=1)
-    p_l, p_r = np.exp(lsm_l), np.exp(lsm_r)
-    sig = np.exp(z_g - sp)                      # sigmoid(z_g)
-    ent_l = -np.add.reduce(p_l * lsm_l, axis=1)
+    p_r = np.exp(lsm_r)
     ent_r = -np.add.reduce(p_r * lsm_r, axis=1)
-    ent_g = np.add.reduce(mask * (sp - z_g * sig), axis=1)
-    entropy = ent_l + ent_r + ent_g
+    lp, entropy = lsm_r[rows, levels], ent_r
+    lsm_l = p_l = ent_l = None
+    if policy.idx.n_layers > 1:
+        lsm_l = nn.log_softmax(z_l)
+        p_l = np.exp(lsm_l)
+        ent_l = -np.add.reduce(p_l * lsm_l, axis=1)
+        lp = lsm_l[rows, ranks] + lp
+        entropy = ent_l + ent_r
+    sp = _softplus(z_g)
+    # the mask term of each row, as in _mask_log_prob
+    lp = lp - np.add.reduce(mask * _softplus(z_g * signs), axis=1)
+    sig = np.exp(z_g - sp)                      # sigmoid(z_g)
+    entropy = entropy + np.add.reduce(mask * (sp - z_g * sig), axis=1)
     aux = (z_g, cache, lsm_l, lsm_r, p_l, p_r, sig, ent_l, ent_r)
     return lp, entropy, aux
 
@@ -570,7 +608,7 @@ class UnlearnEnv:
         self.state = self._state0.copy()
         return self.state
 
-    def step(self, action: Action, log_prob: float = 0.0, value: float = 0.0) -> Transition:
+    def step(self, action: Action, log_prob: float = 0.0) -> Transition:
         if self.done:
             raise RlError("env is done; reset before stepping again")
         layer = self.idx.layers[action.layer_rank]
@@ -609,7 +647,6 @@ class UnlearnEnv:
             next_state=self.state,
             done=self.done,
             log_prob=log_prob,
-            value=value,
             r_forget=r_f,
             r_fresh=r_c,
         )
@@ -629,25 +666,32 @@ def ppo_update(
 ) -> dict:
     """K epochs of clipped-surrogate updates over shuffled minibatches.
 
+    The critic values the buffer first: it has not changed since collect,
+    and `ValueNet.row_values` gives the bits of one forward per step.
     Advantages come from GAE over the buffer (normalized batch-wide); the
-    buffer is cleared before returning."""
+    buffer is cleared before returning. With one layer the layer head's
+    gradient column is +0.0, what the full computation writes (for a
+    non-negative entropy coefficient), and its other terms are skipped."""
     if not buffer:
         raise RlError("empty buffer")
     n = len(buffer)
     rows = np.arange(n)
     states = np.stack([tr.state for tr in buffer])
-    ranks, levels, bits, mask = action_arrays(policy.idx, [tr.action for tr in buffer])
-    one_l = np.zeros((n, policy.idx.n_layers))
-    one_l[rows, ranks] = 1.0
+    values = value_net.row_values(states)
+    ranks, levels, bits, mask, signs = action_arrays(policy.idx, [tr.action for tr in buffer])
     one_r = np.zeros((n, policy.ratio_levels))
     one_r[rows, levels] = 1.0
     rewards = np.array([tr.reward for tr in buffer])
     dones = np.array([tr.done for tr in buffer])
     old_lp = np.array([tr.log_prob for tr in buffer])
-    values = np.array([tr.value for tr in buffer])
     adv_raw, returns = gae(rewards, values, dones, cfg.discount, cfg.gae_lambda)
     adv = normalize_advantages(adv_raw)
-    columns = (states, ranks, levels, bits, mask, one_l, one_r, adv, returns, old_lp)
+    columns = [states, ranks, levels, bits, mask, signs, one_r, adv, returns, old_lp]
+    layered = policy.idx.n_layers > 1
+    if layered:
+        one_l = np.zeros((n, policy.idx.n_layers))
+        one_l[rows, ranks] = 1.0
+        columns.append(one_l)
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "clip_frac": 0.0}
     n_batches = 0
     lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
@@ -658,10 +702,11 @@ def ppo_update(
         perm = rng.permutation(n)
         shuffled = [col[perm] for col in columns]
         for start in range(0, n, cfg.batch_size):
-            (x, ranks, levels, bits, mask, one_l, one_r, a_mb, ret_mb, old_mb) = (
+            # one_l is [the layer one-hot] when layered, else []
+            (x, ranks, levels, bits, mask, signs, one_r, a_mb, ret_mb, old_mb, *one_l) = (
                 col[start : start + cfg.batch_size] for col in shuffled)
             m = x.shape[0]
-            lp, entropy, aux = batch_log_probs(policy, x, (ranks, levels, bits, mask))
+            lp, entropy, aux = batch_log_probs(policy, x, (ranks, levels, bits, mask, signs))
             z_g, cache, lsm_l, lsm_r, p_l, p_r, sig, ent_l, ent_r = aux
             ratio = np.exp(lp - old_mb)
             clipped = np.minimum(np.maximum(ratio, lo), hi)
@@ -674,14 +719,18 @@ def ppo_update(
             coef = (np.where(active, unclipped_a, 0.0) * (-1.0 / m))[:, None]
             dZ = np.empty((m, n_heads))
             dz_l, dz_g, dz_r = (dZ[:, c] for c in head_cols)
-            np.multiply(coef, one_l - p_l, out=dz_l)
             np.multiply(coef, one_r - p_r, out=dz_r)
             np.multiply(coef * mask, bits - sig, out=dz_g)
 
             # entropy bonus gradients (minimizing -c*H): each term is
             # -ce * (-x), which equals ce * x exactly
             ce = cfg.entropy_coef / m
-            dz_l += ce * (p_l * (lsm_l + ent_l[:, None]))
+            if layered:
+                np.multiply(coef, one_l[0] - p_l, out=dz_l)
+                dz_l += ce * (p_l * (lsm_l + ent_l[:, None]))
+            else:
+                # coef * (1 - 1) + ce * (1 * (0 + -0.0)): (+-0.0) + (+0.0)
+                dz_l[...] = 0.0
             dz_r += ce * (p_r * (lsm_r + ent_r[:, None]))
             dz_g += ce * mask * (z_g * sig * (1.0 - sig))
 
@@ -757,8 +806,7 @@ def train_unlearner(
         total = rf_sum = rc_sum = 0.0
         while not env.done:
             action, lp = policy_sample(policy, state, sample_rng)
-            v = value_net.value(state)
-            tr = env.step(action, log_prob=lp, value=v)
+            tr = env.step(action, log_prob=lp)
             buffer.append(tr)
             state = tr.next_state
             total += tr.reward

@@ -1,6 +1,7 @@
 """Microbenchmarks of the PPO hot-path kernels on the default ref-mlp index
 (among them one env step, one policy sample, one PPO update and its
-minibatch's forward, backward and optimizer parts), of the
+minibatch's forward, backward and optimizer parts, and one whole
+`train_unlearner` with its collect/update split), of the
 dense and conv2d layer kernels on cnn-fed's mini_cnn shapes, and of one
 ref-mlp and one cnn-fed client's FedAvg local update.
 
@@ -11,12 +12,13 @@ never times anything.
 """
 
 import functools
+import time
 
 import numpy as np
 import pytest
 
-from scale_fu import aoi, cli, data, federation, nn, pipeline, rl
-from scale_fu.config import fed_config, ppo_config, validate_config
+from scale_fu import aoi, cli, data, federation, nn, pipeline, rl, sensitivity
+from scale_fu.config import TAG_PPO, component_seed, fed_config, ppo_config, validate_config
 from scale_fu.sensitivity import SensitivityReport
 
 pytestmark = pytest.mark.bench
@@ -89,13 +91,13 @@ def loop(setup):
         return policy, rl.ValueNet(3 * idx.total_groups, seed=1, hidden=cfg.hidden)
 
     rng = np.random.default_rng(0)
-    policy, value_net = nets()
+    policy, _ = nets()
     actions, buffer = [], []
     for _ in range(2):
         state = env.reset()
         while not env.done:
             action, lp = rl.policy_sample(policy, state, rng)
-            tr = env.step(action, log_prob=lp, value=value_net.value(state))
+            tr = env.step(action, log_prob=lp)
             actions.append(action)
             buffer.append(tr)
             state = tr.next_state
@@ -131,6 +133,46 @@ def test_bench_ppo_update(benchmark, loop):
         return (policy, value_net, list(buffer), cfg, np.random.default_rng(2), *opts), {}
 
     benchmark.pedantic(rl.ppo_update, setup=fresh, rounds=40)
+
+
+@pytest.fixture(scope="module")
+def scale_inputs():
+    """What `unlearn scale` trains on for master 42 of the default config
+    with request client:3: the FedAvg model, client 3's sensitivity report,
+    the group index of its selected layers and the PPO seed."""
+    cfg = validate_config({"seeds": {"master": 42}})
+    _, model, history, _ = pipeline.train(cfg)
+    sc = cfg["scale"]
+    report = sensitivity.analyze(history, model.params, 3, lam=sc["lam"], m_sel=sc["m_sel"],
+                                 scheme=sc["dist_scheme"])
+    idx = pipeline.scale_groups(cfg, model, report.selected)
+    return model, report, idx, ppo_config(cfg), component_seed(42, TAG_PPO)
+
+
+def test_bench_train_unlearner(benchmark, scale_inputs, monkeypatch):
+    # a whole PPO training; extra_info holds the fastest round's split into
+    # update (time inside ppo_update) and collect (the rest)
+    model, report, idx, cfg, seed = scale_inputs
+    update, inside, splits = rl.ppo_update, [], []
+
+    def timed_update(*args):
+        start = time.perf_counter()
+        try:
+            return update(*args)
+        finally:
+            inside.append(time.perf_counter() - start)
+
+    def train():
+        inside.clear()
+        start = time.perf_counter()
+        rl.train_unlearner(model, report, idx, cfg, seed)
+        total = time.perf_counter() - start
+        splits.append((total, sum(inside)))
+
+    monkeypatch.setattr(rl, "ppo_update", timed_update)
+    benchmark.pedantic(train, rounds=5)
+    total, update_s = min(splits)
+    benchmark.extra_info.update(update_s=update_s, collect_s=total - update_s)
 
 
 # --- the three parts of one PPO minibatch: forward, backward, optimizer -------

@@ -13,6 +13,11 @@ Compared for exact equality, never a tolerance:
 - the sampler's inverse-CDF draw against `Generator.choice`
 - the episode rewards and actions of a whole `train_unlearner` run with every
   reference swapped in
+- the lean PPO loop (the critic valuing the buffer in `ppo_update`, a layer
+  head with one choice skipped, `np.dot` GEMMs) against the loop it
+  replaced, which ran the critic at every collect step and always computed
+  the layer head: nets, update stats, episodes, sampled and deployed actions;
+  and `ValueNet.row_values` against one forward per row
 - the FedAvg local step (one-copy patch blocks, the stacked input-gradient
   matmul, the float ReLU mask, SGD in place) against the k²-slice patch
   blocks, the per-offset input-gradient loop, the bool-mask ReLU, per-layer
@@ -48,7 +53,7 @@ from hypothesis import strategies as st
 
 from scale_fu import aoi, baselines, federation, metrics, nn, pipeline, rl, sensitivity
 from scale_fu.aoi import AoiError, GroupIndex, partition_groups
-from scale_fu.config import fed_config, validate_config
+from scale_fu.config import fed_config, ppo_config, validate_config
 from scale_fu.sensitivity import SensitivityReport
 
 # --- reference loops -----------------------------------------------------------
@@ -184,7 +189,7 @@ class RefEnv:
         self.state = ref_state_vector(self.model, self.ledger, self.idx)
         return self.state
 
-    def step(self, action, log_prob=0.0, value=0.0):
+    def step(self, action, log_prob=0.0):
         if self.done:
             raise rl.RlError("env is done; reset before stepping again")
         layer = self.idx.layers[action.layer_rank]
@@ -205,7 +210,7 @@ class RefEnv:
                      or ref_min_group_sparsity(self.model, self.idx) >= self.cfg.sparsity_cap)
         return rl.Transition(state=prev_state, action=action, reward=r,
                              next_state=self.state, done=self.done, log_prob=log_prob,
-                             value=value, r_forget=r_f, r_fresh=r_c)
+                             r_forget=r_f, r_fresh=r_c)
 
 
 def ref_sigmoid(z):
@@ -254,7 +259,7 @@ def ref_batch_log_probs(policy, states, arrays):
     """`rl.batch_log_probs` as it was: per-head logits, the mask term as
     softplus(-z) * b + softplus(z) * (1 - b), and `ref_sigmoid`."""
     z_l, z_g, z_r, cache = ref_logits(policy, states)
-    ranks, levels, bits, mask = arrays
+    ranks, levels, bits, mask = arrays[:4]
     rows = np.arange(ranks.size)
     lsm_l, lsm_r = nn.log_softmax(z_l), nn.log_softmax(z_r)
     sp = rl._softplus(z_g)
@@ -566,12 +571,12 @@ def run_env_against_reference(model, idx, cfg, seed, episodes=6):
         assert env.reset().tobytes() == ref.reset().tobytes()
         while not env.done:
             action = random_action(idx, cfg, rng)
-            got, want = env.step(action, -0.5, 0.25), ref.step(action, -0.5, 0.25)
+            got, want = env.step(action, -0.5), ref.step(action, -0.5)
             assert got.state.tobytes() == want.state.tobytes()
             assert got.next_state.tobytes() == want.next_state.tobytes()
             assert (got.reward, got.r_forget, got.r_fresh, got.done) == (
                 want.reward, want.r_forget, want.r_fresh, want.done)
-            assert (got.log_prob, got.value) == (-0.5, 0.25)
+            assert got.log_prob == want.log_prob == -0.5
         assert ref.done
         assert_same_bits(env.model, ref.model)
         lengths.append(env.steps)
@@ -1285,7 +1290,8 @@ def test_params_are_views_of_one_flat_buffer():
 # --- end to end -------------------------------------------------------------------
 
 
-def test_train_unlearner_matches_reference_kernels(monkeypatch):
+def three_layer_run():
+    """(model, report, idx, cfg) of a short PPO run over three layers."""
     model = dense_model((6, 5, 4, 3), seed=9)
     idx = partition_groups(model, [1, 0, 2], 2)   # sizes 12+12, 18+17, 8+7
     scores = np.array([1.0, 2.0, 0.5])
@@ -1295,6 +1301,11 @@ def test_train_unlearner_matches_reference_kernels(monkeypatch):
     )
     cfg = rl.PpoConfig(episodes=12, t_collect=10, epochs=3, batch_size=5, ratio_levels=4,
                        hidden=8, sparsity_cap=0.5, actor_lr=0.01, critic_lr=0.01)
+    return model, report, idx, cfg
+
+
+def test_train_unlearner_matches_reference_kernels(monkeypatch):
+    model, report, idx, cfg = three_layer_run()
     sample = rl.policy_sample
 
     def recording(log):
@@ -1335,6 +1346,9 @@ def test_train_unlearner_matches_reference_kernels(monkeypatch):
     monkeypatch.setattr(rl, "clip_grad_norm",
                         lambda grad, max_norm: dict_clip_grad_norm(net_of(grad).grads, max_norm))
     monkeypatch.setattr(rl, "UnlearnEnv", RefEnv)
+    # the critic values the buffer one state at a time, as collect did
+    monkeypatch.setattr(rl.ValueNet, "row_values",
+                        lambda net, X: np.array([net.value(x) for x in X]))
     ref = rl.train_unlearner(model, report, idx, cfg, seed=31)
     monkeypatch.undo()
 
@@ -1354,3 +1368,276 @@ def test_train_unlearner_matches_reference_kernels(monkeypatch):
     for a, b in ((flat.policy, ref.policy), (flat.value_net, ref.value_net)):
         for k in a.params:
             assert_step_close(a.params[k], b.params[k], rtol=RUN_RTOL)
+
+
+# --- the PPO loop as it was: a critic forward per step, the full layer head ----------
+
+
+def ref_net_forward(net, X):
+    """`_TrunkNet.trunk` then `heads` as they were, with `@`: (h1, h2, z)."""
+    p = net.params
+    h1 = np.tanh(X @ p["W1"].T + p["b1"])
+    h2 = np.tanh(h1 @ p["W2"].T + p["b2"])
+    return h1, h2, h2 @ p["W_heads"].T + p["b_heads"]
+
+
+def ref_value(net, state):
+    """`ValueNet.value` as collect called it at every step."""
+    return float(ref_net_forward(net, state[None, :])[2][0, 0])
+
+
+def ref_net_backward(net, X, h1, h2, dZ):
+    """`_TrunkNet.backward` as it was, with `np.matmul`."""
+    p, g = net.params, net.grads
+    np.matmul(dZ.T, h2, out=g["W_heads"])
+    np.add.reduce(dZ, axis=0, out=g["b_heads"])
+    dp2 = (dZ @ p["W_heads"]) * (1.0 - h2 * h2)
+    np.matmul(dp2.T, h1, out=g["W2"])
+    np.add.reduce(dp2, axis=0, out=g["b2"])
+    dp1 = (dp2 @ p["W2"]) * (1.0 - h1 * h1)
+    np.matmul(dp1.T, X, out=g["W1"])
+    np.add.reduce(dp1, axis=0, out=g["b1"])
+    return net.grad
+
+
+def ref_head_logits(policy, X):
+    h1, h2, z = ref_net_forward(policy, X)
+    c = policy.head_cols
+    return z[:, c["layer"]], z[:, c["group"]], z[:, c["ratio"]], (X, h1, h2)
+
+
+def ref_decode(policy, state, pick):
+    """`rl._decode_heads` as it was: the layer head's log-softmax always."""
+    z_l, z_g, z_r, _ = ref_head_logits(policy, state[None, :])
+    lsm_l, lsm_r = nn.log_softmax(z_l)[0], nn.log_softmax(z_r)[0]
+    rank, bits, level = pick(z_l[0], z_g[0], z_r[0], lsm_l, lsm_r)
+    groups = np.flatnonzero(bits).tolist()
+    if not groups:
+        groups = [rl._oldest_group(policy.idx, state, rank)]
+        bits[groups[0]] = 1.0
+    action = rl.Action(rank, tuple(groups), level, level / policy.ratio_levels)
+    lp = float(lsm_l[rank]) + rl._mask_log_prob(z_g[0, policy.idx.cols(rank)], bits)
+    return action, lp + float(lsm_r[level - 1])
+
+
+def ref_policy_sample(policy, state, rng):
+    def pick(z_l, z_g, z_r, lsm_l, lsm_r):
+        rank = rl._draw(rng, np.exp(lsm_l))
+        z = z_g[policy.idx.cols(rank)]
+        bits = (rng.random(z.size) < np.exp(z - rl._softplus(z))).astype(np.float64)
+        return rank, bits, rl._draw(rng, np.exp(lsm_r)) + 1
+
+    return ref_decode(policy, state, pick)
+
+
+def ref_policy_mode(policy, state):
+    def pick(z_l, z_g, z_r, lsm_l, lsm_r):
+        rank = int(np.argmax(z_l))
+        bits = (z_g[policy.idx.cols(rank)] > 0.0).astype(np.float64)
+        return rank, bits, int(np.argmax(z_r)) + 1
+
+    return ref_decode(policy, state, pick)
+
+
+def ref_full_head_log_probs(policy, states, arrays):
+    """`rl.batch_log_probs` as it was: the layer head always, 1 - 2 * bits
+    per call."""
+    z_l, z_g, z_r, cache = ref_head_logits(policy, states)
+    ranks, levels, bits, mask = arrays[:4]
+    rows = np.arange(ranks.size)
+    lsm_l, lsm_r = nn.log_softmax(z_l), nn.log_softmax(z_r)
+    sp = rl._softplus(z_g)
+    lp = lsm_l[rows, ranks] + lsm_r[rows, levels]
+    lp = lp - np.add.reduce(mask * rl._softplus(z_g * (1.0 - 2.0 * bits)), axis=1)
+    p_l, p_r = np.exp(lsm_l), np.exp(lsm_r)
+    sig = np.exp(z_g - sp)
+    ent_l = -np.add.reduce(p_l * lsm_l, axis=1)
+    ent_r = -np.add.reduce(p_r * lsm_r, axis=1)
+    ent_g = np.add.reduce(mask * (sp - z_g * sig), axis=1)
+    return lp, ent_l + ent_r + ent_g, (z_g, cache, lsm_l, lsm_r, p_l, p_r, sig, ent_l, ent_r)
+
+
+def ref_ppo_update(policy, value_net, buffer, values, cfg, rng, policy_opt, value_opt):
+    """`rl.ppo_update` as it was, given the values collect stored per step."""
+    n = len(buffer)
+    rows = np.arange(n)
+    states = np.stack([tr.state for tr in buffer])
+    ranks, levels, bits, mask = rl.action_arrays(policy.idx, [tr.action for tr in buffer])[:4]
+    one_l = np.zeros((n, policy.idx.n_layers))
+    one_l[rows, ranks] = 1.0
+    one_r = np.zeros((n, policy.ratio_levels))
+    one_r[rows, levels] = 1.0
+    adv_raw, returns = rl.gae(np.array([tr.reward for tr in buffer]), np.array(values),
+                              np.array([tr.done for tr in buffer]), cfg.discount,
+                              cfg.gae_lambda)
+    adv = rl.normalize_advantages(adv_raw)
+    old_lp = np.array([tr.log_prob for tr in buffer])
+    columns = (states, ranks, levels, bits, mask, one_l, one_r, adv, returns, old_lp)
+    stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "clip_frac": 0.0}
+    n_batches = 0
+    lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
+    head_cols = tuple(policy.head_cols[h] for h in ("layer", "group", "ratio"))
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        shuffled = [col[perm] for col in columns]
+        for start in range(0, n, cfg.batch_size):
+            (x, ranks, levels, bits, mask, one_l, one_r, a_mb, ret_mb, old_mb) = (
+                col[start : start + cfg.batch_size] for col in shuffled)
+            m = x.shape[0]
+            lp, entropy, aux = ref_full_head_log_probs(policy, x, (ranks, levels, bits, mask))
+            z_g, cache, lsm_l, lsm_r, p_l, p_r, sig, ent_l, ent_r = aux
+            ratio = np.exp(lp - old_mb)
+            clipped = np.minimum(np.maximum(ratio, lo), hi)
+            unclipped_a, clipped_a = ratio * a_mb, clipped * a_mb
+            surr = np.minimum(unclipped_a, clipped_a)
+            active = unclipped_a <= clipped_a
+            coef = (np.where(active, unclipped_a, 0.0) * (-1.0 / m))[:, None]
+            dZ = np.empty((m, policy.params["b_heads"].size))
+            dz_l, dz_g, dz_r = (dZ[:, c] for c in head_cols)
+            np.multiply(coef, one_l - p_l, out=dz_l)
+            np.multiply(coef, one_r - p_r, out=dz_r)
+            np.multiply(coef * mask, bits - sig, out=dz_g)
+            ce = cfg.entropy_coef / m
+            dz_l += ce * (p_l * (lsm_l + ent_l[:, None]))
+            dz_r += ce * (p_r * (lsm_r + ent_r[:, None]))
+            dz_g += ce * mask * (z_g * sig * (1.0 - sig))
+            grad = ref_net_backward(policy, *cache, dZ)
+            rl.clip_grad_norm(grad, cfg.grad_clip)
+            policy_opt.step(policy.flat, grad)
+
+            h1, h2, z = ref_net_forward(value_net, x)
+            verr = z[:, 0] - ret_mb
+            vgrad = ref_net_backward(value_net, x, h1, h2, ((2.0 / m) * verr)[:, None])
+            rl.clip_grad_norm(vgrad, cfg.grad_clip)
+            value_opt.step(value_net.flat, vgrad)
+
+            stats["policy_loss"] += float(-(np.add.reduce(surr) / m))
+            stats["value_loss"] += float(np.add.reduce(verr * verr) / m)
+            stats["entropy"] += float(np.add.reduce(entropy) / m)
+            stats["clip_frac"] += float((m - np.count_nonzero(active)) / m)
+            n_batches += 1
+    return {k: v / max(n_batches, 1) for k, v in stats.items()}
+
+
+def ref_train_unlearner(model, report, idx, cfg, seed):
+    """`rl.train_unlearner` as it was: the critic values every state as it
+    is collected. Returns the result and every sampled action."""
+    seeds = np.random.SeedSequence(seed)
+    net_seed, sample_seed, update_seed = (int(s.generate_state(1)[0]) for s in seeds.spawn(3))
+    policy = rl.PolicyNet(idx, cfg.ratio_levels, seed=net_seed, hidden=cfg.hidden)
+    value_net = rl.ValueNet(3 * idx.total_groups, seed=net_seed + 1, hidden=cfg.hidden)
+    opts = rl.Adam(policy.flat, cfg.actor_lr), rl.Adam(value_net.flat, cfg.critic_lr)
+    sample_rng, update_rng = np.random.default_rng(sample_seed), np.random.default_rng(update_seed)
+    env = rl.UnlearnEnv(model, report, idx, cfg)
+    buffer, values, episodes, all_stats, actions = [], [], [], [], []
+    for ep in range(1, cfg.episodes + 1):
+        state = env.reset()
+        total = rf_sum = rc_sum = 0.0
+        while not env.done:
+            action, lp = ref_policy_sample(policy, state, sample_rng)
+            values.append(ref_value(value_net, state))
+            tr = env.step(action, log_prob=lp)
+            actions.append(action)
+            buffer.append(tr)
+            state = tr.next_state
+            total += tr.reward
+            rf_sum += tr.r_forget
+            rc_sum += tr.r_fresh
+        episodes.append(rl.EpisodeStat(ep, total, rf_sum, rc_sum, env.steps))
+        if len(buffer) >= cfg.batch_size:
+            all_stats.append(ref_ppo_update(policy, value_net, buffer, values, cfg, update_rng,
+                                            *opts))
+            buffer.clear()
+            values.clear()
+    return rl.TrainResult(policy, value_net, episodes, all_stats), actions
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 48), st.sampled_from([1, 2, 8, 16, 32]), st.sampled_from([5, 8, 19, 64]),
+       st.integers(0, 2**16))
+@example(1, 8, 19, 0)
+@example(40, 8, 19, 1)
+@example(46, 32, 64, 2)
+def test_row_values_match_one_forward_per_row(n, G, hidden, seed):
+    # a plain (n, S) GEMM rounds differently from the one-row forward on
+    # most of these shapes; the (n, 1, S) stack must not
+    net = rl.ValueNet(3 * G, seed=seed, hidden=hidden)
+    rng = np.random.default_rng(seed)
+    net.flat[:] = 0.5 * rng.standard_normal(net.flat.size)   # the head starts at zero
+    X = rng.standard_normal((n, 3 * G))
+    got = net.row_values(X)
+    assert got.shape == (n,)
+    assert got.tobytes() == np.array([net.value(x) for x in X]).tobytes()
+    assert got.tobytes() == np.array([ref_value(net, x) for x in X]).tobytes()
+
+
+def lean_cases():
+    """(name, model, report, idx, cfg): `three_layer_run`, its model on one
+    layer, and the default MLP on one layer (ref-mlp's shape) and on two."""
+    model, report, idx, cfg = three_layer_run()
+    yield "three-layer", model, report, idx, cfg
+    one = dataclasses.replace(report, selected=[1], m_sel=1)
+    yield "one-layer", model, one, partition_groups(model, [1], 3), cfg
+    defaults = validate_config({})
+    ds = defaults["dataset"]
+    mlp = nn.make_model("mlp", ds["dim"], ds["classes"], seed=0,
+                        hidden=tuple(defaults["model"]["hidden"]))
+    ppo = dataclasses.replace(ppo_config(defaults), episodes=20)
+    scores = np.arange(1.0, mlp.num_layers + 1.0)
+    zeros = np.zeros(mlp.num_layers)
+    for selected in ([1], [2, 1]):
+        rep = SensitivityReport(client=0, lam=0.5, rho=zeros, s_align=zeros, s_impact=zeros,
+                                s_combined=scores, selected=selected, m_sel=len(selected))
+        idx = partition_groups(mlp, selected, defaults["scale"]["groups_per_layer"])
+        yield f"default-mlp-{len(selected)}-layer", mlp, rep, idx, ppo
+
+
+@pytest.mark.parametrize("case", list(lean_cases()), ids=lambda case: case[0])
+def test_train_unlearner_bits_match_the_per_step_critic_loop(monkeypatch, case):
+    _, model, report, idx, cfg = case
+    sample, actions = rl.policy_sample, []
+
+    def recording(policy, state, rng):
+        action, lp = sample(policy, state, rng)
+        actions.append(action)
+        return action, lp
+
+    monkeypatch.setattr(rl, "policy_sample", recording)
+    got = rl.train_unlearner(model, report, idx, cfg, seed=31)
+    monkeypatch.undo()
+    want, want_actions = ref_train_unlearner(model, report, idx, cfg, seed=31)
+
+    assert actions == want_actions
+    # repr tells every float apart, signed zeros too
+    assert repr(got.episodes) == repr(want.episodes)
+    assert repr(got.update_stats) == repr(want.update_stats) and want.update_stats
+    assert got.policy.flat.tobytes() == want.policy.flat.tobytes()
+    assert got.value_net.flat.tobytes() == want.value_net.flat.tobytes()
+    deployed = rl.deploy(got.policy, model, report, idx, cfg, cfg.t_collect)
+    monkeypatch.setattr(rl, "policy_mode", ref_policy_mode)
+    ref_deployed = rl.deploy(want.policy, model, report, idx, cfg, cfg.t_collect)
+    assert deployed.action_rows == ref_deployed.action_rows and deployed.action_rows
+    assert_same_bits(deployed.model, ref_deployed.model)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.3, 3.0, 40.0])
+@pytest.mark.parametrize("groups,B", [((8,), 15), ((32,), 1), ((3, 5), 7)])
+def test_policy_steps_match_the_full_layer_head(groups, B, scale):
+    """Sampler, greedy decoder and batch log-probs against the code that
+    always computed the layer head: with one layer they skip it."""
+    net = random_policy(groups, 4, 11, seed=len(groups) + B, scale=scale)
+    rng = np.random.default_rng(B)
+    X = rng.standard_normal((B, 3 * net.idx.total_groups))
+    arrays = rl.action_arrays(net.idx, random_actions(net, B, rng))
+    lp, entropy, aux = rl.batch_log_probs(net, X, arrays)
+    ref_lp, ref_entropy, ref_aux = ref_full_head_log_probs(net, X, arrays)
+    assert lp.tobytes() == ref_lp.tobytes()
+    assert entropy.tobytes() == ref_entropy.tobytes()
+    assert aux[6].tobytes() == ref_aux[6].tobytes()
+    assert (aux[2] is None) is (len(groups) == 1)
+    for x in X:
+        rngs = np.random.default_rng(B), np.random.default_rng(B)
+        got, want = rl.policy_sample(net, x, rngs[0]), ref_policy_sample(net, x, rngs[1])
+        assert repr(got) == repr(want)
+        assert rngs[0].random() == rngs[1].random()          # the same draws taken
+        assert repr(rl.policy_mode(net, x)) == repr(ref_policy_mode(net, x))

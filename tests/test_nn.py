@@ -221,8 +221,19 @@ def test_params_are_views_of_one_flat_vector(tmp_path, arch, dim):
              dataclasses.replace(model, flat=np.arange(model.num_params, dtype=np.float64))]
     for m in built:
         assert_views_of_flat(m)
-    # a copy shares no memory with its source
+    # a copy shares no memory with its source, and holds what the
+    # constructor builds from a copy of flat
     assert not np.shares_memory(copy.flat, model.flat)
+    rebuilt = nn.Model(model.arch_id, model.input_shape, model.num_classes, model.layers,
+                       model.flat.copy())
+    assert vars(copy).keys() == vars(rebuilt).keys()
+    for name in ("arch_id", "input_shape", "num_classes", "layers"):
+        assert getattr(copy, name) == getattr(rebuilt, name)
+    assert copy.flat.tobytes() == rebuilt.flat.tobytes()
+    assert type(copy.params) is type(rebuilt.params) is nn.LayerViews
+    assert [p.shape for p in copy.params] == [p.shape for p in rebuilt.params]
+    with pytest.raises(AttributeError):
+        copy.flat = rebuilt.flat
     # a write through a view shows in flat, and only in this model
     last = model.num_params - model.layer_dims()[-1]
     model.params[-1][0] = 7.5

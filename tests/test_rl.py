@@ -188,7 +188,7 @@ def env_fixture(t_collect=4, ratio_levels=2, groups=2, cap=0.95, **kw):
 def test_env_step_clock_and_rows():
     env, model, idx = env_fixture()
     act = rl.Action(layer_rank=0, groups=(0,), ratio_level=1, s=0.5)
-    tr = env.step(act, log_prob=-1.0, value=0.3)
+    tr = env.step(act, log_prob=-1.0)
     # acted group ends the step at age zero, everything else at one
     assert env.ledger.age(idx.layers[0], 0) == 0
     assert env.ledger.age(idx.layers[0], 1) == 1
@@ -196,7 +196,7 @@ def test_env_step_clock_and_rows():
     assert tr.r_fresh == 0.0                 # reward uses pre-step ages
     assert tr.reward == pytest.approx(env.cfg.w_f * tr.r_forget)
     assert not tr.done
-    assert tr.log_prob == -1.0 and tr.value == 0.3
+    assert tr.log_prob == -1.0
     assert env.steps == 1
     assert tr.state.shape == tr.next_state.shape == (3 * idx.total_groups,)
 
@@ -409,7 +409,7 @@ def collect_buffer(policy, model, idx, cfg, seed=0, episodes=2):
         state = env.reset()
         while not env.done:
             act, lp = rl.policy_sample(policy, state, rng)
-            tr = env.step(act, log_prob=lp, value=0.0)
+            tr = env.step(act, log_prob=lp)
             buffer.append(tr)
             state = tr.next_state
     return buffer
