@@ -9,9 +9,9 @@ clipping, and hand-rolled Adam. Everything is float64 numpy, seeded.
 Collect runs only the policy: the critic changes only inside `ppo_update`,
 so that is where it values the buffer, in one forward with the bits of one
 forward per step. With one sensitive layer the layer head has one choice:
-its log-softmax is exactly 0, its entropy -0.0 and its gradient +0.0, so
-the sampler, the greedy decoder and the update skip it and give the bits
-of the full computation.
+its log-softmax is exactly 0, its entropy -0.0 and its gradient a signed
+zero, so the sampler, the greedy decoder and the update skip it and give
+the bits of the full computation.
 """
 
 from __future__ import annotations
@@ -280,8 +280,7 @@ class _TrunkNet:
     output, in the order given. Parameters live in one flat float64 buffer
     `flat` with named views `params`, laid out W_heads, b_heads, W2, b2, W1,
     b1. `backward` writes the gradient into the flat buffer `grad` through
-    `grads`, views of the same shapes. Every 2-d product is `np.dot`, which
-    takes the same BLAS call as `@` on these shapes with less dispatch."""
+    `grads`, views of the same shapes."""
 
     def __init__(self, in_dim: int, hidden: int, head_dims: dict, seed: int):
         rng = np.random.default_rng(seed)
@@ -306,17 +305,17 @@ class _TrunkNet:
 
     def trunk(self, X: np.ndarray):
         p = self.params
-        h1 = np.dot(X, p["W1"].T)
+        h1 = X @ p["W1"].T
         h1 += p["b1"]
         np.tanh(h1, out=h1)
-        h2 = np.dot(h1, p["W2"].T)
+        h2 = h1 @ p["W2"].T
         h2 += p["b2"]
         np.tanh(h2, out=h2)
         return h1, h2
 
     def heads(self, h2: np.ndarray) -> np.ndarray:
         """Every head's output, (batch, total head dim); `head_cols` splits it."""
-        z = np.dot(h2, self.params["W_heads"].T)
+        z = h2 @ self.params["W_heads"].T
         z += self.params["b_heads"]
         return z
 
@@ -324,15 +323,15 @@ class _TrunkNet:
         """Fill and return the flat gradient `self.grad` (overwritten by the
         next call) from `dZ`, the gradient of the stacked head output."""
         grads = self.grads
-        np.dot(dZ.T, h2, out=grads["W_heads"])
+        np.matmul(dZ.T, h2, out=grads["W_heads"])
         np.add.reduce(dZ, axis=0, out=grads["b_heads"])
-        dp2 = np.dot(dZ, self.params["W_heads"])
+        dp2 = dZ @ self.params["W_heads"]
         dp2 *= 1.0 - h2 * h2
-        np.dot(dp2.T, h1, out=grads["W2"])
+        np.matmul(dp2.T, h1, out=grads["W2"])
         np.add.reduce(dp2, axis=0, out=grads["b2"])
-        dh1 = np.dot(dp2, self.params["W2"])
+        dh1 = dp2 @ self.params["W2"]
         dp1 = dh1 * (1.0 - h1 * h1)
-        np.dot(dp1.T, X, out=grads["W1"])
+        np.matmul(dp1.T, X, out=grads["W1"])
         np.add.reduce(dp1, axis=0, out=grads["b1"])
         return self.grad
 
@@ -371,18 +370,11 @@ class ValueNet(_TrunkNet):
         return float(self.heads(h2)[0, 0])
 
     def row_values(self, X: np.ndarray) -> np.ndarray:
-        """`value` of each row of X, bit for bit: `np.matmul` over the
+        """`value` of each row of X, bit for bit: the forward over the
         (n, 1, S) stack runs the one-row kernels row by row, where one
         (n, S) GEMM rounds differently."""
-        p = self.params
-        h = X[:, None, :]
-        for W, b in ((p["W1"], p["b1"]), (p["W2"], p["b2"])):
-            h = np.matmul(h, W.T)
-            h += b
-            np.tanh(h, out=h)
-        z = np.matmul(h, p["W_heads"].T)
-        z += p["b_heads"]
-        return z[:, 0, 0]
+        h1, h2 = self.trunk(X[:, None, :])
+        return self.heads(h2)[:, 0, 0]
 
     def values(self, X: np.ndarray):
         h1, h2 = self.trunk(X)
@@ -477,9 +469,8 @@ def policy_mode(policy: PolicyNet, state: np.ndarray):
 
 
 def action_arrays(idx: GroupIndex, actions: list[Action]):
-    """Stored actions as (ranks, levels, bits, mask, signs) arrays, one row
-    each; bits, mask and signs = 1 - 2 * bits (the mask term's sign) have one
-    column per group of `idx`, in canonical order."""
+    """Stored actions as (ranks, levels, bits, mask) arrays, one row each;
+    bits and mask have one column per group of `idx`, in canonical order."""
     n = len(actions)
     ranks = np.array([a.layer_rank for a in actions], dtype=np.int64)
     levels = np.array([a.ratio_level - 1 for a in actions], dtype=np.int64)
@@ -490,7 +481,7 @@ def action_arrays(idx: GroupIndex, actions: list[Action]):
         mask[i, cols] = 1.0
         for j in a.groups:
             bits[i, cols.start + j] = 1.0
-    return ranks, levels, bits, mask, 1.0 - 2.0 * bits
+    return ranks, levels, bits, mask
 
 
 def batch_log_probs(policy: PolicyNet, states: np.ndarray, arrays: tuple):
@@ -499,7 +490,7 @@ def batch_log_probs(policy: PolicyNet, states: np.ndarray, arrays: tuple):
     log-softmax is exactly 0 and entropy -0.0, the layer head's terms are
     skipped and `aux` holds None for lsm_l, p_l and ent_l."""
     z_l, z_g, z_r, cache = policy.logits(states)
-    ranks, levels, bits, mask, signs = arrays
+    ranks, levels, bits, mask = arrays
     rows = np.arange(ranks.size)
     lsm_r = nn.log_softmax(z_r)
     p_r = np.exp(lsm_r)
@@ -514,7 +505,7 @@ def batch_log_probs(policy: PolicyNet, states: np.ndarray, arrays: tuple):
         entropy = ent_l + ent_r
     sp = _softplus(z_g)
     # the mask term of each row, as in _mask_log_prob
-    lp = lp - np.add.reduce(mask * _softplus(z_g * signs), axis=1)
+    lp = lp - np.add.reduce(mask * _softplus(z_g * (1.0 - 2.0 * bits)), axis=1)
     sig = np.exp(z_g - sp)                      # sigmoid(z_g)
     entropy = entropy + np.add.reduce(mask * (sp - z_g * sig), axis=1)
     aux = (z_g, cache, lsm_l, lsm_r, p_l, p_r, sig, ent_l, ent_r)
@@ -670,15 +661,17 @@ def ppo_update(
     and `ValueNet.row_values` gives the bits of one forward per step.
     Advantages come from GAE over the buffer (normalized batch-wide); the
     buffer is cleared before returning. With one layer the layer head's
-    gradient column is +0.0, what the full computation writes (for a
-    non-negative entropy coefficient), and its other terms are skipped."""
+    gradient column is coef * 0.0 + ce * 0.0, what the full computation
+    writes, and its other terms are skipped."""
     if not buffer:
         raise RlError("empty buffer")
     n = len(buffer)
     rows = np.arange(n)
     states = np.stack([tr.state for tr in buffer])
     values = value_net.row_values(states)
-    ranks, levels, bits, mask, signs = action_arrays(policy.idx, [tr.action for tr in buffer])
+    ranks, levels, bits, mask = action_arrays(policy.idx, [tr.action for tr in buffer])
+    one_l = np.zeros((n, policy.idx.n_layers))
+    one_l[rows, ranks] = 1.0
     one_r = np.zeros((n, policy.ratio_levels))
     one_r[rows, levels] = 1.0
     rewards = np.array([tr.reward for tr in buffer])
@@ -686,12 +679,7 @@ def ppo_update(
     old_lp = np.array([tr.log_prob for tr in buffer])
     adv_raw, returns = gae(rewards, values, dones, cfg.discount, cfg.gae_lambda)
     adv = normalize_advantages(adv_raw)
-    columns = [states, ranks, levels, bits, mask, signs, one_r, adv, returns, old_lp]
-    layered = policy.idx.n_layers > 1
-    if layered:
-        one_l = np.zeros((n, policy.idx.n_layers))
-        one_l[rows, ranks] = 1.0
-        columns.append(one_l)
+    columns = (states, ranks, levels, bits, mask, one_l, one_r, adv, returns, old_lp)
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "clip_frac": 0.0}
     n_batches = 0
     lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
@@ -702,11 +690,10 @@ def ppo_update(
         perm = rng.permutation(n)
         shuffled = [col[perm] for col in columns]
         for start in range(0, n, cfg.batch_size):
-            # one_l is [the layer one-hot] when layered, else []
-            (x, ranks, levels, bits, mask, signs, one_r, a_mb, ret_mb, old_mb, *one_l) = (
+            (x, ranks, levels, bits, mask, one_l, one_r, a_mb, ret_mb, old_mb) = (
                 col[start : start + cfg.batch_size] for col in shuffled)
             m = x.shape[0]
-            lp, entropy, aux = batch_log_probs(policy, x, (ranks, levels, bits, mask, signs))
+            lp, entropy, aux = batch_log_probs(policy, x, (ranks, levels, bits, mask))
             z_g, cache, lsm_l, lsm_r, p_l, p_r, sig, ent_l, ent_r = aux
             ratio = np.exp(lp - old_mb)
             clipped = np.minimum(np.maximum(ratio, lo), hi)
@@ -725,12 +712,13 @@ def ppo_update(
             # entropy bonus gradients (minimizing -c*H): each term is
             # -ce * (-x), which equals ce * x exactly
             ce = cfg.entropy_coef / m
-            if layered:
-                np.multiply(coef, one_l[0] - p_l, out=dz_l)
-                dz_l += ce * (p_l * (lsm_l + ent_l[:, None]))
+            if p_l is None:
+                # one layer: coef * (1 - 1) + ce * (1 * (0 + -0.0)), exactly
+                np.multiply(coef, 0.0, out=dz_l)
+                dz_l += ce * 0.0
             else:
-                # coef * (1 - 1) + ce * (1 * (0 + -0.0)): (+-0.0) + (+0.0)
-                dz_l[...] = 0.0
+                np.multiply(coef, one_l - p_l, out=dz_l)
+                dz_l += ce * (p_l * (lsm_l + ent_l[:, None]))
             dz_r += ce * (p_r * (lsm_r + ent_r[:, None]))
             dz_g += ce * mask * (z_g * sig * (1.0 - sig))
 

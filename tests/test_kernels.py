@@ -14,10 +14,10 @@ Compared for exact equality, never a tolerance:
 - the episode rewards and actions of a whole `train_unlearner` run with every
   reference swapped in
 - the lean PPO loop (the critic valuing the buffer in `ppo_update`, a layer
-  head with one choice skipped, `np.dot` GEMMs) against the loop it
-  replaced, which ran the critic at every collect step and always computed
-  the layer head: nets, update stats, episodes, sampled and deployed actions;
-  and `ValueNet.row_values` against one forward per row
+  head with one choice skipped) against the loop it replaced, which ran the
+  critic at every collect step and always computed the layer head: nets,
+  update stats, episodes, sampled and deployed actions and every head
+  gradient; and `ValueNet.row_values` against one forward per row
 - the FedAvg local step (one-copy patch blocks, the stacked input-gradient
   matmul, the float ReLU mask, SGD in place) against the k²-slice patch
   blocks, the per-offset input-gradient loop, the bool-mask ReLU, per-layer
@@ -259,7 +259,7 @@ def ref_batch_log_probs(policy, states, arrays):
     """`rl.batch_log_probs` as it was: per-head logits, the mask term as
     softplus(-z) * b + softplus(z) * (1 - b), and `ref_sigmoid`."""
     z_l, z_g, z_r, cache = ref_logits(policy, states)
-    ranks, levels, bits, mask = arrays[:4]
+    ranks, levels, bits, mask = arrays
     rows = np.arange(ranks.size)
     lsm_l, lsm_r = nn.log_softmax(z_l), nn.log_softmax(z_r)
     sp = rl._softplus(z_g)
@@ -1440,10 +1440,9 @@ def ref_policy_mode(policy, state):
 
 
 def ref_full_head_log_probs(policy, states, arrays):
-    """`rl.batch_log_probs` as it was: the layer head always, 1 - 2 * bits
-    per call."""
+    """`rl.batch_log_probs` as it was: the layer head always."""
     z_l, z_g, z_r, cache = ref_head_logits(policy, states)
-    ranks, levels, bits, mask = arrays[:4]
+    ranks, levels, bits, mask = arrays
     rows = np.arange(ranks.size)
     lsm_l, lsm_r = nn.log_softmax(z_l), nn.log_softmax(z_r)
     sp = rl._softplus(z_g)
@@ -1462,7 +1461,7 @@ def ref_ppo_update(policy, value_net, buffer, values, cfg, rng, policy_opt, valu
     n = len(buffer)
     rows = np.arange(n)
     states = np.stack([tr.state for tr in buffer])
-    ranks, levels, bits, mask = rl.action_arrays(policy.idx, [tr.action for tr in buffer])[:4]
+    ranks, levels, bits, mask = rl.action_arrays(policy.idx, [tr.action for tr in buffer])
     one_l = np.zeros((n, policy.idx.n_layers))
     one_l[rows, ranks] = 1.0
     one_r = np.zeros((n, policy.ratio_levels))
@@ -1573,11 +1572,16 @@ def test_row_values_match_one_forward_per_row(n, G, hidden, seed):
 
 def lean_cases():
     """(name, model, report, idx, cfg): `three_layer_run`, its model on one
-    layer, and the default MLP on one layer (ref-mlp's shape) and on two."""
+    layer, with the default entropy coefficient and with a negative one
+    (the layer head's gradient column then holds -0.0 wherever coef is
+    negative or -0.0), and
+    the default MLP on one layer (ref-mlp's shape) and on two."""
     model, report, idx, cfg = three_layer_run()
     yield "three-layer", model, report, idx, cfg
     one = dataclasses.replace(report, selected=[1], m_sel=1)
     yield "one-layer", model, one, partition_groups(model, [1], 3), cfg
+    yield ("one-layer-negative-entropy", model, one, partition_groups(model, [1], 3),
+           dataclasses.replace(cfg, entropy_coef=-0.05))
     defaults = validate_config({})
     ds = defaults["dataset"]
     mlp = nn.make_model("mlp", ds["dim"], ds["classes"], seed=0,
@@ -1596,18 +1600,31 @@ def lean_cases():
 def test_train_unlearner_bits_match_the_per_step_critic_loop(monkeypatch, case):
     _, model, report, idx, cfg = case
     sample, actions = rl.policy_sample, []
+    backward, ref_backward, dZs, ref_dZs = rl._TrunkNet.backward, ref_net_backward, [], []
 
     def recording(policy, state, rng):
         action, lp = sample(policy, state, rng)
         actions.append(action)
         return action, lp
 
+    def recording_backward(log, backward):
+        def record(net, X, h1, h2, dZ):
+            log.append(dZ.tobytes())
+            return backward(net, X, h1, h2, dZ)
+        return record
+
     monkeypatch.setattr(rl, "policy_sample", recording)
+    monkeypatch.setattr(rl._TrunkNet, "backward", recording_backward(dZs, backward))
     got = rl.train_unlearner(model, report, idx, cfg, seed=31)
     monkeypatch.undo()
+    monkeypatch.setattr(sys.modules[__name__], "ref_net_backward",
+                        recording_backward(ref_dZs, ref_backward))
     want, want_actions = ref_train_unlearner(model, report, idx, cfg, seed=31)
+    monkeypatch.undo()
 
     assert actions == want_actions
+    # every head gradient of both nets, signed zeros too
+    assert dZs == ref_dZs and dZs
     # repr tells every float apart, signed zeros too
     assert repr(got.episodes) == repr(want.episodes)
     assert repr(got.update_stats) == repr(want.update_stats) and want.update_stats
@@ -1641,3 +1658,11 @@ def test_policy_steps_match_the_full_layer_head(groups, B, scale):
         assert repr(got) == repr(want)
         assert rngs[0].random() == rngs[1].random()          # the same draws taken
         assert repr(rl.policy_mode(net, x)) == repr(ref_policy_mode(net, x))
+    # a non-finite state: the sampler raises (at the level draw once the
+    # layer draw is skipped) and the greedy decoder gives the same action
+    nan = np.full(3 * net.idx.total_groups, np.nan)
+    with np.errstate(invalid="ignore"):
+        for sample in (rl.policy_sample, ref_policy_sample):
+            with pytest.raises(rl.RlError):
+                sample(net, nan, np.random.default_rng(B))
+        assert repr(rl.policy_mode(net, nan)) == repr(ref_policy_mode(net, nan))
