@@ -110,7 +110,7 @@ def baseline_grad_ascent(
         except nn.NumericError as err:
             return AscentResult(current, log, halted=True,
                                 halt_reason=f"step {t}: {err}")
-        nn.sgd_step_inplace(current, -grad, eta_u)   # ascend
+        nn.sgd_descend(current.flat, -grad, eta_u)   # ascend
         norm = float(np.linalg.norm(current.flat))
         projected = norm > norm_cap > 0.0
         if projected:

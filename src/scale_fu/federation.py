@@ -2,7 +2,12 @@
 
 Clients run E local epochs of minibatch SGD from the current global model;
 the server aggregates size-weighted in ascending client-id order so runs are
-bit-identical for a fixed seed. The history keeps each participant's latest
+bit-identical for a fixed seed. A round's clients step in lockstep
+(`local_updates`): each draws its minibatch schedule up front from its own
+seed, and at each tick the clients whose next minibatch has the same size
+take one stacked forward/backward (`nn.stacked_loss_and_grads`) and one SGD
+update of their rows of an (N, d) parameter block. Every row gets the bits of
+its client stepped alone. The history keeps each participant's latest
 upload, one flat parameter vector, for the sensitivity analysis.
 """
 
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .data import ClientPartition, Dataset, ForgetSplit, client_view
+from .data import ClientPartition, Dataset, ForgetSplit
 
 
 class FederationError(ValueError):
@@ -86,6 +91,65 @@ def _local_seed(base_seed: int, rnd: int, client: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _schedule(rows: np.ndarray, epochs: int, batch_size: int, seed: int) -> list[np.ndarray]:
+    """A client's minibatches in step order, each as indices into the data:
+    one permutation of its `rows` per epoch from its own generator, cut into
+    batch_size pieces."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    for _ in range(epochs):
+        order = rows[rng.permutation(rows.size)]
+        batches.extend(order[start : start + batch_size]
+                       for start in range(0, rows.size, batch_size))
+    return batches
+
+
+def local_updates(
+    model: nn.Model,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    client_rows: list[np.ndarray],
+    seeds: list[int],
+    epochs: int,
+    eta: float,
+    batch_size: int,
+) -> np.ndarray:
+    """E epochs of shuffled minibatch SGD from `model` (untouched) for each
+    client, in lockstep; client n owns the rows `client_rows[n]` of
+    inputs/labels and shuffles with `seeds[n]`. Returns the (N, num_params)
+    block of the clients' final parameters.
+
+    At each tick, the clients whose next minibatch has the same size take
+    one stacked `nn.stacked_loss_and_grads` call of at most
+    nn.STACK_SAMPLES samples (or one client), then one SGD update of their
+    rows. Clients are independent, so each row has the bits of that client
+    stepped alone."""
+    if any(rows.size == 0 for rows in client_rows):
+        raise FederationError("client has no samples")
+    schedules = [_schedule(rows, epochs, batch_size, seed)
+                 for rows, seed in zip(client_rows, seeds)]
+    flats = np.repeat(model.flat[None], len(schedules), axis=0)
+    for tick in range(max(map(len, schedules))):
+        by_size: dict[int, list[int]] = {}
+        for n, batches in enumerate(schedules):
+            if tick < len(batches):
+                by_size.setdefault(batches[tick].size, []).append(n)
+        for size, clients in by_size.items():
+            per_call = max(1, nn.STACK_SAMPLES // size)
+            for lo in range(0, len(clients), per_call):
+                chunk = clients[lo : lo + per_call]
+                idx = np.array([schedules[n][tick] for n in chunk])
+                # consecutive rows are stepped in place through a view, so a
+                # call holds no copy of them; other rows are gathered
+                gathered = chunk[-1] - chunk[0] != len(chunk) - 1
+                block = flats[chunk] if gathered else flats[chunk[0] : chunk[-1] + 1]
+                _, grads = nn.stacked_loss_and_grads(model, block, inputs[idx], labels[idx])
+                nn.sgd_descend(block, grads, eta)
+                if gathered:
+                    flats[chunk] = block
+    return flats
+
+
 def local_update(
     model: nn.Model,
     X: np.ndarray,
@@ -96,19 +160,13 @@ def local_update(
     seed: int,
 ) -> nn.Model:
     """E epochs of shuffled minibatch SGD starting from `model` (untouched):
-    one copy of it is stepped in place."""
-    if X.shape[0] == 0:
-        raise FederationError("client has no samples")
-    rng = np.random.default_rng(seed)
-    current = model.copy()
-    m = X.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(m)
-        for start in range(0, m, batch_size):
-            sel = order[start : start + batch_size]
-            _, grad = nn.loss_and_grads(current, nn.Batch(X[sel], y[sel]))
-            nn.sgd_step_inplace(current, grad, eta)
-    return current
+    the one-client case of `local_updates`."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    if y.shape != X.shape[:1]:
+        raise nn.ShapeError("labels must be one int per input row")
+    flats = local_updates(model, X, y, [np.arange(X.shape[0])], [seed], epochs, eta,
+                          batch_size)
+    return model.over(flats[0])
 
 
 def aggregate(models: list[nn.Model], sizes: list[int]) -> nn.Model:
@@ -171,22 +229,14 @@ def run_rounds(
     logs: list[RoundLog] = []
     for rnd in range(1, cfg.rounds + 1):
         participants = sorted(select_rng.choice(pool, size=k, replace=False).tolist())
-        updated, weights = [], []
-        for n in participants:
-            X, y = client_view(ds, indices[n])
-            local = local_update(
-                global_model,
-                X,
-                y,
-                cfg.local_epochs,
-                cfg.eta,
-                cfg.batch_size,
-                seed=_local_seed(cfg.seed, rnd, n),
-            )
-            history.record(n, local.flat, indices[n].size, rnd)
-            updated.append(local)
-            weights.append(indices[n].size)
-        global_model = aggregate(updated, weights)
+        flats = local_updates(global_model, ds.inputs, ds.labels,
+                              [indices[n] for n in participants],
+                              [_local_seed(cfg.seed, rnd, n) for n in participants],
+                              cfg.local_epochs, cfg.eta, cfg.batch_size)
+        weights = [indices[n].size for n in participants]
+        for n, flat, size in zip(participants, flats, weights):
+            history.record(n, flat, size, rnd)
+        global_model = aggregate([global_model.over(flat) for flat in flats], weights)
         loss, acc = evaluate(global_model, ds.inputs, ds.labels)
         logs.append(RoundLog(round=rnd, participants=participants, loss=loss, accuracy=acc))
     return global_model, history, logs

@@ -169,11 +169,18 @@ class Model:
         return LayerViews(views(vec, [(spec.d,) for spec in self.layers]))
 
     def copy(self) -> "Model":
-        """The same specs over a copy of `flat`. The source passed
-        `__post_init__`'s checks, so the copy skips them and cuts the new
-        vector where the source's views are cut."""
+        """The same specs over a copy of `flat`."""
+        return self.over(self.flat.copy())
+
+    def over(self, flat: np.ndarray) -> "Model":
+        """The same specs over `flat`, a contiguous float64 vector laid out
+        like `self.flat`, bound without a copy. The source passed
+        `__post_init__`'s checks, so this skips them and cuts `flat` where
+        the source's views are cut."""
+        if flat.shape != self.flat.shape:
+            raise ShapeError(f"expected one flat vector of {self.flat.size} "
+                             f"parameters, got {flat.shape}")
         out = object.__new__(type(self))
-        flat = self.flat.copy()
         out.__dict__.update(self.__dict__, flat=flat,
                             params=LayerViews(views(flat, [p.shape for p in self.params])))
         return out
@@ -255,8 +262,8 @@ def _check_finite(arr: np.ndarray, layer: int, what: str) -> None:
 
 
 def _dense_forward(a: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a: (B, in), W: (out, in) -> (B, out)
-    return a @ W.T + b
+    # a: (..., B, in), W: (..., out, in) -> (..., B, out)
+    return a @ W.swapaxes(-1, -2) + b[..., None, :]
 
 
 def _dense_backward(
@@ -265,56 +272,66 @@ def _dense_backward(
     # Gradients w.r.t. W, b and, unless input_grad is False, the input a;
     # dW and db are written into `out`, a (dW, db) pair of arrays, if given.
     dW, db = (None, None) if out is None else out
-    return (np.matmul(dz.T, a, out=dW), np.add.reduce(dz, axis=0, out=db),
+    return (np.matmul(dz.swapaxes(-1, -2), a, out=dW), np.add.reduce(dz, axis=-2, out=db),
             dz @ W if input_grad else None)
 
 
-# Samples per patch matrix. A whole 600-sample batch in one patch matrix
-# grows peak memory and runs slower (cache-bound). A block holds a 32-sample
-# training minibatch, so its patches are cached for backward, and no more:
-# mini_cnn's second-layer weight gradient, (16, K) x (K, 72) with K = 16 rows
-# a sample, gave different bits at 1 and 2 OpenBLAS threads (0.3.31) from
-# 55 samples a block up, and the same bits at 32.
+# Samples per patch matrix of one client. A whole 600-sample batch in one
+# patch matrix grows peak memory and runs slower (cache-bound). A block holds
+# a 32-sample training minibatch, so its patches are cached for backward, and
+# no more: mini_cnn's second-layer weight gradient, (16, K) x (K, 72) with
+# K = 16 rows a sample, gave different bits at 1 and 2 OpenBLAS threads
+# (0.3.31) from 55 samples a block up, and the same bits at 32.
 CONV_BLOCK = 32
+
+# Samples in one stacked call of `stacked_loss_and_grads` from a lockstep
+# FedAvg tick (`federation.local_updates`): the clients of a tick are cut into
+# calls of at most max(1, STACK_SAMPLES // B) clients. Set by a peak-RSS sweep
+# of the cnn-fed pipeline (CHANGES.md).
+STACK_SAMPLES = 128
 
 
 def _patch_blocks(xt: np.ndarray, k: int):
-    """Yield (lo, hi, P) per block of CONV_BLOCK samples of the channels-last
-    input xt (B, H, W, C): P is the (n*Ho*Wo, k*k*C) patch matrix of samples
-    lo:hi, columns in (u, v, c) order, copied in one go from a read-only
-    strided window view of xt. Blocks share one buffer, so a P is valid only
-    until the next block is built."""
-    B, H, Wd, C = xt.shape
+    """Yield (lo, hi, P) per block of CONV_BLOCK samples of the stacked
+    channels-last input xt (N, B, H, W, C): P is the (N, n*Ho*Wo, k*k*C)
+    patch matrices of samples lo:hi of each client, columns in (u, v, c)
+    order, copied in one go from a read-only strided window view of xt.
+    Blocks share one buffer, so a P is valid only until the next block is
+    built."""
+    N, B, H, Wd, C = xt.shape
     Ho, Wo = H - k + 1, Wd - k + 1
-    sB, sH, sW, sC = xt.strides
-    buf = np.empty((min(B, CONV_BLOCK), Ho, Wo, k, k, C))
+    sN, sB, sH, sW, sC = xt.strides
+    per_sample = Ho * Wo * k * k * C
+    buf = np.empty(N * min(B, CONV_BLOCK) * per_sample)
     for lo in range(0, B, CONV_BLOCK):
         hi = min(lo + CONV_BLOCK, B)
-        p = buf[: hi - lo]
-        windows = as_strided(xt[lo:hi], shape=p.shape,
-                             strides=(sB, sH, sW, sH, sW, sC), writeable=False)
+        p = buf[: N * (hi - lo) * per_sample].reshape(N, hi - lo, Ho, Wo, k, k, C)
+        windows = as_strided(xt[:, lo:hi], shape=p.shape,
+                             strides=(sN, sB, sH, sW, sH, sW, sC), writeable=False)
         np.copyto(p, windows)
-        yield lo, hi, p.reshape(-1, k * k * C)
+        yield lo, hi, p.reshape(N, -1, k * k * C)
 
 
 def _conv_forward(
     x: np.ndarray, W: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    # x: (B, C, H, W), W: (O, C, k, k) -> (B, O, H-k+1, W-k+1), valid padding.
-    # One GEMM per block of samples against W as a (k*k*C, O) matrix; the
-    # result is a (B, O, Ho, Wo) view of channels-last memory. Also returns
-    # the patch matrix when the batch fits in one block, else None.
-    B, C, H, Wd = x.shape
-    O, _, k, _ = W.shape
+    # x: (N, B, C, H, W), W: (N, O, C, k, k), b: (N, O) -> (N, B, O, H-k+1,
+    # W-k+1), valid padding, client n by its own W[n] and b[n]. One stacked
+    # GEMM per block of samples against W as (N, k*k*C, O) matrices; the
+    # result is a view of channels-last memory. Also returns the patch
+    # matrices when the batch fits in one block, else None.
+    N, B, C, H, Wd = x.shape
+    O, k = W.shape[1], W.shape[3]
     Ho, Wo = H - k + 1, Wd - k + 1
-    Wm = np.ascontiguousarray(W.transpose(2, 3, 1, 0)).reshape(k * k * C, O)
-    out = np.empty((B * Ho * Wo, O))
+    Wm = np.ascontiguousarray(W.transpose(0, 3, 4, 2, 1)).reshape(N, k * k * C, O)
+    out = np.empty((N, B * Ho * Wo, O))
     rows, P = Ho * Wo, None
-    for lo, hi, P in _patch_blocks(x.transpose(0, 2, 3, 1), k):
-        o = out[lo * rows : hi * rows]
-        np.dot(P, Wm, out=o)
-        o += b
-    return out.reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2), (P if B <= CONV_BLOCK else None)
+    for lo, hi, P in _patch_blocks(x.transpose(0, 1, 3, 4, 2), k):
+        o = out[:, lo * rows : hi * rows]
+        np.matmul(P, Wm, out=o)
+        o += b[:, None, :]
+    return (out.reshape(N, B, Ho, Wo, O).transpose(0, 1, 4, 2, 3),
+            (P if B <= CONV_BLOCK else None))
 
 
 def _conv_backward(
@@ -324,166 +341,206 @@ def _conv_backward(
     P: np.ndarray | None = None,
     input_grad: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    # Gradients w.r.t. W (O, C, k, k), b (O,) and, unless input_grad is
-    # False, x (B, C, H, W). dW is one GEMM against the forward pass's patch
-    # matrix P, rebuilt block by block when none is given; dx is one stacked
-    # matmul, a GEMM per kernel offset, added in (u, v) order.
-    B, C, H, Wd = x.shape
-    O, _, k, _ = W.shape
-    Ho, Wo = dz.shape[2], dz.shape[3]
-    d = dz.transpose(0, 2, 3, 1).reshape(-1, O)
+    # Gradients w.r.t. W (N, O, C, k, k), b (N, O) and, unless input_grad is
+    # False, x (N, B, C, H, W). dW is one stacked GEMM against the forward
+    # pass's patch matrices P, rebuilt block by block when none are given; dx
+    # is one stacked matmul, a GEMM per client and kernel offset, added in
+    # (u, v) order.
+    N, B, C, H, Wd = x.shape
+    O, k = W.shape[1], W.shape[3]
+    Ho, Wo = dz.shape[3], dz.shape[4]
+    d = dz.transpose(0, 1, 3, 4, 2).reshape(N, -1, O)
+    dT = d.transpose(0, 2, 1)
     if P is not None:
-        dW = d.T @ P
+        dW = np.matmul(dT, P)
     else:
-        dW = np.zeros((O, k * k * C))
+        dW = np.zeros((N, O, k * k * C))
         rows = Ho * Wo
-        for lo, hi, Pb in _patch_blocks(x.transpose(0, 2, 3, 1), k):
-            dW += d[lo * rows : hi * rows].T @ Pb
-    dW = dW.reshape(O, k, k, C).transpose(0, 3, 1, 2)
-    db = np.add.reduce(d, axis=0)
+        for lo, hi, Pb in _patch_blocks(x.transpose(0, 1, 3, 4, 2), k):
+            dW += np.matmul(dT[:, :, lo * rows : hi * rows], Pb)
+    dW = dW.reshape(N, O, k, k, C).transpose(0, 1, 4, 2, 3)
+    db = np.add.reduce(d, axis=1)
     if not input_grad:
         return dW, db, None
-    Wt = np.ascontiguousarray(W.transpose(2, 3, 0, 1)).reshape(k * k, O, C)
-    G = np.matmul(d, Wt).reshape(k, k, B, Ho, Wo, C)
-    dxt = np.zeros((B, H, Wd, C))
+    Wt = np.ascontiguousarray(W.transpose(0, 3, 4, 1, 2)).reshape(N, k * k, O, C)
+    G = np.matmul(d[:, None], Wt).reshape(N, k, k, B, Ho, Wo, C)
+    dxt = np.zeros((N, B, H, Wd, C))
     for u in range(k):
         for v in range(k):
-            dxt[:, u : u + Ho, v : v + Wo] += G[u, v]
-    return dW, db, dxt.transpose(0, 3, 1, 2)
+            dxt[:, :, u : u + Ho, v : v + Wo] += G[:, u, v]
+    return dW, db, dxt.transpose(0, 1, 4, 2, 3)
 
 
 def _split_dense(spec: LayerSpec, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # vec: (..., d) -> W (..., out, in), b (..., out)
     n_w = spec.in_dim * spec.out_dim
-    return vec[:n_w].reshape(spec.out_dim, spec.in_dim), vec[n_w:]
+    return vec[..., :n_w].reshape(*vec.shape[:-1], spec.out_dim, spec.in_dim), vec[..., n_w:]
 
 
 def _split_conv(spec: LayerSpec, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # vec: (..., d) -> W (..., O, C, k, k), b (..., O)
     n_w = spec.out_channels * spec.in_channels * spec.kernel**2
-    W = vec[:n_w].reshape(spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
-    return W, vec[n_w:]
+    W = vec[..., :n_w].reshape(*vec.shape[:-1], spec.out_channels, spec.in_channels,
+                               spec.kernel, spec.kernel)
+    return W, vec[..., n_w:]
 
 
-def _forward(model: Model, X: np.ndarray) -> tuple[np.ndarray, list]:
-    """Run the layer chain; returns logits and per-layer caches for backprop:
-    (input, pre-activation, conv patch matrix or None) per layer."""
-    B = X.shape[0]
-    if X.shape[1] != model.input_dim:
+def _layer_blocks(model: Model, flats: np.ndarray) -> list[np.ndarray]:
+    """Per-layer (N, d) column blocks of the (N, num_params) stack `flats`."""
+    out, start = [], 0
+    for p in model.params:
+        out.append(flats[:, start : start + p.size])
+        start += p.size
+    return out
+
+
+def _forward(
+    model: Model, blocks: list[np.ndarray], X: np.ndarray, keep: bool
+) -> tuple[np.ndarray, list]:
+    """Run the layer chain over the (N, B, input_dim) stack X, client n by the
+    parameters in row n of each layer block; returns the (N, B, classes)
+    logits and, if `keep`, per-layer caches for backprop: (input, conv
+    patch matrices or None, weights or None) per layer."""
+    N, B = X.shape[:2]
+    if X.shape[2] != model.input_dim:
         raise ShapeError(
-            f"batch width {X.shape[1]} does not match model input_dim {model.input_dim}"
+            f"batch width {X.shape[2]} does not match model input_dim {model.input_dim}"
         )
     if len(model.input_shape) == 3:
-        a = X.reshape(B, *model.input_shape)
+        a = X.reshape(N, B, *model.input_shape)
     else:
         a = X
     caches = []
-    for i, (spec, vec) in enumerate(zip(model.layers, model.params)):
+    for i, (spec, vec) in enumerate(zip(model.layers, blocks)):
         if spec.kind == DENSE:
-            if a.ndim != 2:
+            if a.ndim != 3:
                 raise ShapeError(f"layer {i}: dense input must be flat (missing flatten?)")
-            if a.shape[1] != spec.in_dim:
+            if a.shape[2] != spec.in_dim:
                 raise ShapeError(
-                    f"layer {i}: dense expected width {spec.in_dim}, got {a.shape[1]}"
+                    f"layer {i}: dense expected width {spec.in_dim}, got {a.shape[2]}"
                 )
             W, b = _split_dense(spec, vec)
             z, P = _dense_forward(a, W, b), None
         elif spec.kind == CONV2D:
-            if a.ndim != 4 or a.shape[1] != spec.in_channels:
+            if a.ndim != 5 or a.shape[2] != spec.in_channels:
                 raise ShapeError(f"layer {i}: conv2d expected (B,{spec.in_channels},H,W) input")
-            if a.shape[2] < spec.kernel or a.shape[3] < spec.kernel:
+            if a.shape[3] < spec.kernel or a.shape[4] < spec.kernel:
                 raise ShapeError(f"layer {i}: spatial input smaller than kernel")
             W, b = _split_conv(spec, vec)
             z, P = _conv_forward(a, W, b)
         else:  # flatten
-            z, P = a.reshape(B, -1), None
+            z, P, W = a.reshape(N, B, -1), None, None
         if spec.kind != FLATTEN or i == 0:
             # past layer 0, a flatten reshapes an activation already checked
             _check_finite(z, i, "activation")
         out = np.maximum(z, 0.0) if spec.activation == ACT_RELU else z
-        caches.append((a, z, P))
+        if keep:
+            caches.append((a, P, W))
         a = out
-    if a.ndim != 2:
+    if a.ndim != 3:
         raise ShapeError("model output is not flat; final flatten/dense missing")
     return a, caches
 
 
 def forward(model: Model, batch: Batch) -> np.ndarray:
-    """Logits for a batch, shape (B, num_classes)."""
-    logits, _ = _forward(model, batch.inputs)
-    if logits.shape[1] != model.num_classes:
+    """Logits for a batch, shape (B, num_classes). Keeps no backprop caches."""
+    logits, _ = _forward(model, [vec[None] for vec in model.params], batch.inputs[None],
+                         keep=False)
+    if logits.shape[2] != model.num_classes:
         raise ShapeError(
-            f"model produces {logits.shape[1]} outputs for {model.num_classes} classes"
+            f"model produces {logits.shape[2]} outputs for {model.num_classes} classes"
         )
-    return logits
+    return logits[0]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    """Log-softmax along the last axis."""
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-def loss_and_grads(model: Model, batch: Batch) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy loss and its gradient, one vector laid out like
-    `model.flat`."""
-    if len(batch) == 0:
+def stacked_loss_and_grads(
+    model: Model, flats: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy loss and its gradient for N clients at once: client
+    n's parameters are row n of `flats` (N, num_params), laid out like
+    `model.flat`, and its minibatch is inputs[n] (B, input_dim) with labels[n].
+    Returns the (N,) losses and the (N, num_params) gradients. Each client's
+    row has the bits of a call on that client alone: every operation acts on
+    each client's slice as the one-client call does."""
+    N, B = labels.shape
+    if inputs.shape[:2] != (N, B) or inputs.ndim != 3:
+        raise ShapeError(f"inputs {inputs.shape} for labels {labels.shape}")
+    if B == 0:
         raise ShapeError("empty batch")
-    if batch.labels.min() < 0 or batch.labels.max() >= model.num_classes:
+    if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ShapeError("label out of range")
-    logits, caches = _forward(model, batch.inputs)
-    B = len(batch)
-    rows = np.arange(B)
+    logits, caches = _forward(model, _layer_blocks(model, flats), inputs, keep=True)
+    # flat position of each sample's label in the (N, B, classes) logits
+    picks = np.arange(0, N * B * model.num_classes, model.num_classes) + labels.reshape(-1)
     logp = log_softmax(logits)
-    loss = float(-(np.add.reduce(logp[rows, batch.labels]) / B))
-    dlogits = np.exp(logp)
-    dlogits[rows, batch.labels] -= 1.0
-    dlogits /= B
+    losses = -(np.add.reduce(logp.reshape(-1)[picks].reshape(N, B), axis=1) / B)
+    da = np.exp(logp, out=logp)   # the softmax, in logp's memory
+    da.reshape(-1)[picks] -= 1.0
+    da /= B
 
     # every coordinate is written: each dense or conv layer fills its dW and
-    # db views of its slice g, and a flatten layer has none
-    grad = np.empty(model.flat.size)
-    end = grad.size
-    da = dlogits
+    # db views of its block g, and a flatten layer has none. Each layer's
+    # cache is dropped once used; a ReLU layer's mask is read off its output
+    # (the next layer's input), where out > 0 exactly when z > 0, and is
+    # multiplied into da, a buffer nothing else reads.
+    grads = np.empty(flats.shape)
+    grad_blocks = _layer_blocks(model, grads)
+    out = logits
     for i in range(model.num_layers - 1, -1, -1):
-        spec = model.layers[i]
-        g, end = grad[end - spec.d : end], end - spec.d
-        a_prev, z, P = caches[i]
+        spec, g = model.layers[i], grad_blocks[i]
+        a_prev, P, W = caches.pop()
         if spec.activation == ACT_RELU:
-            dz = da * (z > 0.0).astype(np.float64)
-        else:
-            dz = da
+            da *= (out > 0.0).astype(np.float64)
+        dz = da
         # layer 0's input is the data: nothing consumes its gradient
         if spec.kind == DENSE:
-            W, _ = _split_dense(spec, model.params[i])
             _, _, da = _dense_backward(a_prev, W, dz, input_grad=i > 0,
                                        out=_split_dense(spec, g))
         elif spec.kind == CONV2D:
-            W, _ = _split_conv(spec, model.params[i])
             gW, gb = _split_conv(spec, g)
             gW[...], gb[...], da = _conv_backward(a_prev, W, dz, P, input_grad=i > 0)
         else:  # flatten: reshape gradient back to the cached input shape
             da = dz.reshape(a_prev.shape)
-            continue  # its gradient is empty
-        _check_finite(g, i, "gradient")
-    return loss, grad
+        out = a_prev
+    if not np.isfinite(grads).all():
+        # name the first layer backprop reached with a non-finite gradient
+        for i in range(model.num_layers - 1, -1, -1):
+            _check_finite(grad_blocks[i], i, "gradient")
+    return losses, grads
 
 
-def sgd_step_inplace(model: Model, grad: np.ndarray, eta: float) -> None:
-    """One descent step, p -= eta * g, written into `model.flat`: the one SGD
-    update rule."""
+def loss_and_grads(model: Model, batch: Batch) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy loss and its gradient, one vector laid out like
+    `model.flat`: the one-client case of `stacked_loss_and_grads`."""
+    losses, grads = stacked_loss_and_grads(model, model.flat[None], batch.inputs[None],
+                                           batch.labels[None])
+    return float(losses[0]), grads[0]
+
+
+def sgd_descend(params: np.ndarray, grad: np.ndarray, eta: float) -> None:
+    """p -= eta * g, written into `params`, a flat vector or a stack of them:
+    the one SGD update rule."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if grad.shape != model.flat.shape:
-        raise ShapeError(f"gradient shape {grad.shape} vs params {model.flat.shape}")
-    model.flat -= eta * grad
+    if grad.shape != params.shape:
+        raise ShapeError(f"gradient shape {grad.shape} vs params {params.shape}")
+    params -= eta * grad
 
 
 def sgd_step(model: Model, grad: np.ndarray, eta: float) -> Model:
     """One descent step; returns a new model, the input is untouched."""
     out = model.copy()
-    sgd_step_inplace(out, grad, eta)
+    sgd_descend(out.flat, grad, eta)
     return out
 
 

@@ -2,8 +2,9 @@
 (among them one env step, one policy sample, one PPO update and its
 minibatch's forward, backward and optimizer parts, and one whole
 `train_unlearner` with its collect/update split), of the
-dense and conv2d layer kernels on cnn-fed's mini_cnn shapes, and of one
-ref-mlp and one cnn-fed client's FedAvg local update.
+dense and conv2d layer kernels on cnn-fed's mini_cnn shapes (one client's
+stack), of one ref-mlp and one cnn-fed client's FedAvg local update, and of
+one lockstep FedAvg round of each workload's clients.
 
     PYTHONPATH=src python -m pytest tests/bench_kernels.py -m bench
 
@@ -11,6 +12,7 @@ Marked `bench` and deselected by default (pyproject `addopts`), so tier-1
 never times anything.
 """
 
+import dataclasses
 import functools
 import time
 
@@ -239,16 +241,19 @@ def cnn_batch(batch_size):
 
 @functools.cache
 def cnn_layers(batch_size):
-    """mini_cnn's weighted layers in order: (W, b, layer input, upstream
-    gradient, cached patch matrix or None)."""
+    """mini_cnn's weighted layers in order, as one-client stacks: (W, b,
+    layer input, upstream gradient, cached patch matrix or None)."""
     model = cnn_model()
-    _, caches = nn._forward(model, cnn_batch(batch_size).inputs)
+    logits, caches = nn._forward(model, [vec[None] for vec in model.params],
+                                 cnn_batch(batch_size).inputs[None], keep=True)
+    # each layer's output is the next layer's input; the last one's, the logits
+    outputs = [a for a, _, _ in caches[1:]] + [logits]
     rng = np.random.default_rng(1)
     out = []
-    for spec, vec, (a, z, P) in zip(model.layers, model.params, caches):
+    for spec, vec, (a, P, _), z in zip(model.layers, model.params, caches, outputs):
         split = {nn.DENSE: nn._split_dense, nn.CONV2D: nn._split_conv}.get(spec.kind)
         if split:
-            out.append((*split(spec, vec), a, rng.standard_normal(z.shape), P))
+            out.append((*split(spec, vec[None]), a, rng.standard_normal(z.shape), P))
     return out
 
 
@@ -276,7 +281,7 @@ def test_bench_dense_backward(benchmark):
     # as loss_and_grads calls it: dW and db written into the gradient's views
     W, _, a, dz, _ = cnn_layers(TRAIN_B)[2]
     spec = cnn_model().layers[-1]
-    out = nn._split_dense(spec, np.empty(spec.d))
+    out = nn._split_dense(spec, np.empty((1, spec.d)))
     benchmark(nn._dense_backward, a, W, dz, out=out)
 
 
@@ -305,3 +310,19 @@ def test_bench_mini_cnn_local_update(benchmark):
     X, y = data.client_view(ds, pipeline.build_partition(CNN_CFG, ds).indices[5])
     fed = fed_config(CNN_CFG)
     benchmark(federation.local_update, cnn_model(), X, y, 2, fed.eta, fed.batch_size, seed=0)
+
+
+def bench_round(benchmark, cfg):
+    # round 1 of the workload's FedAvg: its 8 clients' local updates in
+    # lockstep, the aggregate and the evaluate forward
+    ds = pipeline.build_dataset(cfg)
+    benchmark(federation.run_rounds, dataclasses.replace(fed_config(cfg), rounds=1),
+              pipeline.build_partition(cfg, ds), ds, pipeline.build_model0(cfg, ds))
+
+
+def test_bench_mlp_lockstep_round(benchmark):
+    bench_round(benchmark, CFG)
+
+
+def test_bench_mini_cnn_lockstep_round(benchmark):
+    bench_round(benchmark, CNN_CFG)

@@ -18,12 +18,16 @@ Compared for exact equality, never a tolerance:
   critic at every collect step and always computed the layer head: nets,
   update stats, episodes, sampled and deployed actions and every head
   gradient; and `ValueNet.row_values` against one forward per row
-- the FedAvg local step (one-copy patch blocks, the stacked input-gradient
-  matmul, the float ReLU mask, SGD in place) against the k²-slice patch
-  blocks, the per-offset input-gradient loop, the bool-mask ReLU, per-layer
-  gradients concatenated at the end and a new model per SGD step:
-  `forward`, `loss_and_grads`, `local_update` and a 3-round `run_rounds`,
-  values and signs alike
+- the FedAvg step against a per-client reference that calls nothing under
+  test (its own k²-slice patch blocks, per-offset input-gradient loop,
+  bool-mask ReLU, per-layer gradients concatenated at the end and a new model
+  per SGD step): `forward`, `loss_and_grads` and `local_update`, and the
+  lockstep `run_rounds` against a per-client loop over `ref_local_update`
+  and `ref_aggregate` (uneven clients, batch sizes 1 and 40 on mini_cnn, a
+  partial pool, smaller stacked-call caps, retrain's eligible set), model,
+  uploads and round logs, values and signs alike; a stack of conv clients
+  against each client alone; and the `NumericError` a poisoned client of a
+  stacked call raises against the one it raises alone
 - `federation.aggregate`, `baselines.newly_zeroed`,
   `baselines.baseline_grad_ascent` and `sensitivity.loo_aggregate`, which act
   on the model's flat vector, against their per-layer loops
@@ -51,9 +55,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scale_fu import aoi, baselines, federation, metrics, nn, pipeline, rl, sensitivity
+from scale_fu import aoi, baselines, data, federation, metrics, nn, pipeline, rl, sensitivity
 from scale_fu.aoi import AoiError, GroupIndex, partition_groups
 from scale_fu.config import fed_config, ppo_config, validate_config
+from scale_fu.data import UnlearnRequest
 from scale_fu.sensitivity import SensitivityReport
 
 # --- reference loops -----------------------------------------------------------
@@ -694,28 +699,59 @@ def assert_conv_close(got, ref):
                                atol=CONV_RTOL * np.abs(ref).max(initial=0.0))
 
 
+def conv_forward_one(x, W, b):
+    """`nn._conv_forward` on one client: (z, P) without the stack axis."""
+    z, P = nn._conv_forward(x[None], W[None], b[None])
+    return z[0], (None if P is None else P[0])
+
+
+def conv_backward_one(x, W, dz, P=None, input_grad=True):
+    """`nn._conv_backward` on one client, without the stack axis."""
+    grads = nn._conv_backward(x[None], W[None], dz[None], None if P is None else P[None],
+                              input_grad=input_grad)
+    return tuple(None if g is None else g[0] for g in grads)
+
+
 def check_conv(B, C, O, k, H, Wd, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((B, C, H, Wd))
     W = rng.standard_normal((O, C, k, k))
     b = rng.standard_normal(O)
     dz = rng.standard_normal((B, O, H - k + 1, Wd - k + 1))
-    z, P = nn._conv_forward(x, W, b)
-    grads = nn._conv_backward(x, W, dz)
+    z, P = conv_forward_one(x, W, b)
+    grads = conv_backward_one(x, W, dz)
     assert_conv_close(z, ref_conv_forward(x, W, b))
     for got, ref in zip(grads, ref_conv_backward(x, W, dz)):
         assert_conv_close(got, ref)
-    assert np.array_equal(nn._conv_forward(x, W, b)[0], z)
-    for again, first in zip(nn._conv_backward(x, W, dz), grads):
+    assert np.array_equal(conv_forward_one(x, W, b)[0], z)
+    for again, first in zip(conv_backward_one(x, W, dz), grads):
         assert np.array_equal(again, first)
     # the patch matrix is kept exactly when the batch fits in one block
     assert (P is None) == (B > nn.CONV_BLOCK)
     if P is not None:
-        for cached, rebuilt in zip(nn._conv_backward(x, W, dz, P), grads):
+        for cached, rebuilt in zip(conv_backward_one(x, W, dz, P), grads):
             assert np.array_equal(cached, rebuilt)
-    dW, db, dx = nn._conv_backward(x, W, dz, P, input_grad=False)
+    dW, db, dx = conv_backward_one(x, W, dz, P, input_grad=False)
     assert dx is None
     assert np.array_equal(dW, grads[0]) and np.array_equal(db, grads[1])
+    check_conv_stack(x, W, b, dz, rng)
+
+
+def check_conv_stack(x, W, b, dz, rng, n=3):
+    """A stack of n clients, the first being (x, W, b, dz), gives each client
+    the bits of that client alone, forward and backward."""
+    xs, Ws, bs, dzs = ([a, *(rng.standard_normal(a.shape) for _ in range(n - 1))]
+                       for a in (x, W, b, dz))
+    z, P = nn._conv_forward(np.stack(xs), np.stack(Ws), np.stack(bs))
+    alone = [conv_forward_one(*c) for c in zip(xs, Ws, bs)]
+    for i, (zi, Pi) in enumerate(alone):
+        assert same_bytes(z[i], zi) and (P is None) == (Pi is None)
+        if P is not None:
+            assert same_bytes(P[i], Pi)
+    grads = nn._conv_backward(np.stack(xs), np.stack(Ws), np.stack(dzs), P)
+    for i, c in enumerate(zip(xs, Ws, dzs)):
+        for got, one in zip(grads, conv_backward_one(*c)):
+            assert same_bytes(got[i], one)
 
 
 @st.composite
@@ -754,10 +790,16 @@ def test_conv_matches_einsum_reference_on_edge_shapes(B, C, O, k, H, Wd):
 
 
 def patch_reference_conv(monkeypatch):
-    """Swap the einsum loops into nn, with the kernels' call signatures."""
-    monkeypatch.setattr(nn, "_conv_forward", lambda x, W, b: (ref_conv_forward(x, W, b), None))
-    monkeypatch.setattr(nn, "_conv_backward",
-                        lambda x, W, dz, P=None, input_grad=True: ref_conv_backward(x, W, dz))
+    """Swap the einsum loops into nn, one client at a time, with the kernels'
+    stacked call signatures."""
+    def forward(x, W, b):
+        return np.stack([ref_conv_forward(*c) for c in zip(x, W, b)]), None
+
+    def backward(x, W, dz, P=None, input_grad=True):
+        return tuple(map(np.stack, zip(*(ref_conv_backward(*c) for c in zip(x, W, dz)))))
+
+    monkeypatch.setattr(nn, "_conv_forward", forward)
+    monkeypatch.setattr(nn, "_conv_backward", backward)
 
 
 def check_loss_and_grads_against_reference_conv(monkeypatch, B, data_seed, model_seed):
@@ -864,8 +906,23 @@ def ref_patch_blocks(xt, k):
         yield lo, hi, p.reshape(-1, k * k * C)
 
 
+def ref_blocked_conv_forward(x, W, b):
+    # one client's blocked patch-matrix conv: one `np.dot` per block of samples
+    B, C, H, Wd = x.shape
+    O, _, k, _ = W.shape
+    Ho, Wo = H - k + 1, Wd - k + 1
+    Wm = np.ascontiguousarray(W.transpose(2, 3, 1, 0)).reshape(k * k * C, O)
+    out = np.empty((B * Ho * Wo, O))
+    rows, P = Ho * Wo, None
+    for lo, hi, P in ref_patch_blocks(x.transpose(0, 2, 3, 1), k):
+        o = out[lo * rows : hi * rows]
+        np.dot(P, Wm, out=o)
+        o += b
+    return out.reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2), (P if B <= nn.CONV_BLOCK else None)
+
+
 def ref_offset_conv_backward(x, W, dz, P=None, input_grad=True):
-    # `nn._conv_backward` with one `d @ Wt[u, v]` GEMM per kernel offset
+    # one client's conv backward, with one `d @ Wt[u, v]` GEMM per kernel offset
     B, C, H, Wd = x.shape
     O, _, k, _ = W.shape
     Ho, Wo = dz.shape[2], dz.shape[3]
@@ -875,7 +932,7 @@ def ref_offset_conv_backward(x, W, dz, P=None, input_grad=True):
     else:
         dW = np.zeros((O, k * k * C))
         rows = Ho * Wo
-        for lo, hi, Pb in nn._patch_blocks(x.transpose(0, 2, 3, 1), k):
+        for lo, hi, Pb in ref_patch_blocks(x.transpose(0, 2, 3, 1), k):
             dW += d[lo * rows : hi * rows].T @ Pb
     dW = dW.reshape(O, k, k, C).transpose(0, 3, 1, 2)
     db = d.sum(axis=0)
@@ -895,7 +952,7 @@ def ref_check_finite(arr, layer, what):
 
 
 def ref_forward_caches(model, X):
-    # every layer's output checked, the flatten's too
+    # one client; every layer's output checked, the flatten's too
     B = X.shape[0]
     a = X.reshape(B, *model.input_shape) if len(model.input_shape) == 3 else X
     caches = []
@@ -905,7 +962,7 @@ def ref_forward_caches(model, X):
             z, P = a @ W.T + b, None
         elif spec.kind == nn.CONV2D:
             W, b = nn._split_conv(spec, vec)
-            z, P = nn._conv_forward(a, W, b)
+            z, P = ref_blocked_conv_forward(a, W, b)
         else:
             z, P = a.reshape(B, -1), None
         ref_check_finite(z, i, "activation")
@@ -915,13 +972,17 @@ def ref_forward_caches(model, X):
     return a, caches
 
 
+def ref_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def ref_loss_and_grads(model, batch):
-    # a bool ReLU mask, `.mean()`, the flatten's empty gradient checked, and
-    # one gradient vector per layer, concatenated at the end
+    # one client; a bool ReLU mask, `.mean()`, the flatten's empty gradient
+    # checked, and one gradient vector per layer, concatenated at the end
     logits, caches = ref_forward_caches(model, batch.inputs)
     B = len(batch)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = ref_log_softmax(logits)
     loss = float(-logp[np.arange(B), batch.labels].mean())
     dlogits = np.exp(logp)
     dlogits[np.arange(B), batch.labels] -= 1.0
@@ -934,11 +995,11 @@ def ref_loss_and_grads(model, batch):
         dz = da * (z > 0.0) if spec.activation == nn.ACT_RELU else da
         if spec.kind == nn.DENSE:
             W, _ = nn._split_dense(spec, model.params[i])
-            dW, db, da = nn._dense_backward(a_prev, W, dz, input_grad=i > 0)
+            dW, db, da = dz.T @ a_prev, dz.sum(axis=0), dz @ W
             grads[i] = np.concatenate([dW.ravel(), db])
         elif spec.kind == nn.CONV2D:
             W, _ = nn._split_conv(spec, model.params[i])
-            dW, db, da = nn._conv_backward(a_prev, W, dz, P, input_grad=i > 0)
+            dW, db, da = ref_offset_conv_backward(a_prev, W, dz, P, input_grad=i > 0)
             grads[i] = np.concatenate([dW.ravel(), db])
         else:
             grads[i] = np.zeros(0, dtype=np.float64)
@@ -952,25 +1013,53 @@ def ref_forward(model, batch):
 
 
 def ref_local_update(model, X, y, epochs, eta, batch_size, seed):
-    # a new model from every SGD step
+    # one client at a time, a new model from every SGD step
     rng = np.random.default_rng(seed)
     current = model
     for _ in range(epochs):
         order = rng.permutation(X.shape[0])
         for start in range(0, X.shape[0], batch_size):
             sel = order[start : start + batch_size]
-            _, grad = nn.loss_and_grads(current, nn.Batch(X[sel], y[sel]))
+            _, grad = ref_loss_and_grads(current, nn.Batch(X[sel], y[sel]))
             current = dataclasses.replace(current, flat=current.flat - eta * grad)
     return current
 
 
-def patch_reference_step(monkeypatch):
-    """Swap the reference local step into nn and federation."""
-    monkeypatch.setattr(nn, "_patch_blocks", ref_patch_blocks)
-    monkeypatch.setattr(nn, "_conv_backward", ref_offset_conv_backward)
-    monkeypatch.setattr(nn, "loss_and_grads", ref_loss_and_grads)
-    monkeypatch.setattr(nn, "forward", ref_forward)
-    monkeypatch.setattr(federation, "local_update", ref_local_update)
+def ref_aggregate(models, sizes):
+    # one weighted sum per layer vector
+    total = float(sum(sizes))
+    new_params = [np.zeros_like(p) for p in models[0].params]
+    for m, s in zip(models, sizes):
+        w = s / total
+        for l, p in enumerate(m.params):
+            new_params[l] += w * p
+    return dataclasses.replace(models[0], flat=np.concatenate(new_params))
+
+
+def ref_run_rounds(cfg, part, ds, model0, eligible=None, client_indices=None):
+    """FedAvg as a per-client loop over `ref_local_update` and `ref_aggregate`:
+    (model, {client: (upload, size, round)}, [(round, participants, loss,
+    accuracy)])."""
+    indices = part.indices if client_indices is None else client_indices
+    pool = sorted(range(cfg.n_clients) if eligible is None else eligible)
+    k = min(cfg.clients_per_round, len(pool))
+    select_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
+    model, uploads, logs = model0, {}, []
+    for rnd in range(1, cfg.rounds + 1):
+        participants = sorted(select_rng.choice(pool, size=k, replace=False).tolist())
+        local = []
+        for n in participants:
+            seed = int(np.random.SeedSequence(cfg.seed, spawn_key=(2, rnd, n)).generate_state(1)[0])
+            X, y = ds.inputs[indices[n]], ds.labels[indices[n]]
+            local.append(ref_local_update(model, X, y, cfg.local_epochs, cfg.eta,
+                                          cfg.batch_size, seed))
+            uploads[n] = (local[-1].flat, indices[n].size, rnd)
+        model = ref_aggregate(local, [indices[n].size for n in participants])
+        logits = ref_forward(model, nn.Batch(ds.inputs, ds.labels))
+        loss = float(-ref_log_softmax(logits)[np.arange(len(ds.labels)), ds.labels].mean())
+        acc = float((logits.argmax(axis=1) == ds.labels).mean())
+        logs.append((rnd, participants, loss, acc))
+    return model, uploads, logs
 
 
 def same_bytes(got, ref):
@@ -995,82 +1084,189 @@ def step_data(dim, n, seed):
 
 
 @pytest.mark.parametrize("arch,dim", STEP_MODELS)
-def test_local_step_bits_match_reference(monkeypatch, arch, dim):
+def test_local_step_bits_match_reference(arch, dim):
     model = step_model(arch, dim)
+    before = model.flat.copy()
     X, y = step_data(dim, 600, seed=dim)
-    got = []
     for B in STEP_BATCHES:
         batch = nn.Batch(X[:B], y[:B])
-        got.append((nn.forward(model, batch), *nn.loss_and_grads(model, batch),
-                    federation.local_update(model, X[:B], y[:B], 2, 0.05, 32, seed=B)))
-    before = model.flat.copy()
-    patch_reference_step(monkeypatch)
-    for B, (logits, loss, grad, local) in zip(STEP_BATCHES, got):
-        batch = nn.Batch(X[:B], y[:B])
-        assert same_bytes(logits, nn.forward(model, batch)), B
-        ref_loss, ref_grad = nn.loss_and_grads(model, batch)
+        assert same_bytes(nn.forward(model, batch), ref_forward(model, batch)), B
+        loss, grad = nn.loss_and_grads(model, batch)
+        ref_loss, ref_grad = ref_loss_and_grads(model, batch)
         assert same_bytes(loss, ref_loss), B
         assert same_bytes(grad, ref_grad), B
-        ref_local = federation.local_update(model, X[:B], y[:B], 2, 0.05, 32, seed=B)
+        local = federation.local_update(model, X[:B], y[:B], 2, 0.05, 32, seed=B)
+        ref_local = ref_local_update(model, X[:B], y[:B], 2, 0.05, 32, seed=B)
         assert same_bytes(local.flat, ref_local.flat), B
     # local_update steps its own copy
     assert same_bytes(model.flat, before)
 
 
+def uneven_indices(n_samples, sizes, seed):
+    """Disjoint client index arrays of the given sizes, drawn at random."""
+    order = np.random.default_rng(seed).permutation(n_samples)
+    return [np.sort(order[lo : lo + n]) for lo, n in
+            zip(np.cumsum([0, *sizes[:-1]]).tolist(), sizes)]
+
+
+# (config overlay, stacked-call sample cap, how the pool is restricted)
+ROUNDS_CASES = {
+    # ref-mlp's shapes, clients of 1, 5, 31, 32, 33 ... samples
+    "mlp-uneven": ({}, None, "uneven"),
+    # one sample a minibatch: every client of a tick in one stacked call
+    "mini_cnn-b1": ({"model": {"arch": "mini_cnn"}, "dataset": {"dim": 36, "per_class": 12},
+                     "federation": {"batch_size": 1}}, None, None),
+    # minibatches above CONV_BLOCK: the patch matrix is rebuilt in backward
+    "mini_cnn-b40": ({"model": {"arch": "mini_cnn"}, "dataset": {"dim": 36, "per_class": 60},
+                      "federation": {"batch_size": 40}}, None, None),
+    # 3 of 8 clients a round, and a cap of two 32-sample clients a call
+    "mlp-3-of-8": ({"federation": {"clients_per_round": 3}}, 64, None),
+    # retrain's arguments: client 3 keeps half of its samples, client 5 none
+    # and leaves the pool
+    "mlp-retrain": ({}, 100, "retrain"),
+    "mini_cnn-retrain": ({"model": {"arch": "mini_cnn"}, "dataset": {"dim": 36, "per_class": 40}},
+                         None, "retrain"),
+}
+
+
 def test_run_rounds_bits_match_reference(monkeypatch):
-    cfg = validate_config({"model": {"arch": "mini_cnn"},
-                           "dataset": {"dim": 64, "per_class": 150},
-                           "federation": {"rounds": 3}})
+    # cnn-fed's shapes, dirichlet clients of uneven size
+    check_run_rounds(monkeypatch, {"model": {"arch": "mini_cnn"},
+                                   "dataset": {"dim": 64, "per_class": 150}}, None, None)
+
+
+@pytest.mark.parametrize("case", ROUNDS_CASES.values(), ids=ROUNDS_CASES)
+def test_run_rounds_bits_match_reference_on_edge_cases(monkeypatch, case):
+    check_run_rounds(monkeypatch, *case)
+
+
+def check_run_rounds(monkeypatch, overlay, cap, pool):
+    """A 3-round lockstep `run_rounds` against `ref_run_rounds`: the model,
+    every upload and the round logs, signs of zero included."""
+    cfg = validate_config({**overlay, "federation": {"rounds": 3, **overlay.get("federation", {})}})
     ds = pipeline.build_dataset(cfg)
-    args = (fed_config(cfg), pipeline.build_partition(cfg, ds), ds,
-            pipeline.build_model0(cfg, ds))
-    model, history, logs = federation.run_rounds(*args)
-    patch_reference_step(monkeypatch)
-    ref_model, ref_history, ref_logs = federation.run_rounds(*args)
-    assert len(logs) == 3 and repr(logs) == repr(ref_logs)
+    part = pipeline.build_partition(cfg, ds)
+    kwargs = {}
+    if pool == "uneven":
+        sizes = [1, 5, 31, 32, 33, 64, 100]
+        n = len(ds.labels)
+        kwargs["client_indices"] = uneven_indices(n, [*sizes, n - sum(sizes)], seed=7)
+    elif pool == "retrain":
+        req = UnlearnRequest.parse("sample:3:0.5", seed=5)
+        split = data.build_split(ds, part, req)
+        remain = [*split.remain_per_client[:5], np.zeros(0, np.int64),
+                  *split.remain_per_client[6:]]
+        kwargs = {"eligible": [n for n in range(8) if remain[n].size],
+                  "client_indices": remain}
+    if cap is not None:
+        monkeypatch.setattr(nn, "STACK_SAMPLES", cap)
+    args = (fed_config(cfg), part, ds, pipeline.build_model0(cfg, ds))
+    model, history, logs = federation.run_rounds(*args, **kwargs)
+    ref_model, ref_uploads, ref_logs = ref_run_rounds(*args, **kwargs)
     assert same_bytes(model.flat, ref_model.flat)
-    assert history.clients() == ref_history.clients() and history.sizes == ref_history.sizes
-    assert history.last_round == ref_history.last_round
+    assert history.clients() == sorted(ref_uploads)
     for c in history.clients():
-        assert same_bytes(history.uploads[c], ref_history.uploads[c])
+        flat, size, rnd = ref_uploads[c]
+        assert same_bytes(history.uploads[c], flat), c
+        assert (history.sizes[c], history.last_round[c]) == (size, rnd)
+    assert len(logs) == 3
+    for log, (rnd, participants, loss, acc) in zip(logs, ref_logs):
+        assert (log.round, log.participants) == (rnd, participants)
+        assert same_bytes(log.loss, loss) and same_bytes(log.accuracy, acc)
 
 
-@pytest.mark.parametrize("arch,dim", STEP_MODELS[::2])
-@pytest.mark.parametrize("where", ["input nan", "input inf", "weights inf", "head nan"])
-def test_non_finite_step_raises_reference_message(monkeypatch, arch, dim, where):
-    model = step_model(arch, dim)
-    X, y = step_data(dim, 5, seed=1)
+NON_FINITE = ["input nan", "input inf", "weights inf", "head nan", "gradient overflow"]
+
+
+def poison(model, X, where):
+    """Put a non-finite value (or, for "gradient overflow", finite values whose
+    layer-0 weight gradient overflows) into a copy of the model or in X."""
+    model, X = model.copy(), X.copy()
     if where == "input nan":
         X[2, 3] = np.nan
     elif where == "input inf":
         X[0, 0] = -np.inf
     elif where == "weights inf":
         model.params[1][0] = np.inf
-    else:
+    elif where == "head nan":
         model.params[-1][-1] = np.nan
-    messages = []
-    for patch in (False, True):
-        if patch:
-            patch_reference_step(monkeypatch)
-        for call in (nn.forward, nn.loss_and_grads):
-            with np.errstate(invalid="ignore"), pytest.raises(nn.NumericError) as err:
-                call(model, nn.Batch(X, y))
+    else:
+        # activations stay finite: tiny layer-0 weights scale down huge
+        # inputs, but the next layer's huge weights blow up dW0 = dz0.T @ X
+        X[:] = 1e300
+        model.params[0][:] *= 1e-300
+        model.params[1][:] *= 1e10
+    return model, X
+
+
+@pytest.mark.parametrize("arch,dim", STEP_MODELS[::2])
+@pytest.mark.parametrize("where", NON_FINITE)
+def test_non_finite_step_raises_reference_message(arch, dim, where):
+    model, X = poison(step_model(arch, dim), step_data(dim, 5, seed=1)[0], where)
+    batch = nn.Batch(X, step_data(dim, 5, seed=1)[1])
+    for call, ref in ((nn.forward, ref_forward), (nn.loss_and_grads, ref_loss_and_grads)):
+        if where == "gradient overflow" and call is nn.forward:
+            continue   # nothing to raise
+        messages = []
+        for fn in (call, ref):
+            with np.errstate(all="ignore"), pytest.raises(nn.NumericError) as err:
+                fn(model, batch)
             messages.append(str(err.value))
-    assert messages[:2] == messages[2:]
+        assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("arch,dim", STEP_MODELS[::2])
+@pytest.mark.parametrize("where", NON_FINITE)
+@pytest.mark.parametrize("bad", [0, 2])
+def test_non_finite_client_of_a_stacked_tick_names_the_layer(arch, dim, where, bad):
+    # three clients stacked, one of them poisoned: the message is the one
+    # the poisoned client raises alone
+    model = step_model(arch, dim)
+    X, y = step_data(dim, 3 * 5, seed=1)
+    X, y = X.reshape(3, 5, dim), y.reshape(3, 5)
+    flats = np.stack([model.flat, 0.5 * model.flat, 2.0 * model.flat])
+    bad_model, X[bad] = poison(model.over(flats[bad].copy()), X[bad], where)
+    flats[bad] = bad_model.flat
+    with np.errstate(all="ignore"), pytest.raises(nn.NumericError) as err:
+        ref_loss_and_grads(bad_model, nn.Batch(X[bad], y[bad]))
+    kind = "gradient" if where == "gradient overflow" else "activation"
+    assert f"non-finite {kind} at layer" in str(err.value)
+    with np.errstate(all="ignore"), pytest.raises(nn.NumericError, match=f"^{err.value}$"):
+        nn.stacked_loss_and_grads(model, flats, X, y)
+
+
+def test_run_rounds_raises_on_a_non_finite_client():
+    cfg = validate_config({"federation": {"rounds": 1}})
+    ds = pipeline.build_dataset(cfg)
+    part = pipeline.build_partition(cfg, ds)
+    ds.inputs[part.indices[4][0], 0] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(nn.NumericError,
+                                                  match="^non-finite activation at layer 0$"):
+        federation.run_rounds(fed_config(cfg), part, ds, pipeline.build_model0(cfg, ds))
+
+
+ROUNDS_THREADS_PROBE = """
+import hashlib
+from scale_fu import federation, pipeline
+from scale_fu.config import fed_config, validate_config
+for overlay in ({}, {"model": {"arch": "mini_cnn"}, "dataset": {"dim": 64, "per_class": 150}}):
+    cfg = validate_config({**overlay, "federation": {"rounds": 3}})
+    ds = pipeline.build_dataset(cfg)
+    model, history, logs = federation.run_rounds(fed_config(cfg), pipeline.build_partition(cfg, ds),
+                                                 ds, pipeline.build_model0(cfg, ds))
+    h = hashlib.sha256(model.flat.tobytes() + repr(logs).encode())
+    for c in history.clients():
+        h.update(history.uploads[c].tobytes())
+    print(model.arch_id, h.hexdigest())
+"""
+
+
+def test_lockstep_rounds_bits_do_not_depend_on_blas_threads():
+    # ref-mlp's and cnn-fed's shapes, stacked calls of several clients
+    assert run_probe(ROUNDS_THREADS_PROBE, 1) == run_probe(ROUNDS_THREADS_PROBE, 2)
 
 
 # --- whole-model operations on the flat vector -------------------------------------
-
-
-def ref_aggregate(models, sizes):
-    # one weighted sum per layer vector
-    total = float(sum(sizes))
-    new_params = [np.zeros_like(p) for p in models[0].params]
-    for m, s in zip(models, sizes):
-        w = s / total
-        for l, p in enumerate(m.params):
-            new_params[l] += w * p
-    return dataclasses.replace(models[0], flat=np.concatenate(new_params))
 
 
 def ref_loo_aggregate(history, l, n):
