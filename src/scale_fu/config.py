@@ -87,10 +87,15 @@ def _type_name(v) -> str:
     return type(v).__name__
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool (bool subclasses int in Python)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_value(path: str, value, template) -> None:
     if template is None:
         # nullable int slot (m_sel)
-        if value is not None and not isinstance(value, int):
+        if value is not None and not _is_int(value):
             raise ConfigError(f"{path}: expected an integer or null")
         return
     if isinstance(template, bool):
@@ -98,7 +103,7 @@ def _check_value(path: str, value, template) -> None:
             raise ConfigError(f"{path}: expected a boolean, got {_type_name(value)}")
         return
     if isinstance(template, int):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise ConfigError(f"{path}: expected an integer, got {_type_name(value)}")
         return
     if isinstance(template, float):
@@ -150,7 +155,7 @@ def _validate_ranges(cfg: dict) -> None:
     if cfg["model"]["arch"] not in (nn.ARCH_MLP, nn.ARCH_MINI_CNN):
         raise ConfigError(f"model.arch: unknown architecture {cfg['model']['arch']!r}")
     if len(cfg["model"]["hidden"]) != 2 or any(
-        not isinstance(h, int) or h < 1 for h in cfg["model"]["hidden"]
+        not _is_int(h) or h < 1 for h in cfg["model"]["hidden"]
     ):
         raise ConfigError("model.hidden: expected two positive integers")
     fed_config(cfg)

@@ -6,12 +6,16 @@ sparsity level in {1/K, ..., 1}. Policy and value nets are small tanh MLPs
 trained with clipped-surrogate PPO, GAE, an entropy bonus, gradient-norm
 clipping, and hand-rolled Adam. Everything is float64 numpy, seeded.
 
-Collect runs only the policy: the critic changes only inside `ppo_update`,
-so that is where it values the buffer, in one forward with the bits of one
-forward per step. With one sensitive layer the layer head has one choice:
-its log-softmax is exactly 0, its entropy -0.0 and its gradient a signed
-zero, so the sampler, the greedy decoder and the update skip it and give
-the bits of the full computation.
+Collect only samples actions: it runs neither the critic nor a
+log-probability. Both nets change only inside `ppo_update`, so that is
+where the critic values the buffer and `batch_log_probs` gives PPO's old
+log-probs, each over the (n, 1, S) stack of states, whose rows have the
+bits of a one-state forward. `batch_log_probs` is the one implementation
+of an action's log-probability. With one sensitive layer the layer head
+has one choice: its log-softmax is exactly 0, its entropy -0.0 and its
+gradient a signed zero, so the sampler's layer draw, `batch_log_probs` and
+the update's gradient column skip it and give the bits of the full
+computation.
 """
 
 from __future__ import annotations
@@ -91,15 +95,15 @@ class Action:
 
 @dataclass
 class Transition:
-    """One env step. The critic's value of `state` is not kept: `ppo_update`
-    computes it for the whole buffer (`ValueNet.row_values`)."""
+    """One env step. Neither the critic's value of `state` nor the action's
+    log-prob is kept: `ppo_update` computes both for the whole buffer, from
+    nets that have not changed since collect."""
 
     state: np.ndarray
     action: Action
     reward: float
     next_state: np.ndarray
     done: bool
-    log_prob: float
     r_forget: float = 0.0
     r_fresh: float = 0.0
 
@@ -353,10 +357,12 @@ class PolicyNet(_TrunkNet):
         self.ratio_levels = ratio_levels
 
     def logits(self, X: np.ndarray):
-        """Layer, group and ratio logits (column views of one head output)
-        and the cache `backward` takes."""
+        """Layer, group and ratio logits, (n, head dim) column views of one
+        head output, and the cache `backward` takes (for an (n, S) input).
+        X is (n, S), or the (n, 1, S) stack, whose rows get the bits of
+        `logits(X[i])` (see `ValueNet.row_values`)."""
         h1, h2 = self.trunk(X)
-        z = self.heads(h2)
+        z = self.heads(h2).reshape(len(X), -1)
         cols = self.head_cols
         return z[:, cols["layer"]], z[:, cols["group"]], z[:, cols["ratio"]], (X, h1, h2)
 
@@ -390,42 +396,19 @@ def _oldest_group(idx: GroupIndex, state: np.ndarray, rank: int) -> int:
     return int(np.argmax(state[0::3][idx.cols(rank)]))
 
 
-def _mask_log_prob(z_g: np.ndarray, bits: np.ndarray) -> float:
-    """Log-prob of the mask `bits` under independent sigmoid(z_g) bits: a bit
-    b has log-prob -softplus(-z) if set and -softplus(z) if not, that is
-    -softplus((1 - 2b) * z), one softplus over the row. (z - softplus(z), the
-    same log sigmoid(z), rounds to 0 once softplus(z) rounds to z.)"""
-    return -float(np.add.reduce(_softplus(z_g * (1.0 - 2.0 * bits))))
-
-
-def _head_rows(policy: PolicyNet, state: np.ndarray):
-    """One forward of one state: its layer, group and ratio logit rows and
-    its layer and ratio log-softmax rows. With one layer the layer's is
-    exactly 0, so it is not computed and comes back as None."""
-    z_l, z_g, z_r, _ = policy.logits(state[None, :])
-    lsm_l = nn.log_softmax(z_l)[0] if policy.idx.n_layers > 1 else None
-    return z_l[0], z_g[0], z_r[0], lsm_l, nn.log_softmax(z_r)[0]
-
-
-def _action(policy: PolicyNet, state: np.ndarray, rank: int, bits: np.ndarray, level: int,
-            z_g: np.ndarray, lsm_l, lsm_r: np.ndarray):
-    """The action (rank, bits, level) from the `_head_rows` of `state`, and
-    its log-prob. An empty mask is coerced to the oldest group of the chosen
-    layer; the log-prob is that of the coerced action."""
+def _action(policy: PolicyNet, state: np.ndarray, rank: int, bits: np.ndarray,
+            level: int) -> Action:
+    """The action (rank, bits, level) of `state`. An empty mask is coerced
+    to the oldest group of the chosen layer."""
     groups = np.flatnonzero(bits).tolist()
     if not groups:
         groups = [_oldest_group(policy.idx, state, rank)]
-        bits[groups[0]] = 1.0
-    action = Action(
+    return Action(
         layer_rank=rank,
         groups=tuple(groups),
         ratio_level=level,
         s=level / policy.ratio_levels,
     )
-    lp = 0.0 if lsm_l is None else float(lsm_l[rank])
-    lp += _mask_log_prob(z_g[policy.idx.cols(rank)], bits)
-    lp += float(lsm_r[level - 1])
-    return action, lp
 
 
 _P_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -443,29 +426,29 @@ def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def policy_sample(policy: PolicyNet, state: np.ndarray, rng: np.random.Generator):
+def policy_sample(policy: PolicyNet, state: np.ndarray, rng: np.random.Generator) -> Action:
     """Sample layer, then mask bits, then level from `rng`. With one layer
     the layer is certain, but the one uniform `_draw` takes is still drawn,
     so the stream stays the same."""
-    _, z_g, _, lsm_l, lsm_r = _head_rows(policy, state)
-    if lsm_l is None:
+    z_l, z_g, z_r, _ = policy.logits(state[None, :])
+    if policy.idx.n_layers > 1:
+        rank = _draw(rng, np.exp(nn.log_softmax(z_l)[0]))
+    else:
         rng.random()
         rank = 0
-    else:
-        rank = _draw(rng, np.exp(lsm_l))
-    z = z_g[policy.idx.cols(rank)]
+    z = z_g[0, policy.idx.cols(rank)]
     probs = np.exp(z - _softplus(z))         # sigmoid(z)
-    bits = (rng.random(probs.size) < probs).astype(np.float64)
-    level = _draw(rng, np.exp(lsm_r)) + 1
-    return _action(policy, state, rank, bits, level, z_g, lsm_l, lsm_r)
+    bits = rng.random(probs.size) < probs
+    level = _draw(rng, np.exp(nn.log_softmax(z_r)[0])) + 1
+    return _action(policy, state, rank, bits, level)
 
 
-def policy_mode(policy: PolicyNet, state: np.ndarray):
+def policy_mode(policy: PolicyNet, state: np.ndarray) -> Action:
     """Greedy action: argmax heads, group bit set when p > 0.5."""
-    z_l, z_g, z_r, lsm_l, lsm_r = _head_rows(policy, state)
-    rank = 0 if lsm_l is None else int(np.argmax(z_l))
-    bits = (z_g[policy.idx.cols(rank)] > 0.0).astype(np.float64)
-    return _action(policy, state, rank, bits, int(np.argmax(z_r)) + 1, z_g, lsm_l, lsm_r)
+    z_l, z_g, z_r, _ = policy.logits(state[None, :])
+    rank = int(np.argmax(z_l))
+    bits = z_g[0, policy.idx.cols(rank)] > 0.0
+    return _action(policy, state, rank, bits, int(np.argmax(z_r)) + 1)
 
 
 def action_arrays(idx: GroupIndex, actions: list[Action]):
@@ -485,10 +468,13 @@ def action_arrays(idx: GroupIndex, actions: list[Action]):
 
 
 def batch_log_probs(policy: PolicyNet, states: np.ndarray, arrays: tuple):
-    """Vectorized log-probs and entropies for a batch of stored actions,
-    given as the `action_arrays` of those actions. With one layer, whose
-    log-softmax is exactly 0 and entropy -0.0, the layer head's terms are
-    skipped and `aux` holds None for lsm_l, p_l and ent_l."""
+    """Log-probs and entropies of stored actions, given as their
+    `action_arrays`, over `states` as `PolicyNet.logits` takes them. A mask
+    bit b has log-prob -softplus((1 - 2b) * z), one softplus over the row
+    (z - softplus(z), the same log sigmoid(z), rounds to 0 once softplus(z)
+    rounds to z). With one layer, whose log-softmax is exactly 0 and entropy
+    -0.0, the layer head's terms are skipped and `aux` holds None for lsm_l,
+    p_l and ent_l."""
     z_l, z_g, z_r, cache = policy.logits(states)
     ranks, levels, bits, mask = arrays
     rows = np.arange(ranks.size)
@@ -504,7 +490,6 @@ def batch_log_probs(policy: PolicyNet, states: np.ndarray, arrays: tuple):
         lp = lsm_l[rows, ranks] + lp
         entropy = ent_l + ent_r
     sp = _softplus(z_g)
-    # the mask term of each row, as in _mask_log_prob
     lp = lp - np.add.reduce(mask * _softplus(z_g * (1.0 - 2.0 * bits)), axis=1)
     sig = np.exp(z_g - sp)                      # sigmoid(z_g)
     entropy = entropy + np.add.reduce(mask * (sp - z_g * sig), axis=1)
@@ -599,7 +584,7 @@ class UnlearnEnv:
         self.state = self._state0.copy()
         return self.state
 
-    def step(self, action: Action, log_prob: float = 0.0) -> Transition:
+    def step(self, action: Action) -> Transition:
         if self.done:
             raise RlError("env is done; reset before stepping again")
         layer = self.idx.layers[action.layer_rank]
@@ -637,7 +622,6 @@ class UnlearnEnv:
             reward=r,
             next_state=self.state,
             done=self.done,
-            log_prob=log_prob,
             r_forget=r_f,
             r_fresh=r_c,
         )
@@ -657,26 +641,28 @@ def ppo_update(
 ) -> dict:
     """K epochs of clipped-surrogate updates over shuffled minibatches.
 
-    The critic values the buffer first: it has not changed since collect,
-    and `ValueNet.row_values` gives the bits of one forward per step.
-    Advantages come from GAE over the buffer (normalized batch-wide); the
-    buffer is cleared before returning. With one layer the layer head's
-    gradient column is coef * 0.0 + ce * 0.0, what the full computation
-    writes, and its other terms are skipped."""
+    Neither net has changed since collect, so the buffer's values and old
+    log-probs are taken first, each in one forward over the (n, 1, S) stack
+    of states, with the bits of one forward per step. Advantages come from
+    GAE over the buffer (normalized batch-wide); the buffer is cleared
+    before returning. With one layer the layer head's gradient column is
+    coef * 0.0 + ce * 0.0, what the full computation writes, and its other
+    terms are skipped."""
     if not buffer:
         raise RlError("empty buffer")
     n = len(buffer)
     rows = np.arange(n)
     states = np.stack([tr.state for tr in buffer])
     values = value_net.row_values(states)
-    ranks, levels, bits, mask = action_arrays(policy.idx, [tr.action for tr in buffer])
+    arrays = action_arrays(policy.idx, [tr.action for tr in buffer])
+    old_lp = batch_log_probs(policy, states[:, None, :], arrays)[0]
+    ranks, levels, bits, mask = arrays
     one_l = np.zeros((n, policy.idx.n_layers))
     one_l[rows, ranks] = 1.0
     one_r = np.zeros((n, policy.ratio_levels))
     one_r[rows, levels] = 1.0
     rewards = np.array([tr.reward for tr in buffer])
     dones = np.array([tr.done for tr in buffer])
-    old_lp = np.array([tr.log_prob for tr in buffer])
     adv_raw, returns = gae(rewards, values, dones, cfg.discount, cfg.gae_lambda)
     adv = normalize_advantages(adv_raw)
     columns = (states, ranks, levels, bits, mask, one_l, one_r, adv, returns, old_lp)
@@ -793,8 +779,7 @@ def train_unlearner(
         state = env.reset()
         total = rf_sum = rc_sum = 0.0
         while not env.done:
-            action, lp = policy_sample(policy, state, sample_rng)
-            tr = env.step(action, log_prob=lp)
+            tr = env.step(policy_sample(policy, state, sample_rng))
             buffer.append(tr)
             state = tr.next_state
             total += tr.reward
@@ -835,8 +820,8 @@ def deploy(
     for _ in range(steps):
         if env.done:
             break
-        action, lp = policy_mode(policy, state)
-        state = env.step(action, log_prob=lp).next_state
+        action = policy_mode(policy, state)
+        state = env.step(action).next_state
         action_rows.append({
             "step": env.steps,
             "layer": int(idx.layers[action.layer_rank]),

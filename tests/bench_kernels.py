@@ -98,8 +98,8 @@ def loop(setup):
     for _ in range(2):
         state = env.reset()
         while not env.done:
-            action, lp = rl.policy_sample(policy, state, rng)
-            tr = env.step(action, log_prob=lp)
+            action = rl.policy_sample(policy, state, rng)
+            tr = env.step(action)
             actions.append(action)
             buffer.append(tr)
             state = tr.next_state
@@ -195,6 +195,16 @@ def minibatch(loop):
 
 def test_bench_batch_log_probs(benchmark, minibatch):
     _, policy, states, arrays, _ = minibatch
+    benchmark(rl.batch_log_probs, policy, states, arrays)
+
+
+def test_bench_old_log_probs(benchmark, loop):
+    # the old log-probs `ppo_update` takes once per update: the whole fixed
+    # buffer, over its (n, 1, S) stack of states
+    _, _, nets, _, buffer = loop
+    policy, _ = nets()
+    states = np.stack([tr.state for tr in buffer])[:, None, :]
+    arrays = rl.action_arrays(policy.idx, [tr.action for tr in buffer])
     benchmark(rl.batch_log_probs, policy, states, arrays)
 
 

@@ -73,6 +73,11 @@ def test_type_errors_name_the_field():
         validate_config({"federation": {"rounds": "thirty"}})
     with pytest.raises(ConfigError, match="dataset.spread"):
         validate_config({"dataset": {"spread": []}})
+    # a bool is not an integer, in the nullable slot and in the list alike
+    with pytest.raises(ConfigError, match="scale.m_sel"):
+        validate_config({"scale": {"m_sel": True}})
+    with pytest.raises(ConfigError, match="model.hidden"):
+        validate_config({"model": {"hidden": [True, 32]}})
 
 
 def test_range_checks():

@@ -13,11 +13,14 @@ Compared for exact equality, never a tolerance:
 - the sampler's inverse-CDF draw against `Generator.choice`
 - the episode rewards and actions of a whole `train_unlearner` run with every
   reference swapped in
-- the lean PPO loop (the critic valuing the buffer in `ppo_update`, a layer
-  head with one choice skipped) against the loop it replaced, which ran the
-  critic at every collect step and always computed the layer head: nets,
-  update stats, episodes, sampled and deployed actions and every head
-  gradient; and `ValueNet.row_values` against one forward per row
+- the lean PPO loop (the critic's values and the old log-probs taken over
+  the buffer in `ppo_update`, a layer head with one choice skipped) against
+  the loop it replaced, which ran the critic and summed each log-prob at
+  every collect step and always computed the layer head: nets, update
+  stats, episodes, sampled and deployed actions and every head gradient;
+  the update-time old log-probs against the per-step ones (exact with one
+  layer); and `ValueNet.row_values` and `PolicyNet.logits` over the
+  (n, 1, S) stack against one forward per row
 - the FedAvg step against a per-client reference that calls nothing under
   test (its own k²-slice patch blocks, per-offset input-gradient loop,
   bool-mask ReLU, per-layer gradients concatenated at the end and a new model
@@ -40,8 +43,9 @@ Compared within a fixed float64 tolerance, since the summation order changed:
 - the stacked policy heads (one GEMM each way), the one-softplus sigmoid and
   log-probs, the one-sum clip norm and Adam with folded bias corrections,
   against the per-head GEMMs, the old sigmoid, the per-block clip and the
-  per-key Adam; and the parameters and update stats of the whole
-  `train_unlearner` run above
+  per-key Adam; the parameters and update stats of the whole
+  `train_unlearner` run above; and the update-time old log-probs against
+  the per-step ones with more than one layer
 """
 
 import dataclasses
@@ -194,7 +198,7 @@ class RefEnv:
         self.state = ref_state_vector(self.model, self.ledger, self.idx)
         return self.state
 
-    def step(self, action, log_prob=0.0):
+    def step(self, action):
         if self.done:
             raise rl.RlError("env is done; reset before stepping again")
         layer = self.idx.layers[action.layer_rank]
@@ -214,8 +218,8 @@ class RefEnv:
         self.done = (self.steps >= self.cfg.t_collect
                      or ref_min_group_sparsity(self.model, self.idx) >= self.cfg.sparsity_cap)
         return rl.Transition(state=prev_state, action=action, reward=r,
-                             next_state=self.state, done=self.done, log_prob=log_prob,
-                             r_forget=r_f, r_fresh=r_c)
+                             next_state=self.state, done=self.done, r_forget=r_f,
+                             r_fresh=r_c)
 
 
 def ref_sigmoid(z):
@@ -229,8 +233,9 @@ def ref_sigmoid(z):
 
 
 def ref_logits(net, X):
-    """`PolicyNet.logits` as it was: one GEMM per head."""
-    h1, h2 = net.trunk(X)
+    """`PolicyNet.logits` as it was: one GEMM per head, a stack of states
+    taken as its (n, S) matrix."""
+    h1, h2 = net.trunk(X.reshape(len(X), -1))
     W, b = net.params["W_heads"], net.params["b_heads"]
     out = []
     for name in ("layer", "group", "ratio"):
@@ -576,12 +581,11 @@ def run_env_against_reference(model, idx, cfg, seed, episodes=6):
         assert env.reset().tobytes() == ref.reset().tobytes()
         while not env.done:
             action = random_action(idx, cfg, rng)
-            got, want = env.step(action, -0.5), ref.step(action, -0.5)
+            got, want = env.step(action), ref.step(action)
             assert got.state.tobytes() == want.state.tobytes()
             assert got.next_state.tobytes() == want.next_state.tobytes()
             assert (got.reward, got.r_forget, got.r_fresh, got.done) == (
                 want.reward, want.r_forget, want.r_fresh, want.done)
-            assert got.log_prob == want.log_prob == -0.5
         assert ref.done
         assert_same_bits(env.model, ref.model)
         lengths.append(env.steps)
@@ -598,7 +602,7 @@ def deploy_against_reference(model, report, idx, cfg, rng):
 
     def random_mode(policy, state):
         actions.append(random_action(idx, cfg, rng))
-        return actions[-1], 0.0
+        return actions[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rl, "policy_mode", random_mode)
@@ -1444,11 +1448,11 @@ def test_mask_log_prob_matches_batch_and_reference(scale):
         bits = np.zeros(6)
         bits[list(action.groups)] = 1.0
         ref = -float(np.add.reduce(rl._softplus(-z_g) * bits + rl._softplus(z_g) * (1 - bits)))
-        assert rl._mask_log_prob(z_g, bits) == ref
         lp, _, _ = rl.batch_log_probs(net, state[None, :], rl.action_arrays(net.idx, [action]))
         z_l, _, z_r, _ = net.logits(state[None, :])
         rest = nn.log_softmax(z_l)[0, 0] + nn.log_softmax(z_r)[0, action.ratio_level - 1]
-        assert float(lp[0]) == pytest.approx(ref + rest, rel=STEP_RTOL, abs=STEP_RTOL)
+        # one layer: lp is level - mask, and -mask + level rounds the same
+        assert float(lp[0]) == ref + rest
 
 
 @pytest.mark.parametrize("max_norm,clips", [(1e-3, True), (1e6, False)])
@@ -1506,9 +1510,8 @@ def test_train_unlearner_matches_reference_kernels(monkeypatch):
 
     def recording(log):
         def record(policy, state, rng):
-            action, lp = sample(policy, state, rng)
-            log.append(action)
-            return action, lp
+            log.append(sample(policy, state, rng))
+            return log[-1]
         return record
 
     flat_actions, ref_actions = [], []
@@ -1603,7 +1606,9 @@ def ref_head_logits(policy, X):
 
 
 def ref_decode(policy, state, pick):
-    """`rl._decode_heads` as it was: the layer head's log-softmax always."""
+    """The sampler and greedy decoder as they were: the layer head's
+    log-softmax always, and the action's log-prob summed as layer, then
+    mask over the layer's groups, then level."""
     z_l, z_g, z_r, _ = ref_head_logits(policy, state[None, :])
     lsm_l, lsm_r = nn.log_softmax(z_l)[0], nn.log_softmax(z_r)[0]
     rank, bits, level = pick(z_l[0], z_g[0], z_r[0], lsm_l, lsm_r)
@@ -1612,8 +1617,9 @@ def ref_decode(policy, state, pick):
         groups = [rl._oldest_group(policy.idx, state, rank)]
         bits[groups[0]] = 1.0
     action = rl.Action(rank, tuple(groups), level, level / policy.ratio_levels)
-    lp = float(lsm_l[rank]) + rl._mask_log_prob(z_g[0, policy.idx.cols(rank)], bits)
-    return action, lp + float(lsm_r[level - 1])
+    mask_lp = -float(np.add.reduce(rl._softplus(z_g[0, policy.idx.cols(rank)]
+                                                * (1.0 - 2.0 * bits))))
+    return action, float(lsm_l[rank]) + mask_lp + float(lsm_r[level - 1])
 
 
 def ref_policy_sample(policy, state, rng):
@@ -1652,11 +1658,25 @@ def ref_full_head_log_probs(policy, states, arrays):
     return lp, ent_l + ent_r + ent_g, (z_g, cache, lsm_l, lsm_r, p_l, p_r, sig, ent_l, ent_r)
 
 
-def ref_ppo_update(policy, value_net, buffer, values, cfg, rng, policy_opt, value_opt):
-    """`rl.ppo_update` as it was, given the values collect stored per step."""
+def ref_old_log_probs(policy, buffer):
+    """The old log-probs of the buffer's actions: `ref_full_head_log_probs`
+    of each state alone, over its one-row `ref_head_logits`."""
+    return np.array([
+        ref_full_head_log_probs(policy, tr.state[None, :],
+                                rl.action_arrays(policy.idx, [tr.action]))[0][0]
+        for tr in buffer])
+
+
+def ref_ppo_update(policy, value_net, buffer, values, old_lps, cfg, rng, policy_opt,
+                   value_opt):
+    """`rl.ppo_update` as it was, given the values collect stored per step;
+    the old log-probs are taken at its start by `ref_old_log_probs` and
+    appended to `old_lps`."""
     n = len(buffer)
     rows = np.arange(n)
     states = np.stack([tr.state for tr in buffer])
+    old_lp = ref_old_log_probs(policy, buffer)
+    old_lps.extend(old_lp.tolist())
     ranks, levels, bits, mask = rl.action_arrays(policy.idx, [tr.action for tr in buffer])
     one_l = np.zeros((n, policy.idx.n_layers))
     one_l[rows, ranks] = 1.0
@@ -1666,7 +1686,6 @@ def ref_ppo_update(policy, value_net, buffer, values, cfg, rng, policy_opt, valu
                               np.array([tr.done for tr in buffer]), cfg.discount,
                               cfg.gae_lambda)
     adv = rl.normalize_advantages(adv_raw)
-    old_lp = np.array([tr.log_prob for tr in buffer])
     columns = (states, ranks, levels, bits, mask, one_l, one_r, adv, returns, old_lp)
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "clip_frac": 0.0}
     n_batches = 0
@@ -1716,7 +1735,9 @@ def ref_ppo_update(policy, value_net, buffer, values, cfg, rng, policy_opt, valu
 
 def ref_train_unlearner(model, report, idx, cfg, seed):
     """`rl.train_unlearner` as it was: the critic values every state as it
-    is collected. Returns the result and every sampled action."""
+    is collected, and the sampler returns each action's log-prob. Returns
+    the result, every sampled action, those per-step log-probs and the old
+    log-probs `ref_ppo_update` took, both in collect order."""
     seeds = np.random.SeedSequence(seed)
     net_seed, sample_seed, update_seed = (int(s.generate_state(1)[0]) for s in seeds.spawn(3))
     policy = rl.PolicyNet(idx, cfg.ratio_levels, seed=net_seed, hidden=cfg.hidden)
@@ -1724,15 +1745,16 @@ def ref_train_unlearner(model, report, idx, cfg, seed):
     opts = rl.Adam(policy.flat, cfg.actor_lr), rl.Adam(value_net.flat, cfg.critic_lr)
     sample_rng, update_rng = np.random.default_rng(sample_seed), np.random.default_rng(update_seed)
     env = rl.UnlearnEnv(model, report, idx, cfg)
-    buffer, values, episodes, all_stats, actions = [], [], [], [], []
+    buffer, values, episodes, all_stats, actions, step_lps, old_lps = [], [], [], [], [], [], []
     for ep in range(1, cfg.episodes + 1):
         state = env.reset()
         total = rf_sum = rc_sum = 0.0
         while not env.done:
             action, lp = ref_policy_sample(policy, state, sample_rng)
             values.append(ref_value(value_net, state))
-            tr = env.step(action, log_prob=lp)
+            tr = env.step(action)
             actions.append(action)
+            step_lps.append(lp)
             buffer.append(tr)
             state = tr.next_state
             total += tr.reward
@@ -1740,11 +1762,11 @@ def ref_train_unlearner(model, report, idx, cfg, seed):
             rc_sum += tr.r_fresh
         episodes.append(rl.EpisodeStat(ep, total, rf_sum, rc_sum, env.steps))
         if len(buffer) >= cfg.batch_size:
-            all_stats.append(ref_ppo_update(policy, value_net, buffer, values, cfg, update_rng,
-                                            *opts))
+            all_stats.append(ref_ppo_update(policy, value_net, buffer, values, old_lps, cfg,
+                                            update_rng, *opts))
             buffer.clear()
             values.clear()
-    return rl.TrainResult(policy, value_net, episodes, all_stats), actions
+    return rl.TrainResult(policy, value_net, episodes, all_stats), actions, step_lps, old_lps
 
 
 @settings(max_examples=80, deadline=None)
@@ -1764,6 +1786,27 @@ def test_row_values_match_one_forward_per_row(n, G, hidden, seed):
     assert got.shape == (n,)
     assert got.tobytes() == np.array([net.value(x) for x in X]).tobytes()
     assert got.tobytes() == np.array([ref_value(net, x) for x in X]).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 48), st.sampled_from([1, 2, 8, 16, 32]), st.sampled_from([5, 8, 19, 64]),
+       st.integers(0, 2**16))
+@example(1, 8, 19, 0)
+@example(40, 8, 19, 1)
+@example(46, 32, 64, 2)
+def test_policy_logits_of_a_stack_match_one_forward_per_row(n, G, hidden, seed):
+    # the old log-probs `ppo_update` takes over the (n, 1, S) stack must have
+    # the bits of the one-state forward the sampler runs
+    net = rl.PolicyNet(singleton_index((G,)), 10, seed=seed, hidden=hidden)
+    rng = np.random.default_rng(seed)
+    net.flat[:] = 0.5 * rng.standard_normal(net.flat.size)   # the heads start at zero
+    X = rng.standard_normal((n, 3 * G))
+    got = net.logits(X[:, None, :])[:3]
+    for forward in (rl.PolicyNet.logits, ref_head_logits):
+        rows = [forward(net, x[None, :])[:3] for x in X]
+        for head, want in zip(got, zip(*rows)):
+            assert head.shape == (n, want[0].shape[1])
+            assert head.tobytes() == np.concatenate(want).tobytes()
 
 
 def lean_cases():
@@ -1799,9 +1842,8 @@ def test_train_unlearner_bits_match_the_per_step_critic_loop(monkeypatch, case):
     backward, ref_backward, dZs, ref_dZs = rl._TrunkNet.backward, ref_net_backward, [], []
 
     def recording(policy, state, rng):
-        action, lp = sample(policy, state, rng)
-        actions.append(action)
-        return action, lp
+        actions.append(sample(policy, state, rng))
+        return actions[-1]
 
     def recording_backward(log, backward):
         def record(net, X, h1, h2, dZ):
@@ -1815,10 +1857,21 @@ def test_train_unlearner_bits_match_the_per_step_critic_loop(monkeypatch, case):
     monkeypatch.undo()
     monkeypatch.setattr(sys.modules[__name__], "ref_net_backward",
                         recording_backward(ref_dZs, ref_backward))
-    want, want_actions = ref_train_unlearner(model, report, idx, cfg, seed=31)
+    want, want_actions, step_lps, old_lps = ref_train_unlearner(model, report, idx, cfg,
+                                                                seed=31)
     monkeypatch.undo()
 
     assert actions == want_actions
+    # the update-time old log-probs against the per-step sampler's, which
+    # the loop stored before: the same bits with one layer, where the layer
+    # term is exactly 0 and -mask + level rounds as level - mask does (steps
+    # after the last update were never used)
+    assert old_lps and len(old_lps) <= len(step_lps)
+    step_lps = step_lps[: len(old_lps)]
+    if idx.n_layers == 1:
+        assert np.array(old_lps).tobytes() == np.array(step_lps).tobytes()
+    else:
+        assert_step_close(old_lps, step_lps)
     # every head gradient of both nets, signed zeros too
     assert dZs == ref_dZs and dZs
     # repr tells every float apart, signed zeros too
@@ -1827,7 +1880,8 @@ def test_train_unlearner_bits_match_the_per_step_critic_loop(monkeypatch, case):
     assert got.policy.flat.tobytes() == want.policy.flat.tobytes()
     assert got.value_net.flat.tobytes() == want.value_net.flat.tobytes()
     deployed = rl.deploy(got.policy, model, report, idx, cfg, cfg.t_collect)
-    monkeypatch.setattr(rl, "policy_mode", ref_policy_mode)
+    monkeypatch.setattr(rl, "policy_mode",
+                        lambda policy, state: ref_policy_mode(policy, state)[0])
     ref_deployed = rl.deploy(want.policy, model, report, idx, cfg, cfg.t_collect)
     assert deployed.action_rows == ref_deployed.action_rows and deployed.action_rows
     assert_same_bits(deployed.model, ref_deployed.model)
@@ -1837,7 +1891,9 @@ def test_train_unlearner_bits_match_the_per_step_critic_loop(monkeypatch, case):
 @pytest.mark.parametrize("groups,B", [((8,), 15), ((32,), 1), ((3, 5), 7)])
 def test_policy_steps_match_the_full_layer_head(groups, B, scale):
     """Sampler, greedy decoder and batch log-probs against the code that
-    always computed the layer head: with one layer they skip it."""
+    always computed the layer head: with one layer they skip it. Each
+    decoded action's log-prob, over the (1, 1, S) stack, against the one
+    the old decoder summed: the same bits with one layer."""
     net = random_policy(groups, 4, 11, seed=len(groups) + B, scale=scale)
     rng = np.random.default_rng(B)
     X = rng.standard_normal((B, 3 * net.idx.total_groups))
@@ -1848,12 +1904,25 @@ def test_policy_steps_match_the_full_layer_head(groups, B, scale):
     assert entropy.tobytes() == ref_entropy.tobytes()
     assert aux[6].tobytes() == ref_aux[6].tobytes()
     assert (aux[2] is None) is (len(groups) == 1)
+
+    def check_log_prob(x, action, want):
+        got = rl.batch_log_probs(net, x[None, None, :], rl.action_arrays(net.idx, [action]))[0]
+        if len(groups) == 1:
+            assert got.tobytes() == np.array([want]).tobytes()
+        else:
+            assert_step_close(got, [want])
+
     for x in X:
         rngs = np.random.default_rng(B), np.random.default_rng(B)
-        got, want = rl.policy_sample(net, x, rngs[0]), ref_policy_sample(net, x, rngs[1])
+        got = rl.policy_sample(net, x, rngs[0])
+        want, want_lp = ref_policy_sample(net, x, rngs[1])
         assert repr(got) == repr(want)
         assert rngs[0].random() == rngs[1].random()          # the same draws taken
-        assert repr(rl.policy_mode(net, x)) == repr(ref_policy_mode(net, x))
+        check_log_prob(x, got, want_lp)
+        got = rl.policy_mode(net, x)
+        want, want_lp = ref_policy_mode(net, x)
+        assert repr(got) == repr(want)
+        check_log_prob(x, got, want_lp)
     # a non-finite state: the sampler raises (at the level draw once the
     # layer draw is skipped) and the greedy decoder gives the same action
     nan = np.full(3 * net.idx.total_groups, np.nan)
@@ -1861,4 +1930,4 @@ def test_policy_steps_match_the_full_layer_head(groups, B, scale):
         for sample in (rl.policy_sample, ref_policy_sample):
             with pytest.raises(rl.RlError):
                 sample(net, nan, np.random.default_rng(B))
-        assert repr(rl.policy_mode(net, nan)) == repr(ref_policy_mode(net, nan))
+        assert repr(rl.policy_mode(net, nan)) == repr(ref_policy_mode(net, nan)[0])

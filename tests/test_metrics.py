@@ -148,8 +148,8 @@ def test_replay_matches_live_environment_trajectory():
     state = env.reset()
     action_rows, live = [], []
     while not env.done:
-        act, lp = rl.policy_sample(policy, state, rng)
-        state = env.step(act, log_prob=lp).next_state
+        act = rl.policy_sample(policy, state, rng)
+        state = env.step(act).next_state
         action_rows.append({"step": env.steps, "layer": idx.layers[act.layer_rank],
                             "groups": list(act.groups), "s": act.s})
         live.append((env.steps, *aoi_summary(env.ledger)))

@@ -188,7 +188,7 @@ def env_fixture(t_collect=4, ratio_levels=2, groups=2, cap=0.95, **kw):
 def test_env_step_clock_and_rows():
     env, model, idx = env_fixture()
     act = rl.Action(layer_rank=0, groups=(0,), ratio_level=1, s=0.5)
-    tr = env.step(act, log_prob=-1.0)
+    tr = env.step(act)
     # acted group ends the step at age zero, everything else at one
     assert env.ledger.age(idx.layers[0], 0) == 0
     assert env.ledger.age(idx.layers[0], 1) == 1
@@ -196,7 +196,6 @@ def test_env_step_clock_and_rows():
     assert tr.r_fresh == 0.0                 # reward uses pre-step ages
     assert tr.reward == pytest.approx(env.cfg.w_f * tr.r_forget)
     assert not tr.done
-    assert tr.log_prob == -1.0
     assert env.steps == 1
     assert tr.state.shape == tr.next_state.shape == (3 * idx.total_groups,)
 
@@ -301,13 +300,16 @@ def test_initial_heads_are_uniform():
     ranks = np.zeros(idx.n_layers)
     levels = np.zeros(4)
     g1_on = 0
+    acts = []
     for _ in range(n):
-        act, lp = rl.policy_sample(policy, state, rng)
+        act = rl.policy_sample(policy, state, rng)
+        acts.append(act)
         ranks[act.layer_rank] += 1
         levels[act.ratio_level - 1] += 1
         if 1 in act.groups:
             g1_on += 1
-        assert np.isfinite(lp)
+    lps, _, _ = rl.batch_log_probs(policy, np.tile(state, (n, 1)), rl.action_arrays(idx, acts))
+    assert np.all(np.isfinite(lps))
     # layer head: p = 1/2, 3 sigma = 3 * sqrt(n/4) = 150
     assert abs(ranks[0] - n / 2) < 150
     # ratio head: p = 1/4
@@ -319,15 +321,23 @@ def test_initial_heads_are_uniform():
 
 def action_log_prob(policy, state, action):
     """Log-probability of a fully specified action under the current policy,
-    one head at a time: the oracle for the log-probs policy_sample returns."""
+    one head at a time: the oracle for the log-probs batch_log_probs gives.
+    A mask bit b has log-prob -softplus(-z) if set and -softplus(z) if not."""
     z_l, z_g, z_r, _ = policy.logits(state[None, :])
     lp = float(nn.log_softmax(z_l)[0, action.layer_rank])
     cols = policy.idx.cols(action.layer_rank)
     bits = np.zeros(cols.stop - cols.start)
     bits[list(action.groups)] = 1.0
-    lp += rl._mask_log_prob(z_g[0, cols], bits)
+    lp -= float(np.add.reduce(rl._softplus(z_g[0, cols] * (1.0 - 2.0 * bits))))
     lp += float(nn.log_softmax(z_r)[0, action.ratio_level - 1])
     return lp
+
+
+def sampled_log_prob(policy, state, action):
+    """The log-prob `ppo_update` takes for `action` at `state`: one row of
+    `batch_log_probs` over the (n, 1, S) stack."""
+    arrays = rl.action_arrays(policy.idx, [action])
+    return float(rl.batch_log_probs(policy, state[None, None, :], arrays)[0][0])
 
 
 def head_bias(policy, name):
@@ -343,7 +353,8 @@ def test_empty_mask_coerced_to_oldest_group():
     state[3 * 1] = 1.0   # group 1 of layer rank 0 is the oldest
     rng = np.random.default_rng(2)
     for _ in range(20):
-        act, lp = rl.policy_sample(policy, state, rng)
+        act = rl.policy_sample(policy, state, rng)
+        lp = sampled_log_prob(policy, state, act)
         assert len(act.groups) == 1
         if act.layer_rank == 0:
             assert act.groups == (1,)
@@ -356,7 +367,8 @@ def test_empty_mask_coerced_to_oldest_group():
 def test_policy_mode_frozen_at_init():
     policy, _, idx = policy_fixture(ratio_levels=4)
     state = np.zeros(3 * idx.total_groups)
-    act, lp = rl.policy_mode(policy, state)
+    act = rl.policy_mode(policy, state)
+    lp = sampled_log_prob(policy, state, act)
     # all logits zero: argmax ties resolve low, p=0.5 bits stay off, coercion
     # then picks group 0 of layer rank 0; lowest ratio level
     assert act == rl.Action(layer_rank=0, groups=(0,), ratio_level=1, s=0.25)
@@ -370,7 +382,8 @@ def test_saturated_logits_stay_finite():
     head_bias(policy, "ratio")[:] = np.array([-60.0, 60.0, -60.0, -60.0])
     state = np.zeros(3 * idx.total_groups)
     rng = np.random.default_rng(3)
-    act, lp = rl.policy_sample(policy, state, rng)
+    act = rl.policy_sample(policy, state, rng)
+    lp = sampled_log_prob(policy, state, act)
     assert act.layer_rank == 0
     assert act.groups == (0, 1)
     assert act.ratio_level == 2
@@ -378,7 +391,9 @@ def test_saturated_logits_stay_finite():
 
 
 def test_stored_log_probs_match_batch_recompute():
-    """Ratio must be exactly one on the first pass over fresh data."""
+    """The ratio is one, to rounding, on the first pass over fresh data: the
+    old log-probs `ppo_update` takes over the (n, 1, S) stack match the
+    minibatch's (n, S) recompute and the one-head-at-a-time oracle."""
     policy, model, idx = policy_fixture()
     cfg = rl.PpoConfig(t_collect=6, ratio_levels=4)
     env = rl.UnlearnEnv(model, flat_report([2.0, 1.0]), idx, cfg)
@@ -386,15 +401,16 @@ def test_stored_log_probs_match_batch_recompute():
     buffer = []
     state = env.reset()
     while not env.done:
-        act, lp = rl.policy_sample(policy, state, rng)
-        tr = env.step(act, log_prob=lp)
+        tr = env.step(rl.policy_sample(policy, state, rng))
         buffer.append(tr)
         state = tr.next_state
     states = np.stack([tr.state for tr in buffer])
     acts = rl.action_arrays(idx, [tr.action for tr in buffer])
+    old, _, _ = rl.batch_log_probs(policy, states[:, None, :], acts)
     lps, ent, _ = rl.batch_log_probs(policy, states, acts)
-    stored = np.array([tr.log_prob for tr in buffer])
-    assert np.allclose(lps, stored, atol=1e-10)
+    assert np.allclose(lps, old, atol=1e-10)
+    oracle = [action_log_prob(policy, tr.state, tr.action) for tr in buffer]
+    assert np.allclose(old, oracle, atol=1e-10)
     assert np.all(ent > 0.0)
 
 
@@ -408,8 +424,7 @@ def collect_buffer(policy, model, idx, cfg, seed=0, episodes=2):
     for _ in range(episodes):
         state = env.reset()
         while not env.done:
-            act, lp = rl.policy_sample(policy, state, rng)
-            tr = env.step(act, log_prob=lp)
+            tr = env.step(rl.policy_sample(policy, state, rng))
             buffer.append(tr)
             state = tr.next_state
     return buffer
@@ -493,7 +508,7 @@ def test_bandit_policy_prefers_high_reward_arm():
     probs = np.exp(z_l[0] - z_l[0].max())
     probs /= probs.sum()
     assert probs[0] > 0.95
-    act, _ = rl.policy_mode(result.policy, state)
+    act = rl.policy_mode(result.policy, state)
     assert act.layer_rank == 0
 
 
