@@ -4,11 +4,12 @@ Clients run E local epochs of minibatch SGD from the current global model;
 the server aggregates size-weighted in ascending client-id order so runs are
 bit-identical for a fixed seed. A round's clients step in lockstep
 (`local_updates`): each draws its minibatch schedule up front from its own
-seed, and at each tick the clients whose next minibatch has the same size
-take one stacked forward/backward (`nn.stacked_loss_and_grads`) and one SGD
-update of their rows of an (N, d) parameter block. Every row gets the bits of
-its client stepped alone. The history keeps each participant's latest
-upload, one flat parameter vector, for the sensitivity analysis.
+seed, and at each tick all active clients, largest next minibatch first,
+take one stacked forward/backward (`nn.stacked_loss_and_grads`, cut only
+where a tick passes the `nn.STACK_FLOATS` cap) and one SGD update of their
+rows of an (N, d) parameter block. Every row gets the bits of its
+client stepped alone. The history keeps each participant's latest upload,
+one flat parameter vector, for the sensitivity analysis.
 """
 
 from __future__ import annotations
@@ -119,34 +120,42 @@ def local_updates(
     inputs/labels and shuffles with `seeds[n]`. Returns the (N, num_params)
     block of the clients' final parameters.
 
-    At each tick, the clients whose next minibatch has the same size take
-    one stacked `nn.stacked_loss_and_grads` call of at most
-    nn.STACK_SAMPLES samples (or one client), then one SGD update of their
-    rows. Clients are independent, so each row has the bits of that client
-    stepped alone."""
+    At each tick, the active clients, sorted by the size of their next
+    minibatch, largest first, and then by client, take one
+    `nn.stacked_loss_and_grads` call over their concatenated minibatches,
+    then one SGD update of their rows. Where the tick passes the
+    `nn.STACK_FLOATS` cap, the call is cut before the client that would
+    pass it; largest first, full-size clients fill whole calls and the
+    smaller ones share the last. Clients are independent, so each row has
+    the bits of that client stepped alone."""
     if any(rows.size == 0 for rows in client_rows):
         raise FederationError("client has no samples")
     schedules = [_schedule(rows, epochs, batch_size, seed)
                  for rows, seed in zip(client_rows, seeds)]
     flats = np.repeat(model.flat[None], len(schedules), axis=0)
+    cap = max(1, nn.STACK_FLOATS // nn.sample_floats(model))
     for tick in range(max(map(len, schedules))):
-        by_size: dict[int, list[int]] = {}
-        for n, batches in enumerate(schedules):
-            if tick < len(batches):
-                by_size.setdefault(batches[tick].size, []).append(n)
-        for size, clients in by_size.items():
-            per_call = max(1, nn.STACK_SAMPLES // size)
-            for lo in range(0, len(clients), per_call):
-                chunk = clients[lo : lo + per_call]
-                idx = np.array([schedules[n][tick] for n in chunk])
-                # consecutive rows are stepped in place through a view, so a
-                # call holds no copy of them; other rows are gathered
-                gathered = chunk[-1] - chunk[0] != len(chunk) - 1
-                block = flats[chunk] if gathered else flats[chunk[0] : chunk[-1] + 1]
-                _, grads = nn.stacked_loss_and_grads(model, block, inputs[idx], labels[idx])
-                nn.sgd_descend(block, grads, eta)
-                if gathered:
-                    flats[chunk] = block
+        active = sorted((n for n, batches in enumerate(schedules) if tick < len(batches)),
+                        key=lambda n: -schedules[n][tick].size)
+        calls, rows = [[]], 0
+        for n in active:
+            size = schedules[n][tick].size
+            if calls[-1] and rows + size > cap:
+                calls.append([])
+                rows = 0
+            calls[-1].append(n)
+            rows += size
+        for clients in calls:
+            idx = np.concatenate([schedules[n][tick] for n in clients])
+            # consecutive rows are stepped in place through a view, so a
+            # call holds no copy of them; other rows are gathered
+            gathered = clients != list(range(clients[0], clients[-1] + 1))
+            block = flats[clients] if gathered else flats[clients[0] : clients[-1] + 1]
+            _, grads = nn.stacked_loss_and_grads(model, block, inputs[idx], labels[idx],
+                                                 [schedules[n][tick].size for n in clients])
+            nn.sgd_descend(block, grads, eta)
+            if gathered:
+                flats[clients] = block
     return flats
 
 

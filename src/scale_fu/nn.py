@@ -8,9 +8,11 @@ with analytic backprop, and the gradient is one vector laid out the same way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -256,24 +258,73 @@ def init_params(layers: tuple[LayerSpec, ...], seed: int) -> np.ndarray:
     return flat
 
 
+class _Run(NamedTuple):
+    """Consecutive clients of a stacked call, all of minibatch size B:
+    `clients` slices them out of a per-client (N, ...) array, `rows` their
+    rows out of a per-row (R, ...) array, and `stack` is (n, B)."""
+
+    clients: slice
+    rows: slice
+    stack: tuple[int, int]
+
+
+def _stack(rows: np.ndarray, run: _Run) -> np.ndarray:
+    """The run's part of the per-row array `rows`, as an (n, B, ...) view."""
+    return rows[run.rows].reshape(run.stack + rows.shape[1:])
+
+
+class _Layout:
+    """Where the clients of a stacked call sit in its per-row arrays: client
+    n's minibatch is the next sizes[n] rows, after those of clients 0..n-1.
+    `runs` are the runs of consecutive clients of equal size, in order;
+    `row_sizes` divides per-row values by each row's minibatch size."""
+
+    def __init__(self, sizes: list[int]):
+        self.runs, c0, r0 = [], 0, 0
+        for B, group in itertools.groupby(sizes):
+            n = len(list(group))
+            self.runs.append(_Run(slice(c0, c0 + n), slice(r0, r0 + n * B), (n, B)))
+            c0, r0 = c0 + n, r0 + n * B
+        if len(self.runs) == 1:
+            self.row_client, self.row_sizes = None, float(sizes[0])
+        else:
+            self.row_client = np.repeat(np.arange(len(sizes)), sizes)
+            self.row_sizes = np.repeat(np.array(sizes, dtype=np.float64), sizes)[:, None]
+
+    def add_per_client(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """rows (R, w) += values (N, w), each row taking its client's values."""
+        if self.row_client is not None:
+            rows += values[self.row_client]
+        elif len(values) == 1:
+            rows += values   # one client: its (1, w) values broadcast over the rows
+        else:
+            stack = _stack(rows, self.runs[0])
+            stack += values[:, None, :]
+
+
 def _check_finite(arr: np.ndarray, layer: int, what: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite {what} at layer {layer}")
 
 
-def _dense_forward(a: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a: (..., B, in), W: (..., out, in) -> (..., B, out)
-    return a @ W.swapaxes(-1, -2) + b[..., None, :]
+def _dense_forward(a: np.ndarray, W: np.ndarray, b: np.ndarray, layout: _Layout) -> np.ndarray:
+    # a: (R, in) rows, W: (N, out, in), b: (N, out) -> (R, out): one matmul
+    # per run of the layout, then one bias add over all rows
+    z = np.empty((a.shape[0], W.shape[1]))
+    for run in layout.runs:
+        np.matmul(_stack(a, run), W[run.clients].swapaxes(-1, -2), out=_stack(z, run))
+    layout.add_per_client(z, b)
+    return z
 
 
 def _dense_backward(
     a: np.ndarray, W: np.ndarray, dz: np.ndarray, input_grad: bool = True, out=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     # Gradients w.r.t. W, b and, unless input_grad is False, the input a;
-    # dW and db are written into `out`, a (dW, db) pair of arrays, if given.
-    dW, db = (None, None) if out is None else out
+    # they are written into `out`, a (dW, db, da) triple of arrays, if given.
+    dW, db, da = (None, None, None) if out is None else out
     return (np.matmul(dz.swapaxes(-1, -2), a, out=dW), np.add.reduce(dz, axis=-2, out=db),
-            dz @ W if input_grad else None)
+            np.matmul(dz, W, out=da) if input_grad else None)
 
 
 # Samples per patch matrix of one client. A whole 600-sample batch in one
@@ -284,11 +335,17 @@ def _dense_backward(
 # (0.3.31) from 55 samples a block up, and the same bits at 32.
 CONV_BLOCK = 32
 
-# Samples in one stacked call of `stacked_loss_and_grads` from a lockstep
-# FedAvg tick (`federation.local_updates`): the clients of a tick are cut into
-# calls of at most max(1, STACK_SAMPLES // B) clients. Set by a peak-RSS sweep
-# of the cnn-fed pipeline (CHANGES.md).
-STACK_SAMPLES = 128
+# Floats of per-sample buffers (`sample_floats`) in one stacked call of
+# `stacked_loss_and_grads` from a lockstep FedAvg tick
+# (`federation.local_updates`): a tick's clients, largest minibatch first,
+# are cut into calls of at most max(1, STACK_FLOATS // sample_floats(model))
+# samples, and a call holds at least one client. That is 128 samples of
+# mini_cnn on 8x8 inputs (2,344 floats a sample), four 32-sample clients,
+# and 2,586 of the default MLP (116), a whole tick of 8 clients. Set by a
+# peak-RSS check of the cnn-fed pipeline, masters 41-45 through perfbench's
+# harness (CHANGES.md): 128 samples gave 45.42-45.50 MB against the by-size
+# grouping's 45.26-45.46, while 160 to 256 gave 46.6-49.5 MB.
+STACK_FLOATS = 128 * 2344
 
 
 def _patch_blocks(xt: np.ndarray, k: int):
@@ -313,18 +370,20 @@ def _patch_blocks(xt: np.ndarray, k: int):
 
 
 def _conv_forward(
-    x: np.ndarray, W: np.ndarray, b: np.ndarray
+    x: np.ndarray, W: np.ndarray, b: np.ndarray, out=None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     # x: (N, B, C, H, W), W: (N, O, C, k, k), b: (N, O) -> (N, B, O, H-k+1,
     # W-k+1), valid padding, client n by its own W[n] and b[n]. One stacked
     # GEMM per block of samples against W as (N, k*k*C, O) matrices; the
-    # result is a view of channels-last memory. Also returns the patch
-    # matrices when the batch fits in one block, else None.
+    # result is a view of channels-last memory, `out` (N, B*Ho*Wo, O) if
+    # given. Also returns the patch matrices when the batch fits in one
+    # block, else None.
     N, B, C, H, Wd = x.shape
     O, k = W.shape[1], W.shape[3]
     Ho, Wo = H - k + 1, Wd - k + 1
     Wm = np.ascontiguousarray(W.transpose(0, 3, 4, 2, 1)).reshape(N, k * k * C, O)
-    out = np.empty((N, B * Ho * Wo, O))
+    if out is None:
+        out = np.empty((N, B * Ho * Wo, O))
     rows, P = Ho * Wo, None
     for lo, hi, P in _patch_blocks(x.transpose(0, 1, 3, 4, 2), k):
         o = out[:, lo * rows : hi * rows]
@@ -340,12 +399,14 @@ def _conv_backward(
     dz: np.ndarray,
     P: np.ndarray | None = None,
     input_grad: bool = True,
+    out=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     # Gradients w.r.t. W (N, O, C, k, k), b (N, O) and, unless input_grad is
     # False, x (N, B, C, H, W). dW is one stacked GEMM against the forward
     # pass's patch matrices P, rebuilt block by block when none are given; dx
     # is one stacked matmul, a GEMM per client and kernel offset, added in
-    # (u, v) order.
+    # (u, v) order into `out`, a zeroed channels-last (N, B, H, W, C) array,
+    # if given.
     N, B, C, H, Wd = x.shape
     O, k = W.shape[1], W.shape[3]
     Ho, Wo = dz.shape[3], dz.shape[4]
@@ -364,7 +425,7 @@ def _conv_backward(
         return dW, db, None
     Wt = np.ascontiguousarray(W.transpose(0, 3, 4, 1, 2)).reshape(N, k * k, O, C)
     G = np.matmul(d[:, None], Wt).reshape(N, k, k, B, Ho, Wo, C)
-    dxt = np.zeros((N, B, H, Wd, C))
+    dxt = np.zeros((N, B, H, Wd, C)) if out is None else out
     for u in range(k):
         for v in range(k):
             dxt[:, :, u : u + Ho, v : v + Wo] += G[:, u, v]
@@ -394,63 +455,83 @@ def _layer_blocks(model: Model, flats: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def sample_floats(model: Model) -> int:
+    """Floats one sample holds in a stacked call's forward caches: its input
+    row, each layer's output and each conv layer's patch-matrix row."""
+    total, shape = model.input_dim, model.input_shape
+    for spec in model.layers:
+        if spec.kind == CONV2D:
+            Ho, Wo = shape[1] - spec.kernel + 1, shape[2] - spec.kernel + 1
+            total += Ho * Wo * spec.kernel**2 * spec.in_channels
+            shape = (spec.out_channels, Ho, Wo)
+        elif spec.kind == DENSE:
+            shape = (spec.out_dim,)
+        total += math.prod(shape)
+    return total
+
+
 def _forward(
-    model: Model, blocks: list[np.ndarray], X: np.ndarray, keep: bool
+    model: Model, blocks: list[np.ndarray], X: np.ndarray, layout: _Layout, keep: bool
 ) -> tuple[np.ndarray, list]:
-    """Run the layer chain over the (N, B, input_dim) stack X, client n by the
-    parameters in row n of each layer block; returns the (N, B, classes)
-    logits and, if `keep`, per-layer caches for backprop: (input, conv
-    patch matrices or None, weights or None) per layer."""
-    N, B = X.shape[:2]
-    if X.shape[2] != model.input_dim:
+    """Run the layer chain over the (R, input_dim) rows X, each client of the
+    layout by the parameters in its row of each layer block; returns the (R,
+    classes) logits and, if `keep`, per-layer caches for backprop: (input,
+    per-run conv patch matrices or None, weights or None) per layer. Each
+    run's GEMMs are stacked matmuls over (n, B, ...) views; the elementwise
+    work runs once over all rows."""
+    R = X.shape[0]
+    if X.shape[1] != model.input_dim:
         raise ShapeError(
-            f"batch width {X.shape[2]} does not match model input_dim {model.input_dim}"
+            f"batch width {X.shape[1]} does not match model input_dim {model.input_dim}"
         )
-    if len(model.input_shape) == 3:
-        a = X.reshape(N, B, *model.input_shape)
-    else:
-        a = X
+    a = X.reshape(R, *model.input_shape) if len(model.input_shape) == 3 else X
     caches = []
     for i, (spec, vec) in enumerate(zip(model.layers, blocks)):
         if spec.kind == DENSE:
-            if a.ndim != 3:
+            if a.ndim != 2:
                 raise ShapeError(f"layer {i}: dense input must be flat (missing flatten?)")
-            if a.shape[2] != spec.in_dim:
+            if a.shape[1] != spec.in_dim:
                 raise ShapeError(
-                    f"layer {i}: dense expected width {spec.in_dim}, got {a.shape[2]}"
+                    f"layer {i}: dense expected width {spec.in_dim}, got {a.shape[1]}"
                 )
             W, b = _split_dense(spec, vec)
-            z, P = _dense_forward(a, W, b), None
+            z, Ps = _dense_forward(a, W, b, layout), None
         elif spec.kind == CONV2D:
-            if a.ndim != 5 or a.shape[2] != spec.in_channels:
+            if a.ndim != 4 or a.shape[1] != spec.in_channels:
                 raise ShapeError(f"layer {i}: conv2d expected (B,{spec.in_channels},H,W) input")
-            if a.shape[3] < spec.kernel or a.shape[4] < spec.kernel:
+            if a.shape[2] < spec.kernel or a.shape[3] < spec.kernel:
                 raise ShapeError(f"layer {i}: spatial input smaller than kernel")
             W, b = _split_conv(spec, vec)
-            z, P = _conv_forward(a, W, b)
+            Ho, Wo = a.shape[2] - spec.kernel + 1, a.shape[3] - spec.kernel + 1
+            zt, Ps = np.empty((R, Ho * Wo, spec.out_channels)), []
+            for run in layout.runs:
+                s = run.clients
+                zr = zt[run.rows].reshape(run.stack[0], -1, spec.out_channels)
+                Ps.append(_conv_forward(_stack(a, run), W[s], b[s], out=zr)[1])
+            z = zt.reshape(R, Ho, Wo, spec.out_channels).transpose(0, 3, 1, 2)
         else:  # flatten
-            z, P, W = a.reshape(N, B, -1), None, None
+            z, Ps, W = a.reshape(R, -1), None, None
         if spec.kind != FLATTEN or i == 0:
             # past layer 0, a flatten reshapes an activation already checked
             _check_finite(z, i, "activation")
         out = np.maximum(z, 0.0) if spec.activation == ACT_RELU else z
         if keep:
-            caches.append((a, P, W))
+            caches.append((a, Ps, W))
         a = out
-    if a.ndim != 3:
+    if a.ndim != 2:
         raise ShapeError("model output is not flat; final flatten/dense missing")
     return a, caches
 
 
 def forward(model: Model, batch: Batch) -> np.ndarray:
     """Logits for a batch, shape (B, num_classes). Keeps no backprop caches."""
-    logits, _ = _forward(model, [vec[None] for vec in model.params], batch.inputs[None],
-                         keep=False)
-    if logits.shape[2] != model.num_classes:
+    logits, _ = _forward(model, [vec[None] for vec in model.params], batch.inputs,
+                         _Layout([len(batch)]), keep=False)
+    if logits.shape[1] != model.num_classes:
         raise ShapeError(
-            f"model produces {logits.shape[2]} outputs for {model.num_classes} classes"
+            f"model produces {logits.shape[1]} outputs for {model.num_classes} classes"
         )
-    return logits[0]
+    return logits
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -464,51 +545,74 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def stacked_loss_and_grads(
-    model: Model, flats: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+    model: Model, flats: np.ndarray, inputs: np.ndarray, labels: np.ndarray, sizes
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy loss and its gradient for N clients at once: client
     n's parameters are row n of `flats` (N, num_params), laid out like
-    `model.flat`, and its minibatch is inputs[n] (B, input_dim) with labels[n].
-    Returns the (N,) losses and the (N, num_params) gradients. Each client's
-    row has the bits of a call on that client alone: every operation acts on
-    each client's slice as the one-client call does."""
-    N, B = labels.shape
-    if inputs.shape[:2] != (N, B) or inputs.ndim != 3:
-        raise ShapeError(f"inputs {inputs.shape} for labels {labels.shape}")
-    if B == 0:
+    `model.flat`, and its minibatch is the next sizes[n] rows of `inputs`
+    (R, input_dim) and `labels` (R,), after those of clients 0..n-1. Returns
+    the (N,) losses and the (N, num_params) gradients. Each client's row has
+    the bits of a call on that client alone: every operation acts on each
+    client's slice as the one-client call does. Clients of equal size should
+    sit next to each other: each run of them takes its GEMMs as one stacked
+    matmul."""
+    sizes = [int(B) for B in sizes]
+    N, R = len(sizes), sum(sizes)
+    if flats.ndim != 2 or flats.shape[0] != N:
+        raise ShapeError(f"parameter stack {flats.shape} for {N} clients")
+    if inputs.ndim != 2 or inputs.shape[0] != R or labels.shape != (R,):
+        raise ShapeError(f"inputs {inputs.shape} and labels {labels.shape} "
+                         f"for minibatches of {sizes} rows")
+    if min(sizes, default=0) < 1:
         raise ShapeError("empty batch")
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ShapeError("label out of range")
-    logits, caches = _forward(model, _layer_blocks(model, flats), inputs, keep=True)
-    # flat position of each sample's label in the (N, B, classes) logits
-    picks = np.arange(0, N * B * model.num_classes, model.num_classes) + labels.reshape(-1)
+    layout = _Layout(sizes)
+    logits, caches = _forward(model, _layer_blocks(model, flats), inputs, layout, keep=True)
+    # flat position of each row's label in the (R, classes) logits
+    picks = np.arange(0, R * model.num_classes, model.num_classes) + labels
     logp = log_softmax(logits)
-    losses = -(np.add.reduce(logp.reshape(-1)[picks].reshape(N, B), axis=1) / B)
+    picked, sums = logp.reshape(-1)[picks], np.empty(N)
+    for run in layout.runs:
+        np.add.reduce(_stack(picked, run), axis=1, out=sums[run.clients])
+    B = np.array(sizes, dtype=np.float64)
+    losses = -(sums / B)
     da = np.exp(logp, out=logp)   # the softmax, in logp's memory
     da.reshape(-1)[picks] -= 1.0
-    da /= B
+    da /= layout.row_sizes
 
     # every coordinate is written: each dense or conv layer fills its dW and
-    # db views of its block g, and a flatten layer has none. Each layer's
-    # cache is dropped once used; a ReLU layer's mask is read off its output
-    # (the next layer's input), where out > 0 exactly when z > 0, and is
-    # multiplied into da, a buffer nothing else reads.
+    # db views of its block g, run by run, and a flatten layer has none. Each
+    # layer's cache is dropped once used; a ReLU layer's mask is read off its
+    # output (the next layer's input), where out > 0 exactly when z > 0, and
+    # is multiplied into da, a buffer nothing else reads.
     grads = np.empty(flats.shape)
     grad_blocks = _layer_blocks(model, grads)
     out = logits
     for i in range(model.num_layers - 1, -1, -1):
         spec, g = model.layers[i], grad_blocks[i]
-        a_prev, P, W = caches.pop()
+        a_prev, Ps, W = caches.pop()
         if spec.activation == ACT_RELU:
             da *= (out > 0.0).astype(np.float64)
         dz = da
         # layer 0's input is the data: nothing consumes its gradient
         if spec.kind == DENSE:
-            _, _, da = _dense_backward(a_prev, W, dz, input_grad=i > 0,
-                                       out=_split_dense(spec, g))
+            gW, gb = _split_dense(spec, g)
+            da = np.empty(a_prev.shape) if i > 0 else None
+            for run in layout.runs:
+                s = run.clients
+                _dense_backward(_stack(a_prev, run), W[s], _stack(dz, run), input_grad=i > 0,
+                                out=(gW[s], gb[s], None if da is None else _stack(da, run)))
         elif spec.kind == CONV2D:
             gW, gb = _split_conv(spec, g)
-            gW[...], gb[...], da = _conv_backward(a_prev, W, dz, P, input_grad=i > 0)
+            C, H, Wd = a_prev.shape[1:]
+            dxt = np.zeros((len(a_prev), H, Wd, C)) if i > 0 else None
+            for run, P in zip(layout.runs, Ps):
+                s = run.clients
+                gW[s], gb[s], _ = _conv_backward(_stack(a_prev, run), W[s], _stack(dz, run), P,
+                                                 input_grad=i > 0,
+                                                 out=None if dxt is None else _stack(dxt, run))
+            da = None if dxt is None else dxt.transpose(0, 3, 1, 2)
         else:  # flatten: reshape gradient back to the cached input shape
             da = dz.reshape(a_prev.shape)
         out = a_prev
@@ -522,8 +626,8 @@ def stacked_loss_and_grads(
 def loss_and_grads(model: Model, batch: Batch) -> tuple[float, np.ndarray]:
     """Mean cross-entropy loss and its gradient, one vector laid out like
     `model.flat`: the one-client case of `stacked_loss_and_grads`."""
-    losses, grads = stacked_loss_and_grads(model, model.flat[None], batch.inputs[None],
-                                           batch.labels[None])
+    losses, grads = stacked_loss_and_grads(model, model.flat[None], batch.inputs,
+                                           batch.labels, [len(batch)])
     return float(losses[0]), grads[0]
 
 

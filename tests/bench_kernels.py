@@ -3,8 +3,9 @@
 minibatch's forward, backward and optimizer parts, and one whole
 `train_unlearner` with its collect/update split), of the
 dense and conv2d layer kernels on cnn-fed's mini_cnn shapes (one client's
-stack), of one ref-mlp and one cnn-fed client's FedAvg local update, and of
-one lockstep FedAvg round of each workload's clients.
+stack), of one ref-mlp and one cnn-fed client's FedAvg local update, of
+one lockstep FedAvg round of each workload's clients, and of the stacked
+call of one ref-mlp tick whose clients' minibatch sizes differ.
 
     PYTHONPATH=src python -m pytest tests/bench_kernels.py -m bench
 
@@ -251,19 +252,22 @@ def cnn_batch(batch_size):
 
 @functools.cache
 def cnn_layers(batch_size):
-    """mini_cnn's weighted layers in order, as one-client stacks: (W, b,
-    layer input, upstream gradient, cached patch matrix or None)."""
+    """mini_cnn's weighted layers in order, for one client: (W, b, layer
+    input rows, upstream gradient rows, cached patch matrix or None), the
+    parameters as one-client stacks."""
     model = cnn_model()
     logits, caches = nn._forward(model, [vec[None] for vec in model.params],
-                                 cnn_batch(batch_size).inputs[None], keep=True)
+                                 cnn_batch(batch_size).inputs, nn._Layout([batch_size]),
+                                 keep=True)
     # each layer's output is the next layer's input; the last one's, the logits
     outputs = [a for a, _, _ in caches[1:]] + [logits]
     rng = np.random.default_rng(1)
     out = []
-    for spec, vec, (a, P, _), z in zip(model.layers, model.params, caches, outputs):
+    for spec, vec, (a, Ps, _), z in zip(model.layers, model.params, caches, outputs):
         split = {nn.DENSE: nn._split_dense, nn.CONV2D: nn._split_conv}.get(spec.kind)
         if split:
-            out.append((*split(spec, vec[None]), a, rng.standard_normal(z.shape), P))
+            out.append((*split(spec, vec[None]), a, rng.standard_normal(z.shape),
+                        Ps and Ps[0]))
     return out
 
 
@@ -271,28 +275,29 @@ def cnn_layers(batch_size):
 @pytest.mark.parametrize("layer", [0, 1])
 def test_bench_conv2d_forward(benchmark, layer, batch_size):
     W, b, a, _, _ = cnn_layers(batch_size)[layer]
-    benchmark(nn._conv_forward, a, W, b)
+    benchmark(nn._conv_forward, a[None], W, b)
 
 
 @pytest.mark.parametrize("layer", [0, 1])
 def test_bench_conv2d_backward(benchmark, layer):
     # as loss_and_grads calls it: cached patches, no input gradient for layer 0
     W, _, a, dz, P = cnn_layers(TRAIN_B)[layer]
-    benchmark(nn._conv_backward, a, W, dz, P, input_grad=layer > 0)
+    benchmark(nn._conv_backward, a[None], W, dz[None], P, input_grad=layer > 0)
 
 
 @pytest.mark.parametrize("batch_size", [TRAIN_B, EVAL_B])
 def test_bench_dense_forward(benchmark, batch_size):
     W, b, a, _, _ = cnn_layers(batch_size)[2]
-    benchmark(nn._dense_forward, a, W, b)
+    benchmark(nn._dense_forward, a, W, b, nn._Layout([batch_size]))
 
 
 def test_bench_dense_backward(benchmark):
-    # as loss_and_grads calls it: dW and db written into the gradient's views
+    # as loss_and_grads calls it on one client: (1, B, ...) views of its
+    # rows, and dW, db and the input gradient written into views
     W, _, a, dz, _ = cnn_layers(TRAIN_B)[2]
     spec = cnn_model().layers[-1]
-    out = nn._split_dense(spec, np.empty((1, spec.d)))
-    benchmark(nn._dense_backward, a, W, dz, out=out)
+    gW, gb = nn._split_dense(spec, np.empty((1, spec.d)))
+    benchmark(nn._dense_backward, a[None], W, dz[None], out=(gW, gb, np.empty((1, *a.shape))))
 
 
 def test_bench_mini_cnn_loss_and_grads(benchmark):
@@ -322,17 +327,45 @@ def test_bench_mini_cnn_local_update(benchmark):
     benchmark(federation.local_update, cnn_model(), X, y, 2, fed.eta, fed.batch_size, seed=0)
 
 
-def bench_round(benchmark, cfg):
-    # round 1 of the workload's FedAvg: its 8 clients' local updates in
-    # lockstep, the aggregate and the evaluate forward
+def round_calls(cfg, monkeypatch):
+    """Round 1 of the workload's FedAvg, as run_rounds arguments, and the
+    (flats, inputs, labels, sizes) of each stacked call it makes."""
     ds = pipeline.build_dataset(cfg)
-    benchmark(federation.run_rounds, dataclasses.replace(fed_config(cfg), rounds=1),
-              pipeline.build_partition(cfg, ds), ds, pipeline.build_model0(cfg, ds))
+    args = (dataclasses.replace(fed_config(cfg), rounds=1), pipeline.build_partition(cfg, ds),
+            ds, pipeline.build_model0(cfg, ds))
+    calls, call = [], nn.stacked_loss_and_grads
+
+    def recorded(model, flats, inputs, labels, sizes):
+        calls.append((flats.copy(), inputs, labels, sizes))
+        return call(model, flats, inputs, labels, sizes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nn, "stacked_loss_and_grads", recorded)
+        federation.run_rounds(*args)
+    return args, calls
 
 
-def test_bench_mlp_lockstep_round(benchmark):
-    bench_round(benchmark, CFG)
+def bench_round(benchmark, cfg, monkeypatch):
+    # round 1 of the workload's FedAvg: its 8 clients' local updates in
+    # lockstep, the aggregate and the evaluate forward; extra_info holds the
+    # round's stacked calls
+    args, calls = round_calls(cfg, monkeypatch)
+    benchmark.extra_info.update(calls_per_round=len(calls))
+    benchmark(federation.run_rounds, *args)
 
 
-def test_bench_mini_cnn_lockstep_round(benchmark):
-    bench_round(benchmark, CNN_CFG)
+def test_bench_mlp_lockstep_round(benchmark, monkeypatch):
+    bench_round(benchmark, CFG, monkeypatch)
+
+
+def test_bench_mini_cnn_lockstep_round(benchmark, monkeypatch):
+    bench_round(benchmark, CNN_CFG, monkeypatch)
+
+
+def test_bench_mlp_mixed_size_tick(benchmark, monkeypatch):
+    # the stacked call of ref-mlp round 1's first tick whose minibatch sizes
+    # differ; extra_info holds its sizes
+    args, calls = round_calls(CFG, monkeypatch)
+    flats, inputs, labels, sizes = next(c for c in calls if len(set(c[3])) > 1)
+    benchmark.extra_info.update(sizes=list(sizes))
+    benchmark(nn.stacked_loss_and_grads, args[3], flats, inputs, labels, sizes)

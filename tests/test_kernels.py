@@ -26,11 +26,14 @@ Compared for exact equality, never a tolerance:
   bool-mask ReLU, per-layer gradients concatenated at the end and a new model
   per SGD step): `forward`, `loss_and_grads` and `local_update`, and the
   lockstep `run_rounds` against a per-client loop over `ref_local_update`
-  and `ref_aggregate` (uneven clients, batch sizes 1 and 40 on mini_cnn, a
-  partial pool, smaller stacked-call caps, retrain's eligible set), model,
-  uploads and round logs, values and signs alike; a stack of conv clients
-  against each client alone; and the `NumericError` a poisoned client of a
-  stacked call raises against the one it raises alone
+  and `ref_aggregate` (uneven clients, clients of all-distinct minibatch
+  sizes, batch sizes 1 and 40 on mini_cnn, a partial pool, smaller
+  stacked-call caps, one of them splitting a tick of mixed sizes, retrain's
+  eligible set), model, uploads and round logs, values and signs alike; one
+  stacked call over clients of mixed minibatch sizes against each client
+  alone; a stack of conv clients against each client alone; and the
+  `NumericError` a poisoned client of a stacked call raises against the one
+  it raises alone
 - `federation.aggregate`, `baselines.newly_zeroed`,
   `baselines.baseline_grad_ascent` and `sensitivity.loo_aggregate`, which act
   on the model's flat vector, against their per-layer loops
@@ -795,12 +798,18 @@ def test_conv_matches_einsum_reference_on_edge_shapes(B, C, O, k, H, Wd):
 
 def patch_reference_conv(monkeypatch):
     """Swap the einsum loops into nn, one client at a time, with the kernels'
-    stacked call signatures."""
-    def forward(x, W, b):
-        return np.stack([ref_conv_forward(*c) for c in zip(x, W, b)]), None
+    stacked call signatures, writing into the channels-last `out` buffers."""
+    def forward(x, W, b, out=None):
+        z = np.stack([ref_conv_forward(*c) for c in zip(x, W, b)])
+        if out is not None:
+            out.reshape(z.transpose(0, 1, 3, 4, 2).shape)[...] = z.transpose(0, 1, 3, 4, 2)
+        return z, None
 
-    def backward(x, W, dz, P=None, input_grad=True):
-        return tuple(map(np.stack, zip(*(ref_conv_backward(*c) for c in zip(x, W, dz)))))
+    def backward(x, W, dz, P=None, input_grad=True, out=None):
+        grads = tuple(map(np.stack, zip(*(ref_conv_backward(*c) for c in zip(x, W, dz)))))
+        if out is not None:
+            out[...] = grads[2].transpose(0, 1, 3, 4, 2)
+        return grads
 
     monkeypatch.setattr(nn, "_conv_forward", forward)
     monkeypatch.setattr(nn, "_conv_backward", backward)
@@ -1106,6 +1115,35 @@ def test_local_step_bits_match_reference(arch, dim):
     assert same_bytes(model.flat, before)
 
 
+# minibatch sizes of one stacked call, in the order a lockstep tick sorts
+# them (largest first); the test also takes them smallest first and in an
+# order whose equal sizes are not next to each other
+MIXED_CALLS = {"mlp-32": ("mlp", 32, (32, 32, 11, 5, 1)),
+               "mlp-784": ("mlp", 784, (32, 32, 11, 5, 1)),
+               "mini_cnn-64": ("mini_cnn", 64, (32, 31, 7, 1))}
+
+
+@pytest.mark.parametrize("arch,dim,sizes", MIXED_CALLS.values(), ids=MIXED_CALLS)
+def test_mixed_size_call_bits_match_each_client_alone(arch, dim, sizes):
+    # each client of one call has its own parameters and minibatch; its loss
+    # and gradient must have the bytes of a call on it alone and of the
+    # reference, signs of zero included
+    model = step_model(arch, dim)
+    for order in (sizes, sizes[::-1], (*sizes[1:], sizes[0])):
+        X, y = step_data(dim, sum(order), seed=len(order) + dim)
+        flats = np.stack([(1.0 + 0.25 * n) * model.flat for n in range(len(order))])
+        flats[-1, ::7] = -0.0   # parameters of both zero signs
+        losses, grads = nn.stacked_loss_and_grads(model, flats, X, y, order)
+        assert grads.shape == flats.shape
+        for n, (lo, B) in enumerate(zip(np.cumsum([0, *order[:-1]]).tolist(), order)):
+            client = model.over(flats[n].copy())
+            batch = nn.Batch(X[lo : lo + B], y[lo : lo + B])
+            loss, grad = nn.loss_and_grads(client, batch)
+            ref_loss, ref_grad = ref_loss_and_grads(client, batch)
+            assert same_bytes(losses[n], loss) and same_bytes(loss, ref_loss), (order, n)
+            assert same_bytes(grads[n], grad) and same_bytes(grad, ref_grad), (order, n)
+
+
 def uneven_indices(n_samples, sizes, seed):
     """Disjoint client index arrays of the given sizes, drawn at random."""
     order = np.random.default_rng(seed).permutation(n_samples)
@@ -1113,10 +1151,20 @@ def uneven_indices(n_samples, sizes, seed):
             zip(np.cumsum([0, *sizes[:-1]]).tolist(), sizes)]
 
 
-# (config overlay, stacked-call sample cap, how the pool is restricted)
+# client sizes of the "uneven" and "distinct" pools; the last client of a
+# pool takes the rest of the dataset
+POOL_SIZES = {"uneven": [1, 5, 31, 32, 33, 64, 100], "distinct": [3, 7, 12, 18, 25, 40, 60]}
+
+# (config overlay, stacked-call cap in samples, how the pool is restricted)
 ROUNDS_CASES = {
     # ref-mlp's shapes, clients of 1, 5, 31, 32, 33 ... samples
     "mlp-uneven": ({}, None, "uneven"),
+    # one minibatch an epoch, of a size no other client has: every tick is
+    # one call of eight one-client runs
+    "mlp-distinct": ({"federation": {"batch_size": 256}}, None, "distinct"),
+    # a cap of 48 samples: the tick of sizes 32, ..., 32, 31, 5, 1 is cut
+    # into one call per 32-sample client and a call of 31, 5 and 1
+    "mlp-uneven-cap": ({}, 48, "uneven"),
     # one sample a minibatch: every client of a tick in one stacked call
     "mini_cnn-b1": ({"model": {"arch": "mini_cnn"}, "dataset": {"dim": 36, "per_class": 12},
                      "federation": {"batch_size": 1}}, None, None),
@@ -1151,8 +1199,8 @@ def check_run_rounds(monkeypatch, overlay, cap, pool):
     ds = pipeline.build_dataset(cfg)
     part = pipeline.build_partition(cfg, ds)
     kwargs = {}
-    if pool == "uneven":
-        sizes = [1, 5, 31, 32, 33, 64, 100]
+    if pool in POOL_SIZES:
+        sizes = POOL_SIZES[pool]
         n = len(ds.labels)
         kwargs["client_indices"] = uneven_indices(n, [*sizes, n - sum(sizes)], seed=7)
     elif pool == "retrain":
@@ -1162,10 +1210,16 @@ def check_run_rounds(monkeypatch, overlay, cap, pool):
                   *split.remain_per_client[6:]]
         kwargs = {"eligible": [n for n in range(8) if remain[n].size],
                   "client_indices": remain}
-    if cap is not None:
-        monkeypatch.setattr(nn, "STACK_SAMPLES", cap)
     args = (fed_config(cfg), part, ds, pipeline.build_model0(cfg, ds))
+    if cap is not None:
+        monkeypatch.setattr(nn, "STACK_FLOATS", cap * nn.sample_floats(args[3]))
+    calls = record_calls(monkeypatch)
     model, history, logs = federation.run_rounds(*args, **kwargs)
+    # a call's clients are sorted by size, largest first, and only a
+    # one-client call passes the cap
+    assert all(list(sizes) == sorted(sizes, reverse=True) for sizes in calls)
+    if cap is not None:
+        assert all(sum(sizes) <= cap or len(sizes) == 1 for sizes in calls)
     ref_model, ref_uploads, ref_logs = ref_run_rounds(*args, **kwargs)
     assert same_bytes(model.flat, ref_model.flat)
     assert history.clients() == sorted(ref_uploads)
@@ -1177,6 +1231,47 @@ def check_run_rounds(monkeypatch, overlay, cap, pool):
     for log, (rnd, participants, loss, acc) in zip(logs, ref_logs):
         assert (log.round, log.participants) == (rnd, participants)
         assert same_bytes(log.loss, loss) and same_bytes(log.accuracy, acc)
+
+
+def record_calls(monkeypatch):
+    """The minibatch sizes of each `nn.stacked_loss_and_grads` call, in call
+    order, from here on."""
+    calls, call = [], nn.stacked_loss_and_grads
+
+    def recorded(model, flats, inputs, labels, sizes):
+        calls.append(tuple(sizes))
+        return call(model, flats, inputs, labels, sizes)
+
+    monkeypatch.setattr(nn, "stacked_loss_and_grads", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("cap,ticks", [
+    (None, [[(32, 32, 31, 5, 1)], [(32, 31, 5, 1, 1)], [(32,)], [(1,)]]),
+    # 40 samples: each 32-sample client fills a call, and the smaller
+    # clients share the last one
+    (40, [[(32,), (32,), (31, 5, 1)], [(32,), (31, 5, 1, 1)], [(32,)], [(1,)]]),
+    # 1 sample: one client a call
+    (1, [[(32,), (32,), (31,), (5,), (1,)], [(32,), (31,), (5,), (1,), (1,)], [(32,)],
+         [(1,)]]),
+])
+def test_lockstep_tick_is_one_call_sorted_by_size(monkeypatch, cap, ticks):
+    # clients of 33, 1, 32, 5 and 31 samples, two epochs of 32-sample
+    # minibatches: schedules (32, 1, 32, 1), (1, 1), (32, 32), (5, 5),
+    # (31, 31). Each tick is one call of its clients sorted by size, largest
+    # first, cut where the next client would pass the cap, and every client
+    # ends with the bits of its local update alone.
+    model = step_model("mlp", 32)
+    X, y = step_data(32, 102, seed=3)
+    rows = uneven_indices(102, [33, 1, 32, 5, 31], seed=4)
+    if cap is not None:
+        monkeypatch.setattr(nn, "STACK_FLOATS", cap * nn.sample_floats(model))
+    calls = record_calls(monkeypatch)
+    flats = federation.local_updates(model, X, y, rows, [10, 11, 12, 13, 14], 2, 0.05, 32)
+    assert calls == [call for tick in ticks for call in tick]
+    for n, (idx, seed) in enumerate(zip(rows, [10, 11, 12, 13, 14])):
+        alone = ref_local_update(model, X[idx], y[idx], 2, 0.05, 32, seed)
+        assert same_bytes(flats[n], alone.flat), n
 
 
 NON_FINITE = ["input nan", "input inf", "weights inf", "head nan", "gradient overflow"]
@@ -1223,20 +1318,22 @@ def test_non_finite_step_raises_reference_message(arch, dim, where):
 @pytest.mark.parametrize("where", NON_FINITE)
 @pytest.mark.parametrize("bad", [0, 2])
 def test_non_finite_client_of_a_stacked_tick_names_the_layer(arch, dim, where, bad):
-    # three clients stacked, one of them poisoned: the message is the one
-    # the poisoned client raises alone
+    # three clients stacked, one of them poisoned, of the same size as its
+    # neighbours or of another: the message is the one the poisoned client
+    # raises alone
     model = step_model(arch, dim)
-    X, y = step_data(dim, 3 * 5, seed=1)
-    X, y = X.reshape(3, 5, dim), y.reshape(3, 5)
-    flats = np.stack([model.flat, 0.5 * model.flat, 2.0 * model.flat])
-    bad_model, X[bad] = poison(model.over(flats[bad].copy()), X[bad], where)
-    flats[bad] = bad_model.flat
-    with np.errstate(all="ignore"), pytest.raises(nn.NumericError) as err:
-        ref_loss_and_grads(bad_model, nn.Batch(X[bad], y[bad]))
-    kind = "gradient" if where == "gradient overflow" else "activation"
-    assert f"non-finite {kind} at layer" in str(err.value)
-    with np.errstate(all="ignore"), pytest.raises(nn.NumericError, match=f"^{err.value}$"):
-        nn.stacked_loss_and_grads(model, flats, X, y)
+    for sizes in ((5, 5, 5), (5, 9, 7)):
+        X, y = step_data(dim, sum(sizes), seed=1)
+        rows = slice(sum(sizes[:bad]), sum(sizes[: bad + 1]))
+        flats = np.stack([model.flat, 0.5 * model.flat, 2.0 * model.flat])
+        bad_model, X[rows] = poison(model.over(flats[bad].copy()), X[rows], where)
+        flats[bad] = bad_model.flat
+        with np.errstate(all="ignore"), pytest.raises(nn.NumericError) as err:
+            ref_loss_and_grads(bad_model, nn.Batch(X[rows], y[rows]))
+        kind = "gradient" if where == "gradient overflow" else "activation"
+        assert f"non-finite {kind} at layer" in str(err.value)
+        with np.errstate(all="ignore"), pytest.raises(nn.NumericError, match=f"^{err.value}$"):
+            nn.stacked_loss_and_grads(model, flats, X, y, sizes)
 
 
 def test_run_rounds_raises_on_a_non_finite_client():
