@@ -54,8 +54,6 @@ def baseline_uniform(model: nn.Model, total_budget: int, groups_per_layer: int) 
         raise BaselineError("budget must be non-negative")
     if total_budget > model.num_params:
         raise BaselineError("budget exceeds the parameter count")
-    if total_budget == 0:
-        return model.copy()
     idx = partition_groups(model, range(model.num_layers), groups_per_layer)
     out = model.copy()
     # one (n_groups, size) view per run of equal-size groups, canonical order

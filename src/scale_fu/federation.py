@@ -126,8 +126,10 @@ def local_updates(
     then one SGD update of their rows. Where the tick passes the
     `nn.STACK_FLOATS` cap, the call is cut before the client that would
     pass it; largest first, full-size clients fill whole calls and the
-    smaller ones share the last. Clients are independent, so each row has
-    the bits of that client stepped alone."""
+    smaller ones share the last. Clients are independent, and each run of
+    equal-size clients in a call takes its GEMMs, bias adds and 1/B scaling
+    on its own (n, B, ...) view, so each row has the bits of that client
+    stepped alone."""
     if any(rows.size == 0 for rows in client_rows):
         raise FederationError("client has no samples")
     schedules = [_schedule(rows, epochs, batch_size, seed)

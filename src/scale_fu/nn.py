@@ -268,38 +268,21 @@ class _Run(NamedTuple):
     stack: tuple[int, int]
 
 
+def _runs(sizes: list[int]) -> list[_Run]:
+    """The runs of consecutive equal-size clients, in order, of a stacked
+    call in which client n's minibatch is the next sizes[n] rows, after
+    those of clients 0..n-1."""
+    runs, c0, r0 = [], 0, 0
+    for B, group in itertools.groupby(sizes):
+        n = len(list(group))
+        runs.append(_Run(slice(c0, c0 + n), slice(r0, r0 + n * B), (n, B)))
+        c0, r0 = c0 + n, r0 + n * B
+    return runs
+
+
 def _stack(rows: np.ndarray, run: _Run) -> np.ndarray:
     """The run's part of the per-row array `rows`, as an (n, B, ...) view."""
     return rows[run.rows].reshape(run.stack + rows.shape[1:])
-
-
-class _Layout:
-    """Where the clients of a stacked call sit in its per-row arrays: client
-    n's minibatch is the next sizes[n] rows, after those of clients 0..n-1.
-    `runs` are the runs of consecutive clients of equal size, in order;
-    `row_sizes` divides per-row values by each row's minibatch size."""
-
-    def __init__(self, sizes: list[int]):
-        self.runs, c0, r0 = [], 0, 0
-        for B, group in itertools.groupby(sizes):
-            n = len(list(group))
-            self.runs.append(_Run(slice(c0, c0 + n), slice(r0, r0 + n * B), (n, B)))
-            c0, r0 = c0 + n, r0 + n * B
-        if len(self.runs) == 1:
-            self.row_client, self.row_sizes = None, float(sizes[0])
-        else:
-            self.row_client = np.repeat(np.arange(len(sizes)), sizes)
-            self.row_sizes = np.repeat(np.array(sizes, dtype=np.float64), sizes)[:, None]
-
-    def add_per_client(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """rows (R, w) += values (N, w), each row taking its client's values."""
-        if self.row_client is not None:
-            rows += values[self.row_client]
-        elif len(values) == 1:
-            rows += values   # one client: its (1, w) values broadcast over the rows
-        else:
-            stack = _stack(rows, self.runs[0])
-            stack += values[:, None, :]
 
 
 def _check_finite(arr: np.ndarray, layer: int, what: str) -> None:
@@ -307,13 +290,14 @@ def _check_finite(arr: np.ndarray, layer: int, what: str) -> None:
         raise NumericError(f"non-finite {what} at layer {layer}")
 
 
-def _dense_forward(a: np.ndarray, W: np.ndarray, b: np.ndarray, layout: _Layout) -> np.ndarray:
+def _dense_forward(a: np.ndarray, W: np.ndarray, b: np.ndarray, runs: list[_Run]) -> np.ndarray:
     # a: (R, in) rows, W: (N, out, in), b: (N, out) -> (R, out): one matmul
-    # per run of the layout, then one bias add over all rows
+    # and one bias add per run, on its (n, B, ...) views
     z = np.empty((a.shape[0], W.shape[1]))
-    for run in layout.runs:
-        np.matmul(_stack(a, run), W[run.clients].swapaxes(-1, -2), out=_stack(z, run))
-    layout.add_per_client(z, b)
+    for run in runs:
+        zr = _stack(z, run)
+        np.matmul(_stack(a, run), W[run.clients].swapaxes(-1, -2), out=zr)
+        zr += b[run.clients][:, None, :]
     return z
 
 
@@ -471,14 +455,14 @@ def sample_floats(model: Model) -> int:
 
 
 def _forward(
-    model: Model, blocks: list[np.ndarray], X: np.ndarray, layout: _Layout, keep: bool
+    model: Model, flats: np.ndarray, X: np.ndarray, runs: list[_Run], keep: bool
 ) -> tuple[np.ndarray, list]:
-    """Run the layer chain over the (R, input_dim) rows X, each client of the
-    layout by the parameters in its row of each layer block; returns the (R,
-    classes) logits and, if `keep`, per-layer caches for backprop: (input,
-    per-run conv patch matrices or None, weights or None) per layer. Each
-    run's GEMMs are stacked matmuls over (n, B, ...) views; the elementwise
-    work runs once over all rows."""
+    """Run the layer chain over the (R, input_dim) rows X, each client's rows
+    (laid out by `runs`) by its row of the (N, num_params) stack `flats`;
+    returns the (R, classes) logits and, if `keep`, per-layer caches for
+    backprop: (input, per-run conv patch matrices or None, weights or None)
+    per layer. Each run's GEMMs and bias adds act on (n, B, ...) views; ReLU
+    and the finiteness checks run once over all rows."""
     R = X.shape[0]
     if X.shape[1] != model.input_dim:
         raise ShapeError(
@@ -486,7 +470,7 @@ def _forward(
         )
     a = X.reshape(R, *model.input_shape) if len(model.input_shape) == 3 else X
     caches = []
-    for i, (spec, vec) in enumerate(zip(model.layers, blocks)):
+    for i, (spec, vec) in enumerate(zip(model.layers, _layer_blocks(model, flats))):
         if spec.kind == DENSE:
             if a.ndim != 2:
                 raise ShapeError(f"layer {i}: dense input must be flat (missing flatten?)")
@@ -495,7 +479,7 @@ def _forward(
                     f"layer {i}: dense expected width {spec.in_dim}, got {a.shape[1]}"
                 )
             W, b = _split_dense(spec, vec)
-            z, Ps = _dense_forward(a, W, b, layout), None
+            z, Ps = _dense_forward(a, W, b, runs), None
         elif spec.kind == CONV2D:
             if a.ndim != 4 or a.shape[1] != spec.in_channels:
                 raise ShapeError(f"layer {i}: conv2d expected (B,{spec.in_channels},H,W) input")
@@ -504,7 +488,7 @@ def _forward(
             W, b = _split_conv(spec, vec)
             Ho, Wo = a.shape[2] - spec.kernel + 1, a.shape[3] - spec.kernel + 1
             zt, Ps = np.empty((R, Ho * Wo, spec.out_channels)), []
-            for run in layout.runs:
+            for run in runs:
                 s = run.clients
                 zr = zt[run.rows].reshape(run.stack[0], -1, spec.out_channels)
                 Ps.append(_conv_forward(_stack(a, run), W[s], b[s], out=zr)[1])
@@ -525,8 +509,8 @@ def _forward(
 
 def forward(model: Model, batch: Batch) -> np.ndarray:
     """Logits for a batch, shape (B, num_classes). Keeps no backprop caches."""
-    logits, _ = _forward(model, [vec[None] for vec in model.params], batch.inputs,
-                         _Layout([len(batch)]), keep=False)
+    logits, _ = _forward(model, model.flat[None], batch.inputs, _runs([len(batch)]),
+                         keep=False)
     if logits.shape[1] != model.num_classes:
         raise ShapeError(
             f"model produces {logits.shape[1]} outputs for {model.num_classes} classes"
@@ -554,8 +538,9 @@ def stacked_loss_and_grads(
     the (N,) losses and the (N, num_params) gradients. Each client's row has
     the bits of a call on that client alone: every operation acts on each
     client's slice as the one-client call does. Clients of equal size should
-    sit next to each other: each run of them takes its GEMMs as one stacked
-    matmul."""
+    sit next to each other: each run of them (`_runs`) takes its GEMMs as
+    one stacked matmul, and its bias adds and 1/B scaling on one (n, B, ...)
+    view."""
     sizes = [int(B) for B in sizes]
     N, R = len(sizes), sum(sizes)
     if flats.ndim != 2 or flats.shape[0] != N:
@@ -567,19 +552,19 @@ def stacked_loss_and_grads(
         raise ShapeError("empty batch")
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ShapeError("label out of range")
-    layout = _Layout(sizes)
-    logits, caches = _forward(model, _layer_blocks(model, flats), inputs, layout, keep=True)
+    runs = _runs(sizes)
+    logits, caches = _forward(model, flats, inputs, runs, keep=True)
     # flat position of each row's label in the (R, classes) logits
     picks = np.arange(0, R * model.num_classes, model.num_classes) + labels
     logp = log_softmax(logits)
-    picked, sums = logp.reshape(-1)[picks], np.empty(N)
-    for run in layout.runs:
-        np.add.reduce(_stack(picked, run), axis=1, out=sums[run.clients])
-    B = np.array(sizes, dtype=np.float64)
-    losses = -(sums / B)
+    picked, losses = logp.reshape(-1)[picks], np.empty(N)
     da = np.exp(logp, out=logp)   # the softmax, in logp's memory
     da.reshape(-1)[picks] -= 1.0
-    da /= layout.row_sizes
+    for run in runs:
+        B, loss, da_run = run.stack[1], losses[run.clients], _stack(da, run)
+        np.add.reduce(_stack(picked, run), axis=1, out=loss)
+        loss /= -B
+        da_run /= B
 
     # every coordinate is written: each dense or conv layer fills its dW and
     # db views of its block g, run by run, and a flatten layer has none. Each
@@ -599,7 +584,7 @@ def stacked_loss_and_grads(
         if spec.kind == DENSE:
             gW, gb = _split_dense(spec, g)
             da = np.empty(a_prev.shape) if i > 0 else None
-            for run in layout.runs:
+            for run in runs:
                 s = run.clients
                 _dense_backward(_stack(a_prev, run), W[s], _stack(dz, run), input_grad=i > 0,
                                 out=(gW[s], gb[s], None if da is None else _stack(da, run)))
@@ -607,7 +592,7 @@ def stacked_loss_and_grads(
             gW, gb = _split_conv(spec, g)
             C, H, Wd = a_prev.shape[1:]
             dxt = np.zeros((len(a_prev), H, Wd, C)) if i > 0 else None
-            for run, P in zip(layout.runs, Ps):
+            for run, P in zip(runs, Ps):
                 s = run.clients
                 gW[s], gb[s], _ = _conv_backward(_stack(a_prev, run), W[s], _stack(dz, run), P,
                                                  input_grad=i > 0,

@@ -286,10 +286,8 @@ def check_error_bound(
     for t in range(trials):
         s = rng.uniform(0.0, 1.0, size=(n_sensitive, groups))
         ages = rng.integers(0, 20, size=(n_sensitive, groups)).astype(np.float64)
-        rhs = (c1 / n_sensitive) * float(
-            np.sum(s * s * _effectiveness(decomp, ages, FORM_PROOF))
-        )
         lhs_proof = float(np.sum(s * s * _effectiveness(decomp, ages, FORM_PROOF)))
+        rhs = (c1 / n_sensitive) * lhs_proof
         lhs_assumption = float(np.sum(s * s * _effectiveness(decomp, ages, FORM_ASSUMPTION)))
         if lhs_proof > rhs + 1e-12:
             proof_fail += 1

@@ -256,18 +256,18 @@ def cnn_layers(batch_size):
     input rows, upstream gradient rows, cached patch matrix or None), the
     parameters as one-client stacks."""
     model = cnn_model()
-    logits, caches = nn._forward(model, [vec[None] for vec in model.params],
-                                 cnn_batch(batch_size).inputs, nn._Layout([batch_size]),
-                                 keep=True)
+    flats = model.flat[None]
+    logits, caches = nn._forward(model, flats, cnn_batch(batch_size).inputs,
+                                 nn._runs([batch_size]), keep=True)
     # each layer's output is the next layer's input; the last one's, the logits
     outputs = [a for a, _, _ in caches[1:]] + [logits]
     rng = np.random.default_rng(1)
     out = []
-    for spec, vec, (a, Ps, _), z in zip(model.layers, model.params, caches, outputs):
+    for spec, vec, (a, Ps, _), z in zip(model.layers, nn._layer_blocks(model, flats),
+                                        caches, outputs):
         split = {nn.DENSE: nn._split_dense, nn.CONV2D: nn._split_conv}.get(spec.kind)
         if split:
-            out.append((*split(spec, vec[None]), a, rng.standard_normal(z.shape),
-                        Ps and Ps[0]))
+            out.append((*split(spec, vec), a, rng.standard_normal(z.shape), Ps and Ps[0]))
     return out
 
 
@@ -288,7 +288,7 @@ def test_bench_conv2d_backward(benchmark, layer):
 @pytest.mark.parametrize("batch_size", [TRAIN_B, EVAL_B])
 def test_bench_dense_forward(benchmark, batch_size):
     W, b, a, _, _ = cnn_layers(batch_size)[2]
-    benchmark(nn._dense_forward, a, W, b, nn._Layout([batch_size]))
+    benchmark(nn._dense_forward, a, W, b, nn._runs([batch_size]))
 
 
 def test_bench_dense_backward(benchmark):

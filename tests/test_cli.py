@@ -730,17 +730,21 @@ def test_atomic_write_replaces_whole_file(tmp_path):
 HEAP_PROBE = """
 import resource
 import numpy as np
-from scale_fu import cli, nn
+from scale_fu import cli, federation, nn
 cli.keep_freed_heap()
 rng = np.random.default_rng(0)
 model = nn.make_model("mini_cnn", 64, 4, seed=0)
 train = nn.Batch(rng.standard_normal((32, 64)), rng.integers(0, 4, 32))
 full = nn.Batch(rng.standard_normal((600, 64)), rng.integers(0, 4, 600))
+# cnn-fed's FedAvg round: 8 clients of 75 samples stepping in lockstep
+clients = [np.arange(75 * n, 75 * (n + 1)) for n in range(8)]
 def work():
     for _ in range(50):
         nn.loss_and_grads(model, train)
     for _ in range(5):
         nn.forward(model, full)
+    federation.local_updates(model, full.inputs, full.labels, clients, list(range(8)),
+                             epochs=2, eta=0.05, batch_size=32)
 work()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 work()
